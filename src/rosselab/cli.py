@@ -32,16 +32,11 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .correctors import build_correctors, generator_terms
 from .fourier import gradient
-from .harness import (
-    FUNCTIONAL_NAMES,
-    deterministic_convergence,
-    epsilon_sweep,
-    sample_rng,
-)
+from .harness import FUNCTIONAL_NAMES, deterministic_convergence, epsilon_sweep
 from .kinetic import KineticConfig, run_kinetic
 from .limit import SpdeConfig, run_limit
 from .model import density, equilibrium_field, relaxation_operator, weighted_inner
-from .noise import noise_statistics
+from .noise import noise_statistics, sample_rng
 
 #: fixed entropy for the random fields used by ``verify``
 VERIFY_SEED = 12345
@@ -310,12 +305,12 @@ def cmd_verify(setup: Setup, out: Path, args) -> int:
     checks.append(("relax-dissipation", abs(dissipation), tol))
 
     transport = np.stack(
-        [quad.speeds[k] * gradient(grid, f[..., k])[0] for k in range(quad.n_v)],
+        [quad.speeds[k] * gradient(grid, f[..., k]) for k in range(quad.n_v)],
         axis=-1,
     )
     flux = f @ (quad.weights * quad.speeds)
     lhs = weighted_inner(grid, quad, transport, equilibrium_field(quad, p))
-    rhs = -grid.integrate(flux * gradient(grid, p)[0])
+    rhs = -grid.integrate(flux * gradient(grid, p))
     checks.append(("transport-duality", abs(lhs - rhs), tol))
 
     if setup.stats is not None:

@@ -109,7 +109,7 @@ class RunConfig:
         return rotor_noise(grid, self.amplitude, self.frequency, self.rate)
 
     def build_rho0(self, grid: TorusGrid) -> np.ndarray:
-        x = grid.coords()[0]
+        x = grid.axis_points()
         rho = np.full(grid.shape, self.rho0_mean)
         for mode, amp in self.rho0_modes:
             angle = 2.0 * math.pi * mode.frequency * x
@@ -201,8 +201,8 @@ def _epsilon_list(text: str) -> tuple[float, ...]:
 
 def _mode_list(text: str) -> tuple[FourierMode, ...]:
     modes = tuple(parse_mode(tok) for tok in text.split(",") if tok.strip())
-    if not modes:
-        raise ValueError("empty list")
+    if len(modes) != 1:
+        raise ValueError(f"got {len(modes)} modes; the sweep and verify read exactly one")
     return modes
 
 
@@ -292,7 +292,7 @@ def parse_config(path: str) -> RunConfig:
                               _weighted_modes, "a list like 'cos1:0.5, sin2:0.1'")
 
     modes = reader.value("harness", "modes", defaults.modes, _mode_list,
-                         "a list like 'cos1, sin2'")
+                         "a single mode like 'cos1'")
     samples_kinetic = reader.value("harness", "samples_kinetic",
                                    defaults.samples_kinetic, _positive_int,
                                    "a positive integer")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .kinetic import KineticConfig, KineticStepper
 from .model import TorusGrid, density, equilibrium_field
-from .noise import NoiseStatistics, sample_path, solve_poisson
+from .noise import NoiseStatistics, sample_path, sample_rng, solve_poisson
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class FourierMode:
             raise ValueError(f"mode {self.frequency} is not resolved on n_x = {grid.n_x}")
         if self.frequency == 0:
             return np.ones(grid.shape)
-        angle = 2.0 * np.pi * self.frequency * grid.coords()[0]
+        angle = 2.0 * np.pi * self.frequency * grid.axis_points()
         wave = np.cos(angle) if self.parity == "cos" else np.sin(angle)
         return math.sqrt(2.0) * wave
 
@@ -86,46 +86,29 @@ class CorrectorSet:
     both correctors are linear functionals of the density.
     """
 
-    mode: FourierMode
     stats: NoiseStatistics
     first_profiles: np.ndarray  # (n_states, grid.size)
     second_profiles: np.ndarray
 
     def first_values(self, rho: np.ndarray) -> np.ndarray:
-        grid = self.stats.model.grid
-        return grid.cell_volume * (self.first_profiles @ np.ravel(rho))
+        """phi_1 for every chain state."""
+        return self.stats.model.grid.cell_volume * (self.first_profiles @ rho)
 
     def second_values(self, rho: np.ndarray) -> np.ndarray:
-        grid = self.stats.model.grid
-        return grid.cell_volume * (self.second_profiles @ np.ravel(rho))
-
-    def perturbed_values(self, rho: np.ndarray, eps: float) -> np.ndarray:
-        """phi + eps phi_1 + eps^2 phi_2 for every chain state."""
-        grid = self.stats.model.grid
-        base = self.mode.apply(grid, rho)
-        return base + eps * self.first_values(rho) + eps**2 * self.second_values(rho)
+        """phi_2 for every chain state."""
+        return self.stats.model.grid.cell_volume * (self.second_profiles @ rho)
 
 
 def build_correctors(stats: NoiseStatistics, mode: FourierMode) -> CorrectorSet:
     grid = stats.model.grid
-    p = np.ravel(mode.profile(grid))
+    p = mode.profile(grid)
     psi = stats.poisson_profiles.reshape(stats.model.n_states, -1)
     states = stats.model.flat_states()
     first = -psi * p
     c = -states * psi * p
     centered = c - stats.model.stationary @ c
     second = -solve_poisson(stats.model.generator, stats.model.stationary, centered)
-    return CorrectorSet(mode, stats, first, second)
-
-
-def corrector1(stats: NoiseStatistics, rho: np.ndarray, mode: FourierMode) -> np.ndarray:
-    """First-corrector values, one per chain state."""
-    return build_correctors(stats, mode).first_values(rho)
-
-
-def corrector2(stats: NoiseStatistics, rho: np.ndarray, mode: FourierMode) -> np.ndarray:
-    """Second-corrector values, one per chain state."""
-    return build_correctors(stats, mode).second_values(rho)
+    return CorrectorSet(stats, first, second)
 
 
 @dataclass(frozen=True)
@@ -190,9 +173,8 @@ class GeneratorEvaluator:
         if stats is not None and stats.model is not config.noise:
             raise ValueError("noise statistics belong to a different model")
         self.config = config
-        self.mode = mode
         grid, quad = config.grid, config.quad
-        self.p = np.ravel(mode.profile(grid))
+        self.p = mode.profile(grid)
         self.flux_weights = quad.weights * quad.speeds
         self.freq = 2j * np.pi * np.fft.rfftfreq(grid.n_x, d=grid.spacing)
         self.cell = grid.cell_volume
@@ -239,8 +221,8 @@ class GeneratorEvaluator:
                 "chain_first": zero,
                 "chain_second": zero,
             }
-        first_vals = self.cell * (self.w_profiles @ rho)
-        second_vals = self.cell * (self.u_profiles @ rho)
+        first_vals = self.correctors.first_values(rho)
+        second_vals = self.correctors.second_values(rho)
         return {
             "transport_singular": np.full(len(first_vals), t_sing),
             "transport_first": -self.cell * (self.w_profiles @ div_flux),
@@ -267,20 +249,20 @@ class GeneratorEvaluator:
         corrector jumps)."""
         if self.correctors is None:
             return np.zeros(1)
-        v = self.cell * (self.w_profiles @ np.ravel(rho))
-        v = v + self.config.epsilon * self.cell * (self.u_profiles @ np.ravel(rho))
+        v = self.correctors.first_values(rho)
+        v = v + self.config.epsilon * self.correctors.second_values(rho)
         jumps = (v[None, :] - v[:, None]) ** 2
         return np.einsum("il,il->i", self.generator, jumps)
 
     def perturbed(self, f: np.ndarray) -> np.ndarray:
+        """phi + eps phi_1 + eps^2 phi_2 for every chain state."""
         rho = density(self.config.quad, f)
         base = self.cell * float(self.p @ rho)
         if self.correctors is None:
             return np.full(1, base)
         eps = self.config.epsilon
-        first_vals = self.cell * (self.w_profiles @ rho)
-        second_vals = self.cell * (self.u_profiles @ rho)
-        return base + eps * first_vals + eps**2 * second_vals
+        return (base + eps * self.correctors.first_values(rho)
+                + eps**2 * self.correctors.second_values(rho))
 
 
 def generator_terms(
@@ -352,6 +334,8 @@ def martingale_residual(
     dt = config.dt
     k_start = round(t_start / dt)
     k_end = round(t_end / dt)
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
     if not 0 <= k_start < k_end <= config.n_steps:
         raise ValueError("window must satisfy 0 <= t_start < t_end <= t_final")
     for name, t, k in (("t_start", t_start, k_start), ("t_end", t_end, k_end)):
@@ -365,7 +349,7 @@ def martingale_residual(
     squares = np.empty(n_samples)
     qvs = np.empty(n_samples)
     for sample in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence((base_seed, sample)))
+        rng = sample_rng(base_seed, sample)
         path = sample_path(config.noise, config.epsilon, config.t_final, rng) if noisy else None
         stepper = KineticStepper(config, path)
         f = f0.copy()
@@ -398,8 +382,10 @@ def martingale_residual(
         squares[sample] = residual**2
         qvs[sample] = qv
     gaps = squares - qvs
+
     def sem(x):
-        return float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
+        return float(x.std(ddof=1) / math.sqrt(len(x)))
+
     return MartingaleCheck(
         n_samples,
         float(weighted.mean()),

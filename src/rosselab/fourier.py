@@ -1,7 +1,7 @@
 """Spectral derivatives and norms on the periodic unit torus.
 
-Fourier coefficients follow the analyst's convention on [0, 1)^dim:
-rho_hat(xi) = int rho(x) exp(-2 pi i xi . x) dx with integer frequencies xi,
+Fourier coefficients follow the analyst's convention on [0, 1):
+rho_hat(xi) = int rho(x) exp(-2 pi i xi x) dx with integer frequencies xi,
 so Parseval reads ||rho||_{L^2}^2 = sum_xi |rho_hat(xi)|^2.  All derivatives
 are exact for trigonometric polynomials resolved by the grid.
 """
@@ -16,53 +16,38 @@ from .model import TorusGrid
 
 
 @functools.lru_cache(maxsize=None)
-def _wavenumbers(n_x: int, dim: int) -> np.ndarray:
-    """Integer frequency grids in full FFT layout, shape (dim, n_x, ..., n_x)."""
-    k = np.fft.fftfreq(n_x, d=1.0 / n_x)
-    mesh = np.meshgrid(*([k] * dim), indexing="ij")
-    return np.stack(mesh)
+def _wavenumbers(n_x: int) -> np.ndarray:
+    """Integer frequencies in full FFT layout."""
+    return np.fft.fftfreq(n_x, d=1.0 / n_x)
 
 
 @functools.lru_cache(maxsize=None)
-def _laplace_symbol(n_x: int, dim: int) -> np.ndarray:
-    """Symbol of the Laplacian, -4 pi^2 |xi|^2."""
-    k = _wavenumbers(n_x, dim)
-    return -4.0 * np.pi**2 * np.sum(k * k, axis=0)
+def _laplace_symbol(n_x: int) -> np.ndarray:
+    """Symbol of the Laplacian, -4 pi^2 xi^2."""
+    k = _wavenumbers(n_x)
+    return -4.0 * np.pi**2 * (k * k)
 
 
 def gradient(grid: TorusGrid, rho: np.ndarray) -> np.ndarray:
-    """Spectral gradient, shape (dim,) + grid.shape."""
-    axes = tuple(range(grid.dim))
-    rho_hat = np.fft.fftn(rho, axes=axes)
-    k = _wavenumbers(grid.n_x, grid.dim)
-    out = np.fft.ifftn(2j * np.pi * k * rho_hat, axes=tuple(range(1, grid.dim + 1)))
+    """Spectral derivative of a scalar field."""
+    rho_hat = np.fft.fft(rho)
+    out = np.fft.ifft(2j * np.pi * _wavenumbers(grid.n_x) * rho_hat)
     return np.ascontiguousarray(out.real)
-
-
-def divergence(grid: TorusGrid, flux: np.ndarray) -> np.ndarray:
-    """Spectral divergence of a vector field of shape (dim,) + grid.shape."""
-    axes = tuple(range(1, grid.dim + 1))
-    flux_hat = np.fft.fftn(flux, axes=axes)
-    k = _wavenumbers(grid.n_x, grid.dim)
-    div_hat = np.sum(2j * np.pi * k * flux_hat, axis=0)
-    return np.fft.ifftn(div_hat).real
 
 
 def laplacian(grid: TorusGrid, rho: np.ndarray) -> np.ndarray:
     """Spectral Laplacian of a scalar field."""
-    axes = tuple(range(grid.dim))
-    rho_hat = np.fft.fftn(rho, axes=axes)
-    return np.fft.ifftn(_laplace_symbol(grid.n_x, grid.dim) * rho_hat, axes=axes).real
+    rho_hat = np.fft.fft(rho)
+    return np.fft.ifft(_laplace_symbol(grid.n_x) * rho_hat).real
 
 
 def coefficients(grid: TorusGrid, rho: np.ndarray) -> np.ndarray:
     """Fourier coefficients rho_hat(xi) in full FFT layout."""
-    axes = tuple(range(grid.dim))
-    return np.fft.fftn(rho, axes=axes) * grid.cell_volume
+    return np.fft.fft(rho) * grid.cell_volume
 
 
 def sobolev_norm_sq(grid: TorusGrid, rho: np.ndarray, s: float) -> float:
-    """Squared H^s norm, sum_xi (1 + 4 pi^2 |xi|^2)^s |rho_hat(xi)|^2."""
-    weight = (1.0 - _laplace_symbol(grid.n_x, grid.dim)) ** s
+    """Squared H^s norm, sum_xi (1 + 4 pi^2 xi^2)^s |rho_hat(xi)|^2."""
+    weight = (1.0 - _laplace_symbol(grid.n_x)) ** s
     c = coefficients(grid, rho)
     return float(np.sum(weight * (c.real**2 + c.imag**2)))

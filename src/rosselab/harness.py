@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .correctors import FourierMode
 from .kinetic import DT_CAP, KineticConfig, run_kinetic
 from .limit import SpdeConfig, rosseland_rhs, run_limit, stable_dt
 from .model import Opacity, TorusGrid, VelocityQuadrature, l2_norm_sq
-from .noise import NoiseModel, noise_statistics
+from .noise import NoiseModel, _entropy, noise_statistics, sample_rng
 
 #: names of the sweep functionals, in report order
 FUNCTIONAL_NAMES = ("mode-mean", "mode-var", "normsq-mean")
@@ -49,98 +49,6 @@ def hs_norm(trajectory, order: float) -> float:
         for rho in trajectory.densities
     ]
     return float(np.trapezoid(values, trajectory.times))
-
-
-def _entropy(seed) -> tuple[int, ...]:
-    return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-
-
-def sample_rng(seed, index: int) -> np.random.Generator:
-    """Generator for one ensemble member, independent across indices."""
-    return np.random.default_rng(np.random.SeedSequence((*_entropy(seed), index)))
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleSummary:
-    """Mean, standard error and variance of one scalar per sample."""
-
-    values: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.values)
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    @property
-    def variance(self) -> float:
-        return float(self.values.var(ddof=1)) if len(self.values) > 1 else 0.0
-
-    @property
-    def sem(self) -> float:
-        return math.sqrt(self.variance / len(self.values)) if len(self.values) > 1 else 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleStats:
-    """Sample statistics of final-time functionals, one row per functional.
-
-    The functionals are the projections of rho_T onto a configured set of
-    Fourier modes plus the squared L^2 norm; all rows share one sample
-    count and sems[j] = sqrt(variances[j] / count).
-    """
-
-    names: tuple[str, ...]
-    means: np.ndarray
-    variances: np.ndarray
-    sems: np.ndarray
-    count: int
-
-
-#: named trajectory runners accepted by ensemble_stats
-RUNNERS = {"kinetic": run_kinetic, "limit": run_limit}
-
-
-def ensemble_stats(
-    runner,
-    config,
-    rho0: np.ndarray,
-    n_samples: int,
-    base_seed,
-    modes: Sequence[FourierMode] = (FourierMode(1, "cos"),),
-) -> EnsembleStats:
-    """Statistics of mode projections and the squared norm at the final time.
-
-    ``runner`` is "kinetic", "limit", or any callable with the signature
-    ``runner(config, rho0, rng=...) -> trajectory``.  Samples are seeded
-    independently from ``base_seed``; a solver error aborts the ensemble and
-    is re-raised with the failing sample index prepended.
-    """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    run = RUNNERS.get(runner, runner)
-    if not callable(run):
-        raise ValueError(f"unknown runner {runner!r}; use 'kinetic' or 'limit'")
-    names = tuple(f"mode<{m.label}>" for m in modes) + ("normsq",)
-    grid = config.grid
-    table = np.empty((n_samples, len(names)))
-    for k in range(n_samples):
-        try:
-            trajectory = run(config, rho0, rng=sample_rng(base_seed, k))
-        except Exception as exc:
-            raise type(exc)(f"sample {k}: {exc}") from exc
-        rho = trajectory.final_density()
-        table[k] = [m.apply(grid, rho) for m in modes] + [l2_norm_sq(grid, rho)]
-    variances = table.var(axis=0, ddof=1)
-    return EnsembleStats(
-        names,
-        table.mean(axis=0),
-        variances,
-        np.sqrt(variances / n_samples),
-        n_samples,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +87,44 @@ def _trapezoid(values: np.ndarray, dt: float) -> float:
     return float(dt * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
+def _per_sample(
+    run: Callable, config, rho0: np.ndarray, n_samples: int, seed, reduce: Callable
+) -> list[np.ndarray]:
+    """Run sample k from ``sample_rng(seed, k)`` and reduce each trajectory.
+
+    ``reduce`` maps a trajectory to a tuple of scalars; the result holds one
+    array per tuple entry.  A solver error aborts the ensemble and is
+    re-raised with the failing sample index prepended.
+    """
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    rows = []
+    for k in range(n_samples):
+        try:
+            trajectory = run(config, rho0, rng=sample_rng(seed, k))
+        except (ValueError, FloatingPointError) as exc:
+            raise type(exc)(f"sample {k}: {exc}") from exc
+        rows.append(reduce(trajectory))
+    return [np.array(column) for column in zip(*rows)]
+
+
+def _final_functionals(trajectory, mode: FourierMode) -> tuple[float, float]:
+    """<rho_T, p> and ||rho_T||^2 of one trajectory."""
+    grid = trajectory.config.grid
+    rho = trajectory.final_density()
+    return mode.apply(grid, rho), l2_norm_sq(grid, rho)
+
+
+def _kinetic_reduction(trajectory, mode: FourierMode, sobolev_order: float) -> tuple:
+    """Final functionals and uniform-bound diagnostics of one kinetic run."""
+    return (
+        *_final_functionals(trajectory, mode),
+        float(trajectory.energy.max()),
+        _trapezoid(trajectory.defect**2, trajectory.config.dt),
+        hs_norm(trajectory, sobolev_order),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class KineticEnsemble:
     """Per-sample functional values and uniform-bound diagnostics."""
@@ -202,22 +148,10 @@ def kinetic_ensemble(
     sobolev_order: float = 0.4,
 ) -> KineticEnsemble:
     """Independent kinetic runs reduced to functionals and diagnostics."""
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    mode_values = np.empty(n_samples)
-    norm_sq = np.empty(n_samples)
-    sup_energy = np.empty(n_samples)
-    defect_integral = np.empty(n_samples)
-    sobolev = np.empty(n_samples)
-    for k in range(n_samples):
-        trajectory = run_kinetic(config, rho0, rng=sample_rng(seed, k))
-        rho_final = trajectory.final_density()
-        mode_values[k] = mode.apply(config.grid, rho_final)
-        norm_sq[k] = l2_norm_sq(config.grid, rho_final)
-        sup_energy[k] = float(trajectory.energy.max())
-        defect_integral[k] = _trapezoid(trajectory.defect**2, config.dt)
-        sobolev[k] = hs_norm(trajectory, sobolev_order)
-    return KineticEnsemble(mode_values, norm_sq, sup_energy, defect_integral, sobolev)
+    return KineticEnsemble(*_per_sample(
+        run_kinetic, config, rho0, n_samples, seed,
+        lambda trajectory: _kinetic_reduction(trajectory, mode, sobolev_order),
+    ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,16 +173,10 @@ def limit_ensemble(
     seed,
 ) -> LimitEnsemble:
     """Independent limit-equation runs reduced to the sweep functionals."""
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    mode_values = np.empty(n_samples)
-    norm_sq = np.empty(n_samples)
-    for k in range(n_samples):
-        trajectory = run_limit(config, rho0, rng=sample_rng(seed, k))
-        rho_final = trajectory.final_density()
-        mode_values[k] = mode.apply(config.grid, rho_final)
-        norm_sq[k] = l2_norm_sq(config.grid, rho_final)
-    return LimitEnsemble(mode_values, norm_sq)
+    return LimitEnsemble(*_per_sample(
+        run_limit, config, rho0, n_samples, seed,
+        lambda trajectory: _final_functionals(trajectory, mode),
+    ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,10 +300,9 @@ def epsilon_sweep(
 
     limit_final = None
     if stats is None:
-        limit_final = run_limit(limit_config("effective"), rho0).final_density()
-        limit_eff = _degenerate_triple(
-            mode.apply(grid, limit_final), l2_norm_sq(grid, limit_final)
-        )
+        limit_run = run_limit(limit_config("effective"), rho0)
+        limit_final = limit_run.final_density()
+        limit_eff = _degenerate_triple(*_final_functionals(limit_run, mode))
         limit_pap = limit_eff
     else:
         limit_eff = limit_ensemble(
@@ -395,14 +322,11 @@ def epsilon_sweep(
         det_error = None
         if stats is None:
             trajectory = run_kinetic(config, rho0)
-            rho_final = trajectory.final_density()
-            est = _degenerate_triple(
-                mode.apply(grid, rho_final), l2_norm_sq(grid, rho_final)
+            mode_value, norm_sq, sup_energy, defect_integral, sobolev = _kinetic_reduction(
+                trajectory, mode, sobolev_order
             )
-            sup_energy = float(trajectory.energy.max())
-            defect_integral = _trapezoid(trajectory.defect**2, config.dt)
-            sobolev = hs_norm(trajectory, sobolev_order)
-            det_error = math.sqrt(l2_norm_sq(grid, rho_final - limit_final))
+            est = _degenerate_triple(mode_value, norm_sq)
+            det_error = math.sqrt(l2_norm_sq(grid, trajectory.final_density() - limit_final))
         else:
             ensemble = kinetic_ensemble(config, rho0, mode, n_kinetic,
                                         (*entropy, 10 + i), sobolev_order)
@@ -444,7 +368,7 @@ def rosseland_reference(
         raise ValueError("need at least the two endpoint snapshots")
     interval = t_final / (n_snapshots - 1)
     if dt is None:
-        rate = diffusion / opacity.sigma_star * math.pi**2 * grid.n_x**2 * grid.dim
+        rate = diffusion / opacity.sigma_star * math.pi**2 * grid.n_x**2
         dt = 2.5 / rate
     steps = max(int(math.ceil(interval / dt - 1e-12)), 1)
     dt = interval / steps

@@ -46,6 +46,12 @@ def transport_phases(grid: TorusGrid, quad: VelocityQuadrature, tau: float) -> n
     return np.exp(-2j * np.pi * tau * np.outer(freqs, quad.speeds))
 
 
+def _translate(f: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    f_hat = np.fft.rfft(f, axis=0)
+    f_hat *= phases
+    return np.fft.irfft(f_hat, n=f.shape[0], axis=0)
+
+
 def transport_step(
     grid: TorusGrid, quad: VelocityQuadrature, f: np.ndarray, tau: float
 ) -> np.ndarray:
@@ -53,9 +59,7 @@ def transport_step(
     Nyquist frequency.  The Nyquist mode itself cannot be translated off the
     grid and is damped by the real-part projection, so the step never gains
     energy."""
-    f_hat = np.fft.rfft(f, axis=0)
-    f_hat *= transport_phases(grid, quad, tau)
-    return np.fft.irfft(f_hat, n=grid.n_x, axis=0)
+    return _translate(f, transport_phases(grid, quad, tau))
 
 
 def noise_factor(path: NoisePath, t0: float, dt: float, epsilon: float) -> np.ndarray:
@@ -89,8 +93,6 @@ class KineticConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.grid.dim != 1:
-            raise ValueError("kinetic transport is implemented for dim = 1 grids")
         if self.epsilon <= 0.0 or self.t_final <= 0.0:
             raise ValueError("epsilon and t_final must be positive")
         if self.snapshot_stride < 1:
@@ -142,28 +144,17 @@ class KineticStepper:
         self.path = path
         self.half_phases = transport_phases(config.grid, config.quad, config.dt / (2.0 * config.epsilon))
 
-    def _half_transport(self, f: np.ndarray) -> np.ndarray:
-        f_hat = np.fft.rfft(f, axis=0)
-        f_hat *= self.half_phases
-        return np.fft.irfft(f_hat, n=self.config.grid.n_x, axis=0)
-
     def step(self, f: np.ndarray, t: float) -> np.ndarray:
+        """One splitting step from t to t + dt."""
         cfg = self.config
         half = 0.5 * cfg.dt
-        f = self._half_transport(f)
+        f = _translate(f, self.half_phases)
         if self.path is not None:
             f = f * noise_factor(self.path, t, half, cfg.epsilon)[:, None]
         f = relax_exact(cfg.quad, cfg.opacity, f, cfg.dt / cfg.epsilon**2)
         if self.path is not None:
             f = f * noise_factor(self.path, t + half, half, cfg.epsilon)[:, None]
-        return self._half_transport(f)
-
-
-def strang_step(
-    config: KineticConfig, f: np.ndarray, t: float, path: NoisePath | None = None
-) -> np.ndarray:
-    """One splitting step from t to t + dt."""
-    return KineticStepper(config, path).step(f, t)
+        return _translate(f, self.half_phases)
 
 
 def iterate_kinetic(config: KineticConfig, f0: np.ndarray, path: NoisePath | None = None):

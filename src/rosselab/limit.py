@@ -115,29 +115,21 @@ class SpdeStepper:
         grid = config.grid
         if config.noise is None:
             self.drift_field = np.zeros(grid.shape)
-            self.modes = np.zeros((0, grid.size))
+            self.modes = np.zeros((0, grid.n_x))
         else:
             self.drift_field = config.noise.drift(config.drift)
-            self.modes = (
-                np.sqrt(config.noise.mode_weights)[:, None]
-                * config.noise.mode_profiles.reshape(config.noise.rank, -1)
-            )
+            self.modes = np.sqrt(config.noise.mode_weights)[:, None] * config.noise.mode_profiles
 
     def step(self, rho: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """One Euler-Maruyama step; xi holds one standard normal per noise mode."""
         cfg = self.config
         dt = cfg.dt
         out = rho + dt * (self.drift_field * rho)
         if cfg.include_diffusion:
             out = out + dt * rosseland_rhs(cfg.grid, cfg.opacity, cfg.diffusion, rho)
         if xi.size:
-            noise_field = (xi @ self.modes).reshape(cfg.grid.shape)
-            out = out + math.sqrt(dt) * rho * noise_field
+            out = out + math.sqrt(dt) * rho * (xi @ self.modes)
         return out
-
-
-def spde_step(config: SpdeConfig, rho: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """One Euler-Maruyama step; xi holds one standard normal per noise mode."""
-    return SpdeStepper(config).step(rho, xi)
 
 
 def run_limit(

@@ -21,20 +21,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform grid on the periodic unit torus [0, 1)^dim."""
+    """Uniform grid on the one-dimensional periodic unit torus [0, 1)."""
 
     n_x: int
-    dim: int = 1
 
     def __post_init__(self) -> None:
         if self.n_x < 4:
             raise ValueError(f"n_x must be at least 4, got {self.n_x}")
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.n_x,) * self.dim
+    def shape(self) -> tuple[int]:
+        return (self.n_x,)
 
     @property
     def spacing(self) -> float:
@@ -42,23 +39,18 @@ class TorusGrid:
 
     @property
     def cell_volume(self) -> float:
-        return self.spacing**self.dim
+        return self.spacing
 
     @property
     def size(self) -> int:
-        return self.n_x**self.dim
+        return self.n_x
 
     def axis_points(self) -> np.ndarray:
         return np.arange(self.n_x) / self.n_x
 
-    def coords(self) -> tuple[np.ndarray, ...]:
-        """Coordinate arrays of shape ``self.shape``, one per dimension."""
-        x = self.axis_points()
-        return tuple(np.meshgrid(*([x] * self.dim), indexing="ij"))
-
     def integrate(self, values: np.ndarray) -> np.ndarray | float:
-        """Integrate over the torus (leading ``dim`` axes of ``values``)."""
-        return self.cell_volume * np.sum(values, axis=tuple(range(self.dim)))
+        """Integrate over the torus (leading axis of ``values``)."""
+        return self.cell_volume * np.sum(values, axis=0)
 
 
 def l2_norm_sq(grid: TorusGrid, rho: np.ndarray) -> float:

@@ -11,7 +11,8 @@ module computes the chain statistics that drive the diffusion limit:
 * the eigendecomposition of the covariance operator with kernel k.
 
 ``sample_path`` draws exact trajectories of the accelerated chain (rates
-divided by epsilon^2) with jump times stored in physical time.
+divided by epsilon^2) with jump times stored in physical time, and
+``sample_rng`` seeds the generator of one ensemble member.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def rotor_noise(grid: TorusGrid, amplitude: float, frequency: int, rate: float) 
     """
     if rate <= 0.0:
         raise ValueError("rotation rate must be positive")
-    x = grid.coords()[0]
+    x = grid.axis_points()
     states = np.stack(
         [amplitude * np.cos(2.0 * np.pi * (frequency * x + i / 3.0)) for i in range(3)]
     )
@@ -161,8 +162,8 @@ def rotor_noise(grid: TorusGrid, amplitude: float, frequency: int, rate: float) 
 
 
 def cosine_profile(grid: TorusGrid, amplitude: float, frequency: int) -> np.ndarray:
-    """A cos(2 pi k x) on the grid (first coordinate when dim > 1)."""
-    return amplitude * np.cos(2.0 * np.pi * frequency * grid.coords()[0])
+    """A cos(2 pi k x) on the grid."""
+    return amplitude * np.cos(2.0 * np.pi * frequency * grid.axis_points())
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,6 +253,15 @@ class NoisePath:
         """int_{t0}^{t1} m(s, x) ds as a field on the grid."""
         occ = self.occupations(t0, t1)
         return (occ @ self.model.flat_states()).reshape(self.model.grid.shape)
+
+
+def _entropy(seed) -> tuple[int, ...]:
+    return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+
+
+def sample_rng(seed, index: int) -> np.random.Generator:
+    """Generator for one ensemble member, independent across indices."""
+    return np.random.default_rng(np.random.SeedSequence((*_entropy(seed), index)))
 
 
 def sample_path(

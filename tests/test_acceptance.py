@@ -2,9 +2,9 @@
 
 The verdict lines are echoed in the terminal summary at the end of any
 pytest run (see conftest.py).  Criteria 6 and 7 carry Monte Carlo weight;
-the whole battery takes about ten minutes on one core.  The scaling-limit
-fixture and every statistical threshold come from configs/acceptance.ini,
-not from literals in this file.
+the whole battery takes about 9.5 minutes on one core (see README.md).  The
+scaling-limit fixture and every statistical threshold come from
+configs/acceptance.ini, not from literals in this file.
 """
 
 import math
@@ -19,7 +19,6 @@ from rosselab.config import parse_config
 from rosselab.correctors import (
     FourierMode,
     build_correctors,
-    corrector1,
     generator_terms,
     martingale_residual,
 )
@@ -60,7 +59,7 @@ def random_chain(rng, n_states, grid):
     m = rng.uniform(0.5, 2.0, (n_states, n_states))
     np.fill_diagonal(m, 0.0)
     m -= np.diag(m.sum(axis=1))
-    x = grid.coords()[0]
+    x = grid.axis_points()
     states = np.zeros((n_states, grid.n_x))
     for i in range(n_states):
         for k in range(1, 4):
@@ -130,7 +129,7 @@ def test_criterion_2_noise_algebra():
 
 def test_criterion_3_solver_oracles():
     grid = TorusGrid(32)
-    x = grid.coords()[0]
+    x = grid.axis_points()
     quad = build_velocity_space("two-speed")
 
     f0 = np.stack([1.0 + 0.5 * np.cos(2.0 * np.pi * x)
@@ -144,7 +143,7 @@ def test_criterion_3_solver_oracles():
         advect = max(advect, float(np.max(np.abs(shifted[..., k] - exact))))
 
     heat_grid = TorusGrid(64)
-    xh = heat_grid.coords()[0]
+    xh = heat_grid.axis_points()
     rho0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * xh)
     config = KineticConfig(heat_grid, quad, make_opacity("constant", value=1.0),
                            epsilon=0.009, t_final=0.1, dt=1e-5)
@@ -194,7 +193,7 @@ def test_criterion_4_deterministic_limit():
 def test_criterion_5_corrector_algebra():
     tol = 1e-12
     grid = TorusGrid(16)
-    x = grid.coords()[0]
+    x = grid.axis_points()
     quad = build_velocity_space("two-speed")
     opacity = make_opacity("rational", s0=1.0, s1=1.0)
     rho = 1.0 + 0.3 * np.cos(2.0 * np.pi * x) - 0.2 * np.sin(2.0 * np.pi * x)
@@ -207,7 +206,7 @@ def test_criterion_5_corrector_algebra():
     rng = np.random.default_rng(5)
     for stats in fixtures:
         model = stats.model
-        first = corrector1(stats, rho, MODE)
+        first = build_correctors(stats, MODE).first_values(rho)
         p = MODE.profile(grid)
         forcing = np.array([grid.integrate(s * rho * p) for s in model.states])
         poisson = max(poisson, float(np.max(np.abs(model.generator @ first + forcing))))

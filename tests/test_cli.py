@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from rosselab import harness
 from rosselab.cli import main
+from rosselab.kinetic import run_kinetic
 
 TELEGRAPH_INI = """
 [model]
@@ -221,6 +223,21 @@ class TestErrorPaths:
         assert main(["verify", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
         assert "n_x" in capsys.readouterr().err
+
+    def test_ensemble_sample_errors_exit_2(self, tmp_path, capsys, monkeypatch):
+        calls = {"n": 0}
+
+        def flaky(config, rho0, rng=None):
+            if calls["n"] == 1:
+                raise FloatingPointError("noise exponent overflow")
+            calls["n"] += 1
+            return run_kinetic(config, rho0, rng=rng)
+
+        monkeypatch.setattr(harness, "run_kinetic", flaky)
+        config = write_ini(tmp_path, TELEGRAPH_INI)
+        assert main(["sweep", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "sweep: sample 1: noise exponent overflow" in capsys.readouterr().err
 
     def test_tiny_sample_override_rejected(self, tmp_path):
         config = write_ini(tmp_path, TELEGRAPH_INI)

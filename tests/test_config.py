@@ -56,7 +56,7 @@ rho0_mean = 2.0
 rho0_modes = cos2:0.25, sin1:-0.5
 
 [harness]
-modes = cos1, sin2
+modes = sin2
 samples_kinetic = 10
 base_seed = 99
 """))
@@ -66,7 +66,7 @@ base_seed = 99
         assert run.dt == 0.005
         assert run.rho0_modes == ((FourierMode(2, "cos"), 0.25),
                                   (FourierMode(1, "sin"), -0.5))
-        assert run.modes == (FourierMode(1, "cos"), FourierMode(2, "sin"))
+        assert run.modes == (FourierMode(2, "sin"),)
         assert run.samples_kinetic == 10 and run.base_seed == 99
 
     def test_missing_file_raises(self, tmp_path):
@@ -107,6 +107,12 @@ t_final = 0.1
             assert len(exc.violations) == 3
         else:
             pytest.fail("expected a ConfigError")
+
+    def test_more_than_one_mode_rejected(self, tmp_path):
+        # every consumer reads a single mode, so a second one would be
+        # silently dropped
+        with pytest.raises(ConfigError, match=r"\[harness\] modes .*got 2 modes"):
+            parse_config(write_config(tmp_path, "[harness]\nmodes = cos1, sin2\n"))
 
     def test_step_rule_violation_names_the_rule(self, tmp_path):
         with pytest.raises(ConfigError, match=r"dt <= eps\^2/2"):
@@ -199,7 +205,7 @@ class TestBuilders:
             rho0_modes=((FourierMode(1, "cos"), 0.5), (FourierMode(2, "sin"), -0.25)),
         )
         grid = run.build_grid()
-        x = grid.coords()[0]
+        x = grid.axis_points()
         expected = (2.0 + 0.5 * np.cos(2.0 * math.pi * x)
                     - 0.25 * np.sin(4.0 * math.pi * x))
         assert np.max(np.abs(run.build_rho0(grid) - expected)) < 1e-14

@@ -10,8 +10,6 @@ from rosselab.correctors import (
     FourierMode,
     GeneratorEvaluator,
     build_correctors,
-    corrector1,
-    corrector2,
     generator_terms,
     limit_generator,
     martingale_residual,
@@ -34,7 +32,7 @@ from rosselab.noise import (
 )
 
 GRID = TorusGrid(64)
-X = GRID.coords()[0]
+X = GRID.axis_points()
 RHO = 1.0 + 0.4 * np.cos(2.0 * np.pi * X) + 0.15 * np.sin(4.0 * np.pi * X)
 MODE = FourierMode(1, "cos")
 
@@ -53,7 +51,7 @@ def random_chain_stats(seed, n_states=4, grid=GRID):
     np.fill_diagonal(m, 0.0)
     m -= np.diag(m.sum(axis=1))
     coeffs = rng.normal(size=(n_states, 3))
-    x = grid.coords()[0]
+    x = grid.axis_points()
     states = np.stack(
         [
             c[0] * np.cos(2 * np.pi * x)
@@ -118,7 +116,7 @@ class TestCorrectors:
         # With rho = 1 + 0.4 cos and n_0 = cos the integral is sqrt(2)/4.
         stats = telegraph_stats()
         rho = 1.0 + 0.4 * np.cos(2.0 * np.pi * X)
-        values = corrector1(stats, rho, MODE)
+        values = build_correctors(stats, MODE).first_values(rho)
         assert abs(values[0] - math.sqrt(2.0) / 4.0) < 1e-12
         assert abs(values[1] + math.sqrt(2.0) / 4.0) < 1e-12
 
@@ -127,7 +125,7 @@ class TestCorrectors:
         # (M phi_1)_i must cancel -int <f> n_i p dx for every state.
         stats = random_chain_stats(seed)
         model = stats.model
-        values = corrector1(stats, RHO, MODE)
+        values = build_correctors(stats, MODE).first_values(RHO)
         chain = model.generator @ values
         p = MODE.profile(GRID)
         for i in range(model.n_states):
@@ -138,7 +136,7 @@ class TestCorrectors:
         stats = telegraph_stats()
         correctors = build_correctors(stats, MODE)
         assert np.max(np.abs(correctors.second_profiles)) < 1e-12
-        assert np.max(np.abs(corrector2(stats, RHO, MODE))) < 1e-12
+        assert np.max(np.abs(correctors.second_values(RHO))) < 1e-12
 
     def test_second_corrector_nonzero_for_rotor(self):
         # The rotor profiles at frequency 2 produce corrector densities at
@@ -146,19 +144,22 @@ class TestCorrectors:
         stats = rotor_stats()
         assert np.max(np.abs(build_correctors(stats, MODE).second_profiles)) > 1e-2
         rho = 1.0 + 0.2 * np.cos(6.0 * np.pi * X)
-        values = corrector2(stats, rho, MODE)
+        values = build_correctors(stats, MODE).second_values(rho)
         assert np.max(np.abs(values)) > 1e-3
 
-    def test_perturbed_values_combine_orders(self):
+    def test_perturbed_combines_orders(self):
         stats = rotor_stats()
         correctors = build_correctors(stats, MODE)
         eps = 0.3
+        config = kinetic_config(eps, stats.model)
+        f = equilibrium_field(config.quad, RHO)
         expected = (
             MODE.apply(GRID, RHO)
-            + eps * corrector1(stats, RHO, MODE)
-            + eps**2 * corrector2(stats, RHO, MODE)
+            + eps * correctors.first_values(RHO)
+            + eps**2 * correctors.second_values(RHO)
         )
-        assert np.allclose(correctors.perturbed_values(RHO, eps), expected, atol=1e-14)
+        perturbed = GeneratorEvaluator(config, stats, MODE).perturbed(f)
+        assert np.allclose(perturbed, expected, atol=1e-14)
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_corrector_values_bounded_by_norm(self, seed):
@@ -168,7 +169,6 @@ class TestCorrectors:
         quad = build_velocity_space("legendre", 8)
         rng = np.random.default_rng(seed)
         f = rng.uniform(0.1, 3.0, size=(GRID.n_x, quad.n_v))
-        rho = f @ quad.weights
         correctors = build_correctors(stats, MODE)
         c_star = (
             1.0
@@ -176,7 +176,9 @@ class TestCorrectors:
             + np.max(np.abs(correctors.second_profiles))
         )
         norm = weighted_norm(GRID, quad, f)
-        values = correctors.perturbed_values(rho, 0.5)
+        config = KineticConfig(GRID, quad, make_opacity("rational", s0=1.0, s1=0.5),
+                               epsilon=0.5, t_final=0.001, noise=stats.model)
+        values = GeneratorEvaluator(config, stats, MODE).perturbed(f)
         assert np.max(np.abs(values)) <= c_star * (1.0 + norm) ** 2
 
 
@@ -232,7 +234,7 @@ class TestGeneratorAlgebra:
         quad = build_velocity_space("legendre", 8)
         opacity = make_opacity("rational", s0=1.0, s1=0.5)
         diffusion = quad.diffusion_coefficient()
-        grad_rho = fourier.gradient(GRID, RHO)[0]
+        grad_rho = fourier.gradient(GRID, RHO)
         limit_value = limit_generator(GRID, opacity, diffusion, stats, RHO, MODE)
 
         def quasi_steady(eps):
@@ -333,9 +335,21 @@ class TestMartingaleResidual:
         with pytest.raises(ValueError):
             martingale_residual(config, None, MODE, rho0, 0.1, 0.3, 2, 0)
 
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_too_few_samples_raise(self, n_samples):
+        # one sample has no standard error and none has no mean, so both
+        # would make the sigma tests meaningless
+        grid = TorusGrid(16)
+        quad = build_velocity_space("two-speed")
+        opacity = make_opacity("constant", value=1.0)
+        config = KineticConfig(grid, quad, opacity, epsilon=0.25, t_final=0.2, dt=0.02)
+        rho0 = np.ones(grid.n_x)
+        with pytest.raises(ValueError, match="n_samples"):
+            martingale_residual(config, None, MODE, rho0, 0.0, 0.2, n_samples, 0)
+
     def test_telegraph_residual_statistics(self):
         grid = TorusGrid(32)
-        x = grid.coords()[0]
+        x = grid.axis_points()
         rho0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
         quad = build_velocity_space("two-speed")
         model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)

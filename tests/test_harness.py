@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from rosselab.correctors import FourierMode
+from rosselab import harness
 from rosselab.harness import (
     FUNCTIONAL_NAMES,
-    EnsembleSummary,
     deterministic_convergence,
-    ensemble_stats,
     epsilon_sweep,
     functional_triple,
     hs_norm,
@@ -29,7 +28,7 @@ MODE = FourierMode(1, "cos")
 
 def small_problem(n_x=16):
     grid = TorusGrid(n_x)
-    x = grid.coords()[0]
+    x = grid.axis_points()
     rho0 = 1.0 + 0.4 * np.cos(2.0 * np.pi * x)
     quad = build_velocity_space("two-speed")
     opacity = make_opacity("rational", s0=1.0, s1=1.0)
@@ -38,11 +37,10 @@ def small_problem(n_x=16):
 
 class TestSummaries:
     def test_ensemble_summary_statistics(self):
-        summary = EnsembleSummary(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert summary.n_samples == 4
-        assert abs(summary.mean - 2.5) < 1e-15
-        assert abs(summary.variance - 5.0 / 3.0) < 1e-15
-        assert abs(summary.sem - math.sqrt(5.0 / 12.0)) < 1e-15
+        # sample variance 5/3 over 4 samples gives the mean's sem sqrt(5/12)
+        triple = functional_triple(np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4))
+        assert abs(triple.sems[0] - math.sqrt(5.0 / 12.0)) < 1e-15
+        assert triple.sems[2] == 0.0
 
     def test_functional_triple_point_estimates(self):
         triple = functional_triple(np.array([1.0, 2.0, 3.0, 4.0]),
@@ -78,19 +76,24 @@ class TestSampleRng:
         b = sample_rng(42, 1).standard_normal(5)
         assert not np.array_equal(a, b)
 
+    def test_integer_seed_extends_a_plain_seed_sequence(self):
+        a = sample_rng(42, 3).standard_normal(5)
+        b = np.random.default_rng(np.random.SeedSequence((42, 3))).standard_normal(5)
+        assert np.array_equal(a, b)
+
     def test_tuple_seeds_extend_entropy(self):
         a = sample_rng((42, 7), 0).standard_normal(3)
         b = sample_rng(42, 0).standard_normal(3)
         assert not np.array_equal(a, b)
 
 
-class TestEnsembleStats:
+class TestEnsembles:
     def gbm_fixture(self):
         # Diffusion switched off, so each grid point evolves as a geometric
         # SDE and the discrete second moment is exactly
         # ((1 + h dt)^2 + k(x,x) dt)^n per point.
         grid = TorusGrid(8)
-        x = grid.coords()[0]
+        x = grid.axis_points()
         rho0 = 1.0 + 0.4 * np.cos(2.0 * np.pi * x)
         opacity = make_opacity("constant", value=1.0)
         stats = noise_statistics(telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0))
@@ -98,24 +101,23 @@ class TestEnsembleStats:
                             include_diffusion=False)
         return grid, rho0, config, stats
 
+    def noisy_kinetic_config(self):
+        grid, rho0, quad, opacity = small_problem()
+        model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
+        config = KineticConfig(grid, quad, opacity, epsilon=0.35, t_final=0.05,
+                               noise=model)
+        return config, rho0
+
     def test_noise_off_has_zero_variance(self):
         grid, rho0, quad, opacity = small_problem()
         config = KineticConfig(grid, quad, opacity, epsilon=0.4, t_final=0.04)
-        stats = ensemble_stats("kinetic", config, rho0, 3, base_seed=1,
-                               modes=(MODE, FourierMode(2, "sin")))
-        assert stats.names == ("mode<cos1>", "mode<sin2>", "normsq")
-        assert stats.count == 3
-        assert np.all(stats.variances == 0.0)
-        assert np.all(stats.sems == 0.0)
-        assert stats.means[-1] > 0.0
+        estimates = kinetic_ensemble(config, rho0, MODE, 3, seed=1).functionals()
+        assert estimates.n_samples == 3
+        assert estimates.values[1] == 0.0
+        assert np.all(estimates.sems == 0.0)
+        assert estimates.values[2] > 0.0
 
-    def test_unknown_runner_rejected(self):
-        grid, rho0, quad, opacity = small_problem()
-        config = KineticConfig(grid, quad, opacity, epsilon=0.4, t_final=0.04)
-        with pytest.raises(ValueError):
-            ensemble_stats("euler", config, rho0, 2, base_seed=1)
-
-    def test_errors_carry_sample_index(self):
+    def test_errors_carry_sample_index(self, monkeypatch):
         calls = {"n": 0}
 
         def flaky(config, rho0, rng=None):
@@ -124,47 +126,69 @@ class TestEnsembleStats:
             calls["n"] += 1
             return run_kinetic(config, rho0, rng=rng)
 
-        grid, rho0, quad, opacity = small_problem()
-        config = KineticConfig(grid, quad, opacity, epsilon=0.4, t_final=0.04)
-        with pytest.raises(FloatingPointError, match="sample 2"):
-            ensemble_stats(flaky, config, rho0, 4, base_seed=1)
+        monkeypatch.setattr(harness, "run_kinetic", flaky)
+        config, rho0 = self.noisy_kinetic_config()
+        with pytest.raises(FloatingPointError, match="sample 2: density lost positivity"):
+            kinetic_ensemble(config, rho0, MODE, 4, seed=1)
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_too_few_samples_raise(self, n_samples):
+        config, rho0 = self.noisy_kinetic_config()
+        with pytest.raises(ValueError, match="n_samples"):
+            kinetic_ensemble(config, rho0, MODE, n_samples, seed=1)
+        _, rho0, limit_config, _ = self.gbm_fixture()
+        with pytest.raises(ValueError, match="n_samples"):
+            limit_ensemble(limit_config, rho0, MODE, n_samples, seed=1)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_kinetic_sample_regenerates_alone(self, k):
+        config, rho0 = self.noisy_kinetic_config()
+        ensemble = kinetic_ensemble(config, rho0, MODE, 4, seed=(11, 5))
+        alone = run_kinetic(config, rho0, rng=sample_rng((11, 5), k))
+        rho = alone.final_density()
+        assert ensemble.mode_values[k] == MODE.apply(config.grid, rho)
+        assert ensemble.norm_sq[k] == l2_norm_sq(config.grid, rho)
+        assert ensemble.sup_energy[k] == alone.energy.max()
+        d = alone.defect**2
+        assert ensemble.defect_integral[k] == config.dt * (d.sum() - 0.5 * (d[0] + d[-1]))
+        assert ensemble.sobolev[k] == hs_norm(alone, 0.4)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_limit_sample_regenerates_alone(self, k):
+        _, rho0, config, _ = self.gbm_fixture()
+        ensemble = limit_ensemble(config, rho0, MODE, 6, seed=21)
+        rho = run_limit(config, rho0, rng=sample_rng(21, k)).final_density()
+        assert ensemble.mode_values[k] == MODE.apply(config.grid, rho)
+        assert ensemble.norm_sq[k] == l2_norm_sq(config.grid, rho)
 
     def test_second_moment_matches_geometric_sde_oracle(self):
         grid, rho0, config, stats = self.gbm_fixture()
         h = stats.drift_effective
         factor = (1.0 + config.dt * h) ** 2 + 2.0 * config.dt * h
         expected = grid.cell_volume * float(np.sum(rho0**2 * factor**config.n_steps))
-        est = ensemble_stats("limit", config, rho0, 400, base_seed=77, modes=(MODE,))
-        assert est.sems[-1] > 0.0
-        assert abs(est.means[-1] - expected) <= 3.0 * est.sems[-1]
+        est = limit_ensemble(config, rho0, MODE, 400, seed=77).functionals()
+        assert est.sems[2] > 0.0
+        assert abs(est.values[2] - expected) <= 3.0 * est.sems[2]
 
     def test_doubling_samples_shrinks_squared_stderr(self):
         grid, rho0, config, _ = self.gbm_fixture()
-        small = ensemble_stats("limit", config, rho0, 150, base_seed=9)
-        big = ensemble_stats("limit", config, rho0, 600, base_seed=9)
-        ratio = small.sems[-1] ** 2 / big.sems[-1] ** 2
+        small = limit_ensemble(config, rho0, MODE, 150, seed=9).functionals()
+        big = limit_ensemble(config, rho0, MODE, 600, seed=9).functionals()
+        ratio = small.sems[2] ** 2 / big.sems[2] ** 2
         assert 2.0 < ratio < 8.0
 
-
-class TestEnsembles:
     def test_kinetic_ensemble_reproducible(self):
-        grid, rho0, quad, opacity = small_problem()
-        model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
-        config = KineticConfig(grid, quad, opacity, epsilon=0.35, t_final=0.05,
-                               noise=model)
+        config, rho0 = self.noisy_kinetic_config()
         first = kinetic_ensemble(config, rho0, MODE, 4, seed=11)
         second = kinetic_ensemble(config, rho0, MODE, 4, seed=11)
         assert np.array_equal(first.mode_values, second.mode_values)
         assert np.array_equal(first.norm_sq, second.norm_sq)
-        assert np.all(first.sup_energy >= l2_norm_sq(grid, rho0) - 1e-12)
+        assert np.all(first.sup_energy >= l2_norm_sq(config.grid, rho0) - 1e-12)
         assert np.all(first.defect_integral >= 0.0)
         assert np.all(first.sobolev > 0.0)
 
     def test_kinetic_ensemble_seed_changes_values(self):
-        grid, rho0, quad, opacity = small_problem()
-        model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
-        config = KineticConfig(grid, quad, opacity, epsilon=0.35, t_final=0.05,
-                               noise=model)
+        config, rho0 = self.noisy_kinetic_config()
         first = kinetic_ensemble(config, rho0, MODE, 3, seed=11)
         second = kinetic_ensemble(config, rho0, MODE, 3, seed=12)
         assert not np.array_equal(first.mode_values, second.mode_values)
@@ -183,7 +207,7 @@ class TestEnsembles:
 class TestRosselandReference:
     def test_constant_opacity_heat_kernel(self):
         grid, _, _, _ = small_problem(32)
-        x = grid.coords()[0]
+        x = grid.axis_points()
         alpha, t_final = 0.4, 0.05
         rho0 = 1.0 + alpha * np.cos(2.0 * np.pi * x)
         opacity = make_opacity("constant", value=1.0)
@@ -305,7 +329,7 @@ class TestHsNorm:
         grid, _, quad, opacity = small_problem(32)
         config = KineticConfig(grid, quad, opacity, epsilon=0.3, t_final=0.75,
                                dt=0.025)
-        x = grid.coords()[0]
+        x = grid.axis_points()
         rho = np.cos(2.0 * np.pi * x)
         zeros = np.zeros(config.n_steps + 1)
         trajectory = KineticTrajectory(

@@ -5,9 +5,9 @@ import pytest
 
 from rosselab.kinetic import (
     KineticConfig,
+    KineticStepper,
     noise_factor,
     run_kinetic,
-    strang_step,
     transport_step,
 )
 from rosselab.model import (
@@ -144,13 +144,13 @@ def test_run_with_noise_is_reproducible():
         run_kinetic(cfg, rho0)
 
 
-def test_strang_step_matches_run_single_step():
+def test_stepper_step_matches_run_single_step():
     model = telegraph_noise(GRID, cosine_profile(GRID, 0.5, 1), 1.0)
     cfg = KineticConfig(GRID, GT, RationalOpacity(), 0.25, 0.03125, dt=0.03125, noise=model)
     path = sample_path(model, 0.25, cfg.t_final, np.random.default_rng(3))
     x = GRID.axis_points()
     f0 = np.multiply.outer(1.0 + 0.3 * np.sin(2.0 * np.pi * x), GT.equilibrium)
-    stepped = strang_step(cfg, f0, 0.0, path)
+    stepped = KineticStepper(cfg, path).step(f0, 0.0)
     traj = run_kinetic(cfg, density(GT, f0), path=path)
     assert np.allclose(density(GT, stepped), traj.final_density(), atol=1e-13)
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from rosselab.fourier import laplacian
-from rosselab.limit import SpdeConfig, rosseland_rhs, run_limit, spde_step, stable_dt
+from rosselab.limit import SpdeConfig, SpdeStepper, rosseland_rhs, run_limit, stable_dt
 from rosselab.model import (
     ConstantOpacity,
     RationalOpacity,
@@ -218,13 +217,13 @@ def test_run_reproducible_and_needs_rng():
         run_limit(cfg, rho0)
 
 
-def test_spde_step_matches_manual_update():
+def test_limit_stepper_matches_manual_update():
     stats = telegraph_stats()
     cfg = SpdeConfig(GRID, RationalOpacity(), 0.5, 0.01, dt=1e-4, noise=stats)
     x = GRID.axis_points()
     rho = 1.0 + 0.4 * np.cos(2.0 * np.pi * x)
     xi = np.array([0.7])
-    out = spde_step(cfg, rho, xi)
+    out = SpdeStepper(cfg).step(rho, xi)
     noise_field = np.sqrt(stats.mode_weights[0]) * stats.mode_profiles[0] * 0.7
     manual = (
         rho
@@ -233,13 +232,3 @@ def test_spde_step_matches_manual_update():
         + np.sqrt(cfg.dt) * rho * noise_field
     )
     assert np.allclose(out, manual, atol=1e-14)
-
-
-def test_laplacian_of_two_dim_field():
-    # the spectral backend is dimension-agnostic even though the kinetic
-    # solver is one-dimensional
-    grid = TorusGrid(16, dim=2)
-    xs, ys = grid.coords()
-    rho = np.cos(2.0 * np.pi * xs) * np.sin(2.0 * np.pi * ys)
-    out = laplacian(grid, rho)
-    assert np.max(np.abs(out + 8.0 * np.pi**2 * rho)) <= 1e-10

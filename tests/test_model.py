@@ -33,12 +33,10 @@ def random_kinetic_field(grid, quad, rng, scale=1.0):
 def test_grid_validation():
     with pytest.raises(ValueError):
         TorusGrid(2)
-    with pytest.raises(ValueError):
-        TorusGrid(16, dim=3)
 
 
 def test_grid_integrate_constant():
-    grid = TorusGrid(16, dim=2)
+    grid = TorusGrid(16)
     assert grid.integrate(np.ones(grid.shape)) == pytest.approx(1.0, abs=1e-15)
 
 
