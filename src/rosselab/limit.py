@@ -15,6 +15,14 @@ The noise increment uses the covariance eigenmodes,
 so one step reads
 
     rho <- rho + dt (K Lap G(rho) + h rho) + sqrt(dt) rho sum_j sqrt(lambda_j) e_j xi_j.
+
+Densities may carry a leading sample axis, shape (B, n_x), with normals of
+shape (B, rank): every operation of a step acts on each row alone, so a
+sample's path does not depend on the batch it is integrated in.  One loop,
+``_integrate``, advances a lone density or such a batch and checks every
+sample for finiteness and positivity at every step; ``run_limit`` is its
+one-sample case and ``harness.limit_ensemble`` runs whole ensembles
+through it.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .model import Opacity, TorusGrid, l2_norm_sq
+from .model import Opacity, TorusGrid
 from .noise import NoiseStatistics
 
 #: dt <= STAB_CAP * dx^2 * sigma_star / K; 0.2 is just under the explicit
@@ -121,15 +129,89 @@ class SpdeStepper:
             self.modes = np.sqrt(config.noise.mode_weights)[:, None] * config.noise.mode_profiles
 
     def step(self, rho: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """One Euler-Maruyama step; xi holds one standard normal per noise mode."""
+        """One Euler-Maruyama step of rho, shape (..., n_x).
+
+        xi, shape (..., rank), holds one standard normal per noise mode and
+        per sample; leading axes of rho and xi are sample axes.
+        """
         cfg = self.config
         dt = cfg.dt
         out = rho + dt * (self.drift_field * rho)
         if cfg.include_diffusion:
             out = out + dt * rosseland_rhs(cfg.grid, cfg.opacity, cfg.diffusion, rho)
-        if xi.size:
-            out = out + math.sqrt(dt) * rho * (xi @ self.modes)
+        if len(self.modes):
+            # sum_j xi_j sqrt(lambda_j) e_j, one mode at a time: a matrix
+            # product may block the sum differently for different batch
+            # sizes, and a sample's field must not depend on its batch
+            field = xi[..., 0, None] * self.modes[0]
+            for j in range(1, len(self.modes)):
+                field = field + xi[..., j, None] * self.modes[j]
+            out = out + math.sqrt(dt) * rho * field
         return out
+
+
+def _integrate(
+    config: SpdeConfig,
+    rho0: np.ndarray,
+    normals: np.ndarray,
+    first_sample: int | None = None,
+    history: bool = True,
+) -> tuple[np.ndarray, ...]:
+    """Advance samples from rho0 with normals of shape (n_steps, ..., rank).
+
+    The axes between the first and the last of ``normals`` are sample axes:
+    none for a lone run, (B,) for a batch.  Returns the snapshot times, the
+    snapshots (n_snap, ..., n_x), the step times and the per-step mass and
+    norm_sq (n_steps + 1, ...).  With ``history=False`` only the initial and
+    final snapshots and the final mass and norm_sq are kept, whatever the
+    config's snapshot stride.
+
+    Every step checks each sample's squared norm for finiteness and its
+    density for positivity.  A failing sample stops itself and the samples
+    above it; the rows below run on, so the run raises for the lowest
+    failing sample at its own first failing step.  With ``first_sample``
+    set, the message names it as ``sample first_sample + row``.
+    """
+    n_steps = normals.shape[0]
+    dt = config.dt
+    cell = config.grid.cell_volume
+    stride = config.snapshot_stride if history else n_steps
+    stepper = SpdeStepper(config)
+    rho = np.array(np.broadcast_to(rho0, normals.shape[1:-1] + config.grid.shape), dtype=float)
+    snap_steps = np.arange(0, n_steps + 1, stride)
+    if snap_steps[-1] != n_steps:
+        snap_steps = np.append(snap_steps, n_steps)
+    snaps = np.empty(snap_steps.shape + rho.shape)
+    mass = np.empty((n_steps + 1 if history else 1,) + rho.shape[:-1])
+    norm_sq = np.empty_like(mass)
+    failure = None
+    j = 0
+    for k in range(n_steps + 1):
+        t = k * dt
+        row = k if history else 0
+        mass[row] = cell * rho.sum(axis=-1)
+        sq = norm_sq[row] = cell * (rho * rho).sum(axis=-1)
+        if not (rho.min() > 0.0 and sq.max() < math.inf):
+            rows, row_sq = rho.reshape(-1, rho.shape[-1]), sq.reshape(-1)
+            live = int(np.argmax(~(np.isfinite(row_sq) & (rows.min(axis=-1) > 0.0))))
+            if np.isfinite(row_sq[live]):
+                failure = f"density lost positivity at t = {t:g} (min = {rows[live].min():.3e})"
+            else:
+                failure = f"density lost finiteness at step {k} (t = {t:g})"
+            if first_sample is not None:
+                failure = f"sample {first_sample + live}: {failure}"
+            if live == 0:
+                break
+            rho, normals = rho[:live], normals[:, :live]
+            snaps, mass, norm_sq = snaps[:, :live], mass[:, :live], norm_sq[:, :live]
+        if k % stride == 0 or k == n_steps:
+            snaps[j] = rho
+            j += 1
+        if k < n_steps:
+            rho = stepper.step(rho, normals[k])
+    if failure is not None:
+        raise FloatingPointError(failure)
+    return snap_steps * dt, snaps, np.arange(n_steps + 1) * dt, mass, norm_sq
 
 
 def run_limit(
@@ -141,10 +223,10 @@ def run_limit(
     """Run the limit equation from rho0 and record diagnostics.
 
     Noise increments are drawn from ``rng`` unless an (n_steps, rank) array
-    of standard normals is supplied.  Deterministic runs (no noise) monitor
-    positivity and abort when the density touches zero.
+    of standard normals is supplied.  The run is the one-sample case of the
+    batched loop: it aborts with ``FloatingPointError`` at the first step
+    whose density is not finite or not positive.
     """
-    grid = config.grid
     n_steps = config.n_steps
     rank = config.noise_rank
     if rank > 0 and normals is None:
@@ -155,35 +237,4 @@ def run_limit(
         normals = np.zeros((n_steps, 0))
     if normals.shape != (n_steps, rank):
         raise ValueError(f"normals must have shape ({n_steps}, {rank})")
-    stepper = SpdeStepper(config)
-    rho = np.array(rho0, dtype=float)
-    step_times = np.empty(n_steps + 1)
-    mass = np.empty(n_steps + 1)
-    norm_sq = np.empty(n_steps + 1)
-    snap_times = []
-    snaps = []
-    deterministic = rank == 0
-    for k in range(n_steps + 1):
-        t = k * config.dt
-        step_times[k] = t
-        mass[k] = grid.integrate(rho)
-        norm_sq[k] = l2_norm_sq(grid, rho)
-        if not np.isfinite(norm_sq[k]):
-            raise FloatingPointError(f"density lost finiteness at step {k} (t = {t:g})")
-        if deterministic and np.min(rho) <= 0.0:
-            raise FloatingPointError(
-                f"density lost positivity at t = {t:g} (min = {np.min(rho):.3e})"
-            )
-        if k % config.snapshot_stride == 0 or k == n_steps:
-            snap_times.append(t)
-            snaps.append(rho.copy())
-        if k < n_steps:
-            rho = stepper.step(rho, normals[k])
-    return SpdeTrajectory(
-        config,
-        np.array(snap_times),
-        np.array(snaps),
-        step_times,
-        mass,
-        norm_sq,
-    )
+    return SpdeTrajectory(config, *_integrate(config, rho0, normals))

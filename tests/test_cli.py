@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import nan_normals
 from rosselab import harness
 from rosselab.cli import main
 from rosselab.kinetic import run_kinetic
@@ -238,6 +239,22 @@ class TestErrorPaths:
         assert main(["sweep", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
         assert "sweep: sample 1: noise exponent overflow" in capsys.readouterr().err
+
+    def test_limit_ensemble_names_lowest_failing_sample(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(harness, "sample_rng", nan_normals({4: 0, 2: 10}))
+        config = write_ini(tmp_path, TELEGRAPH_INI)
+        assert main(["sweep", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "sweep: sample 2: density lost finiteness at step 11 " in \
+            capsys.readouterr().err
+
+    def test_noisy_limit_positivity_loss_exits_2(self, tmp_path, capsys):
+        config = write_ini(tmp_path, TELEGRAPH_INI.replace("amplitude = 1.0",
+                                                           "amplitude = 1000.0"))
+        assert main(["run-spde", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "run-spde: density lost positivity at t = " in capsys.readouterr().err
 
     def test_tiny_sample_override_rejected(self, tmp_path):
         config = write_ini(tmp_path, TELEGRAPH_INI)

@@ -1,10 +1,14 @@
 """Tests for ensembles, the epsilon sweep and deterministic convergence."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import nan_normals
 from rosselab.correctors import FourierMode
 from rosselab import harness
 from rosselab.harness import (
@@ -21,7 +25,7 @@ from rosselab.harness import (
 from rosselab.kinetic import KineticConfig, KineticTrajectory, run_kinetic
 from rosselab.limit import SpdeConfig, run_limit
 from rosselab.model import TorusGrid, build_velocity_space, l2_norm_sq, make_opacity
-from rosselab.noise import cosine_profile, noise_statistics, telegraph_noise
+from rosselab.noise import cosine_profile, noise_statistics, rotor_noise, telegraph_noise
 
 MODE = FourierMode(1, "cos")
 
@@ -161,6 +165,15 @@ class TestEnsembles:
         assert ensemble.mode_values[k] == MODE.apply(config.grid, rho)
         assert ensemble.norm_sq[k] == l2_norm_sq(config.grid, rho)
 
+    def test_limit_error_names_lowest_failing_sample(self, monkeypatch):
+        # sample 4 fails first in time, sample 2 later: the ensemble names
+        # sample 2 at its own first failing step, as a serial loop would
+        monkeypatch.setattr(harness, "sample_rng", nan_normals({4: 0, 2: 10}))
+        _, rho0, config, _ = self.gbm_fixture()
+        with pytest.raises(FloatingPointError,
+                           match=r"^sample 2: density lost finiteness at step 11 "):
+            limit_ensemble(config, rho0, MODE, 6, seed=1)
+
     def test_second_moment_matches_geometric_sde_oracle(self):
         grid, rho0, config, stats = self.gbm_fixture()
         h = stats.drift_effective
@@ -202,6 +215,45 @@ class TestEnsembles:
         second = limit_ensemble(config, rho0, MODE, 4, seed=3)
         assert np.array_equal(first.mode_values, second.mode_values)
         assert np.array_equal(first.norm_sq, second.norm_sq)
+
+
+class TestLimitEnsembleProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.integers(2, 12).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+        seed=st.one_of(st.integers(0, 2**32 - 1),
+                       st.tuples(st.integers(0, 2**16), st.integers(0, 2**16))),
+        fixture=st.sampled_from(["telegraph", "rotor"]),
+        drift=st.sampled_from(["effective", "paper"]),
+        include_diffusion=st.booleans(),
+        batch=st.integers(1, 13),
+    )
+    # two samples per batch: sample 3 of 5 sits in the second of three batches
+    @example(sizes=(5, 3), seed=4, fixture="rotor", drift="paper",
+             include_diffusion=True, batch=2)
+    def test_sample_equals_lone_run(self, sizes, seed, fixture, drift,
+                                    include_diffusion, batch):
+        """Sample k of an ensemble equals a lone run of sample k, bit for bit,
+        whatever the batch size."""
+        n_samples, k = sizes
+        grid = TorusGrid(8)
+        x = grid.axis_points()
+        rho0 = 1.0 + 0.4 * np.cos(2.0 * np.pi * x)
+        if fixture == "telegraph":
+            model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
+        else:
+            model = rotor_noise(grid, 1.0, 1, 2.0)
+        config = SpdeConfig(grid, make_opacity("rational", s0=1.0, s1=1.0), 0.5, 0.02,
+                            noise=noise_statistics(model), drift=drift,
+                            include_diffusion=include_diffusion,
+                            dt=None if include_diffusion else 0.002)
+        with mock.patch.object(harness, "_NORMALS_BUDGET",
+                               batch * config.n_steps * config.noise_rank):
+            ensemble = limit_ensemble(config, rho0, MODE, n_samples, seed)
+        rho = run_limit(config, rho0, rng=sample_rng(seed, k)).final_density()
+        assert ensemble.mode_values[k] == MODE.apply(grid, rho)
+        assert ensemble.norm_sq[k] == l2_norm_sq(grid, rho)
 
 
 class TestRosselandReference:
