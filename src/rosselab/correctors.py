@@ -31,9 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinetic import KineticConfig, KineticStepper
+from .kinetic import KineticConfig, _sample_chunks, _strang
 from .model import TorusGrid, density, equilibrium_field
-from .noise import NoiseStatistics, sample_path, sample_rng, solve_poisson
+from .noise import NoiseStatistics, solve_poisson
+
+
+def _rows(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """matrix @ x for every row of x (..., n): one matrix-vector product per
+    row, so a row's bits do not depend on its batch (a batched matrix
+    product blocks its sums differently)."""
+    return (matrix @ x[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -91,12 +98,12 @@ class CorrectorSet:
     second_profiles: np.ndarray
 
     def first_values(self, rho: np.ndarray) -> np.ndarray:
-        """phi_1 for every chain state."""
-        return self.stats.model.grid.cell_volume * (self.first_profiles @ rho)
+        """phi_1 for every chain state, shape (..., n_states)."""
+        return self.stats.model.grid.cell_volume * _rows(self.first_profiles, rho)
 
     def second_values(self, rho: np.ndarray) -> np.ndarray:
-        """phi_2 for every chain state."""
-        return self.stats.model.grid.cell_volume * (self.second_profiles @ rho)
+        """phi_2 for every chain state, shape (..., n_states)."""
+        return self.stats.model.grid.cell_volume * _rows(self.second_profiles, rho)
 
 
 def build_correctors(stats: NoiseStatistics, mode: FourierMode) -> CorrectorSet:
@@ -196,7 +203,8 @@ class GeneratorEvaluator:
         return np.fft.irfft(self.freq * np.fft.rfft(flux), n=self.config.grid.n_x)
 
     def per_state(self, f: np.ndarray) -> dict[str, np.ndarray]:
-        """All generator terms as length-n_states arrays (length 1 if no noise)."""
+        """All generator terms for f of shape (..., n_x, n_v), each of shape
+        (..., n_states) (n_states = 1 if no noise)."""
         cfg = self.config
         eps = cfg.epsilon
         quad = cfg.quad
@@ -204,15 +212,15 @@ class GeneratorEvaluator:
         div_flux = self._div_flux(f)
         relax_avg = density(quad, equilibrium_field(quad, rho) - f)
         sig_relax = cfg.opacity(rho) * relax_avg
-        t_sing = -self.cell * float(self.p @ div_flux) / eps
-        r_sing = self.cell * float(self.p @ sig_relax) / eps**2
+        t_sing = -self.cell * _rows(self.p[None], div_flux) / eps
+        r_sing = self.cell * _rows(self.p[None], sig_relax) / eps**2
         if self.correctors is None:
-            zero = np.zeros(1)
+            zero = np.zeros(t_sing.shape)
             return {
-                "transport_singular": np.full(1, t_sing),
+                "transport_singular": t_sing,
                 "transport_first": zero,
                 "transport_second": zero,
-                "relax_singular": np.full(1, r_sing),
+                "relax_singular": r_sing,
                 "relax_first": zero,
                 "relax_second": zero,
                 "noise_singular": zero,
@@ -224,17 +232,17 @@ class GeneratorEvaluator:
         first_vals = self.correctors.first_values(rho)
         second_vals = self.correctors.second_values(rho)
         return {
-            "transport_singular": np.full(len(first_vals), t_sing),
-            "transport_first": -self.cell * (self.w_profiles @ div_flux),
-            "transport_second": -eps * self.cell * (self.u_profiles @ div_flux),
-            "relax_singular": np.full(len(first_vals), r_sing),
-            "relax_first": self.cell * (self.w_profiles @ sig_relax) / eps,
-            "relax_second": self.cell * (self.u_profiles @ sig_relax),
-            "noise_singular": self.cell * (self.noise_base @ rho) / eps,
-            "noise_first": self.cell * (self.noise_w @ rho),
-            "noise_second": eps * self.cell * (self.noise_u @ rho),
-            "chain_first": (self.generator @ first_vals) / eps,
-            "chain_second": self.generator @ second_vals,
+            "transport_singular": np.broadcast_to(t_sing, first_vals.shape),
+            "transport_first": -self.cell * _rows(self.w_profiles, div_flux),
+            "transport_second": -eps * self.cell * _rows(self.u_profiles, div_flux),
+            "relax_singular": np.broadcast_to(r_sing, first_vals.shape),
+            "relax_first": self.cell * _rows(self.w_profiles, sig_relax) / eps,
+            "relax_second": self.cell * _rows(self.u_profiles, sig_relax),
+            "noise_singular": self.cell * _rows(self.noise_base, rho) / eps,
+            "noise_first": self.cell * _rows(self.noise_w, rho),
+            "noise_second": eps * self.cell * _rows(self.noise_u, rho),
+            "chain_first": _rows(self.generator, first_vals) / eps,
+            "chain_second": _rows(self.generator, second_vals),
         }
 
     def totals(self, f: np.ndarray) -> np.ndarray:
@@ -246,20 +254,20 @@ class GeneratorEvaluator:
 
         This is the quadratic-variation density of the martingale part of
         phi_eps (the 1/eps^2 jump rates cancel the eps^2 scale of the
-        corrector jumps)."""
+        corrector jumps).  ``rho`` has shape (..., n_x)."""
         if self.correctors is None:
-            return np.zeros(1)
+            return np.zeros(rho.shape[:-1] + (1,))
         v = self.correctors.first_values(rho)
         v = v + self.config.epsilon * self.correctors.second_values(rho)
-        jumps = (v[None, :] - v[:, None]) ** 2
-        return np.einsum("il,il->i", self.generator, jumps)
+        jumps = (v[..., None, :] - v[..., :, None]) ** 2
+        return np.einsum("il,...il->...i", self.generator, jumps)
 
     def perturbed(self, f: np.ndarray) -> np.ndarray:
         """phi + eps phi_1 + eps^2 phi_2 for every chain state."""
         rho = density(self.config.quad, f)
-        base = self.cell * float(self.p @ rho)
+        base = self.cell * _rows(self.p[None], rho)
         if self.correctors is None:
-            return np.full(1, base)
+            return base
         eps = self.config.epsilon
         return (base + eps * self.correctors.first_values(rho)
                 + eps**2 * self.correctors.second_values(rho))
@@ -314,6 +322,13 @@ class MartingaleCheck:
         return abs(self.qv_gap_mean) <= n_sigma * self.qv_gap_sem
 
 
+def _at_states(values: np.ndarray, paths: list, t: float) -> np.ndarray:
+    """Row b of per-state values at the state of path b at time t (state 0
+    with noise off)."""
+    states = [0 if path is None else path.state_index_at(t) for path in paths[:len(values)]]
+    return values[np.arange(len(states)), states]
+
+
 def martingale_residual(
     config: KineticConfig,
     stats: NoiseStatistics | None,
@@ -348,39 +363,33 @@ def martingale_residual(
     weighted = np.empty(n_samples)
     squares = np.empty(n_samples)
     qvs = np.empty(n_samples)
-    for sample in range(n_samples):
-        rng = sample_rng(base_seed, sample)
-        path = sample_path(config.noise, config.epsilon, config.t_final, rng) if noisy else None
-        stepper = KineticStepper(config, path)
-        f = f0.copy()
-        integral = 0.0
-        qv = 0.0
-        weight = math.nan
-        start_value = math.nan
-        g_prev = gamma_prev = None
-        for k in range(k_end + 1):
-            t = k * dt
+    # right ends of the trapezoid intervals [t - dt, t] of the window
+    ends = np.arange(k_start + 1, k_end + 1) * dt
+    for first, paths in _sample_chunks(config, n_samples, base_seed):
+        rows = len(paths)
+        if noisy:
+            occupations = np.stack([path.occupations(ends - dt, ends) for path in paths], axis=1)
+        else:
+            occupations = np.full((len(ends), rows, 1), dt)
+        integral = np.zeros(rows)
+        qv = np.zeros(rows)
+        for k, t, f, rho, _ in _strang(config, f0, paths, k_end, first_sample=first):
+            live = len(f)
             if k == k_start:
-                rho_s = density(quad, f)
-                weight = math.tanh(mode.apply(grid, rho_s))
-                state = path.state_index_at(t) if noisy else 0
-                start_value = evaluator.perturbed(f)[state]
+                weight = np.array([math.tanh(mode.apply(grid, rho_s)) for rho_s in rho])
+                start_value = _at_states(evaluator.perturbed(f), paths, t)
             if k >= k_start:
                 g_now = evaluator.totals(f)
-                gamma_now = evaluator.gamma(density(quad, f))
-                if g_prev is not None:
-                    occ = path.occupations(t - dt, t) if noisy else np.array([dt])
-                    integral += float(occ @ (g_prev + g_now)) / 2.0
-                    qv += float(occ @ (gamma_prev + gamma_now)) / 2.0
+                gamma_now = evaluator.gamma(rho)
+                if k > k_start:
+                    occ = occupations[k - k_start - 1, :live, None, :]
+                    integral[:live] += _rows(occ, g_prev[:live] + g_now)[:, 0] / 2.0
+                    qv[:live] += _rows(occ, gamma_prev[:live] + gamma_now)[:, 0] / 2.0
                 g_prev, gamma_prev = g_now, gamma_now
-            if k < k_end:
-                f = stepper.step(f, t)
-        state = path.state_index_at(t_end) if noisy else 0
-        increment = evaluator.perturbed(f)[state] - start_value
-        residual = increment - integral
-        weighted[sample] = residual * weight
-        squares[sample] = residual**2
-        qvs[sample] = qv
+        residual = _at_states(evaluator.perturbed(f), paths, t_end) - start_value - integral
+        weighted[first:first + rows] = residual * weight
+        squares[first:first + rows] = residual**2
+        qvs[first:first + rows] = qv
     gaps = squares - qvs
 
     def sem(x):

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import fourier
 from .correctors import FourierMode
-from .kinetic import DT_CAP, KineticConfig, run_kinetic
+from .kinetic import DT_CAP, KineticConfig, _sample_chunks, _trajectories, run_kinetic
 from .limit import SpdeConfig, _integrate, rosseland_rhs, run_limit, stable_dt
 from .model import Opacity, TorusGrid, VelocityQuadrature, l2_norm_sq
 from .noise import NoiseModel, _entropy, noise_statistics, sample_rng
@@ -94,26 +94,6 @@ def _check_samples(n_samples: int) -> None:
         raise ValueError("n_samples must be at least 2")
 
 
-def _per_sample(
-    run: Callable, config, rho0: np.ndarray, n_samples: int, seed, reduce: Callable
-) -> list[np.ndarray]:
-    """Run sample k from ``sample_rng(seed, k)`` and reduce each trajectory.
-
-    ``reduce`` maps a trajectory to a tuple of scalars; the result holds one
-    array per tuple entry.  A solver error aborts the ensemble and is
-    re-raised with the failing sample index prepended.
-    """
-    _check_samples(n_samples)
-    rows = []
-    for k in range(n_samples):
-        try:
-            trajectory = run(config, rho0, rng=sample_rng(seed, k))
-        except (ValueError, FloatingPointError) as exc:
-            raise type(exc)(f"sample {k}: {exc}") from exc
-        rows.append(reduce(trajectory))
-    return [np.array(column) for column in zip(*rows)]
-
-
 def _final_functionals(trajectory, mode: FourierMode) -> tuple[float, float]:
     """<rho_T, p> and ||rho_T||^2 of one trajectory."""
     grid = trajectory.config.grid
@@ -153,11 +133,20 @@ def kinetic_ensemble(
     seed,
     sobolev_order: float = 0.4,
 ) -> KineticEnsemble:
-    """Independent kinetic runs reduced to functionals and diagnostics."""
-    return KineticEnsemble(*_per_sample(
-        run_kinetic, config, rho0, n_samples, seed,
-        lambda trajectory: _kinetic_reduction(trajectory, mode, sobolev_order),
-    ))
+    """Independent kinetic runs reduced to functionals and diagnostics.
+
+    Sample k follows the path ``sample_rng(seed, k)`` draws for a lone
+    ``run_kinetic``, so it equals that run bit for bit.  The samples run
+    together on a leading axis, in chunks of bounded memory.  A failing
+    sample aborts the ensemble with the error of the lowest failing sample,
+    prefixed ``sample k: ``.
+    """
+    _check_samples(n_samples)
+    rows = []
+    for start, paths in _sample_chunks(config, n_samples, seed):
+        for trajectory in _trajectories(config, rho0, paths, first_sample=start):
+            rows.append(_kinetic_reduction(trajectory, mode, sobolev_order))
+    return KineticEnsemble(*(np.array(column) for column in zip(*rows)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,12 +14,22 @@ exp((1/eps) int m ds) with the chain integral evaluated exactly on each half
 interval, and R is the exact relaxation flow over dt/eps^2.  The splitting
 is second order in dt at fixed eps and unconditionally stable; dt is capped
 at eps^2/2 so that relaxation and noise are resolved.
+
+The solver steps a batch of samples, kinetic fields of shape (B, n_x, n_v)
+with one noise path per row.  Every operation of a step acts on each row
+alone (transforms along x, one matrix-vector product per row), so a
+sample's bits do not depend on the batch it runs in.  One loop,
+``_strang``, advances such a batch and checks every row at every step;
+``run_kinetic`` is its one-sample case, and ``harness.kinetic_ensemble``
+and ``correctors.martingale_residual`` run their samples through it in
+chunks of bounded memory (``_sample_chunks``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,15 +39,16 @@ from .model import (
     VelocityQuadrature,
     density,
     relax_exact,
-    weighted_norm,
-    weighted_norm_sq,
 )
-from .noise import NoiseModel, NoisePath, sample_path
+from .noise import NoiseModel, NoisePath, sample_path, sample_rng
 
 #: dt <= DT_CAP * eps^2 keeps the stiff relaxation and noise resolved
 DT_CAP = 0.5
 #: abort if a noise exponent exceeds this (exp would overflow usefulness)
 EXPONENT_LIMIT = 50.0
+#: most floats of per-sample state (see _floats_per_sample) that one chunk of
+#: an ensemble holds: 1 MiB, 101 samples of the criterion-6 martingale fixture
+_CHUNK_BUDGET = 2**17
 
 
 def transport_phases(grid: TorusGrid, quad: VelocityQuadrature, tau: float) -> np.ndarray:
@@ -47,9 +58,9 @@ def transport_phases(grid: TorusGrid, quad: VelocityQuadrature, tau: float) -> n
 
 
 def _translate(f: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    f_hat = np.fft.rfft(f, axis=0)
+    f_hat = np.fft.rfft(f, axis=-2)
     f_hat *= phases
-    return np.fft.irfft(f_hat, n=f.shape[0], axis=0)
+    return np.fft.irfft(f_hat, n=f.shape[-2], axis=-2)
 
 
 def transport_step(
@@ -62,15 +73,32 @@ def transport_step(
     return _translate(f, transport_phases(grid, quad, tau))
 
 
-def noise_factor(path: NoisePath, t0: float, dt: float, epsilon: float) -> np.ndarray:
-    """exp((1/eps) int_{t0}^{t0+dt} m(s, x) ds), exact for the sampled chain."""
-    exponent = path.profile_integral(t0, t0 + dt) / epsilon
-    peak = float(np.max(np.abs(exponent)))
-    if peak > EXPONENT_LIMIT:
-        raise FloatingPointError(
-            f"noise exponent {peak:.2f} exceeds {EXPONENT_LIMIT}; "
+class _RowError(FloatingPointError):
+    """A solver failure of one row of a batch of samples."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def noise_factor(model: NoiseModel, occupations: np.ndarray, epsilon: float) -> np.ndarray:
+    """exp((1/eps) int m(s, x) ds) per row, exact for the sampled chain.
+
+    ``occupations``, shape (..., n_states), holds each sample's time in
+    every chain state over the interval.  Raises FloatingPointError for the
+    lowest row whose exponent exceeds EXPONENT_LIMIT.
+    """
+    # one vector-matrix product per row, so a row's bits do not depend on
+    # its batch (a batched matrix product blocks its sums differently)
+    exponent = (occupations[..., None, :] @ model.flat_states())[..., 0, :] / epsilon
+    peaks = np.max(np.abs(exponent), axis=-1).reshape(-1)
+    over = peaks > EXPONENT_LIMIT
+    if over.any():
+        row = int(np.argmax(over))
+        raise _RowError(row, (
+            f"noise exponent {peaks[row]:.2f} exceeds {EXPONENT_LIMIT}; "
             "noise amplitude / epsilon too large for this dt"
-        )
+        ))
     return np.exp(exponent)
 
 
@@ -133,38 +161,142 @@ class KineticTrajectory:
 
 
 class KineticStepper:
-    """Reusable stepper with cached transport phases for one configuration."""
+    """Stepper for a batch of samples, shape (B, n_x, n_v), of one configuration.
 
-    def __init__(self, config: KineticConfig, path: NoisePath | None):
-        if config.noise is not None and path is None:
-            raise ValueError("a sampled noise path is required when noise is on")
-        if path is not None and path.t_final < config.t_final - 1e-9:
-            raise ValueError("noise path is shorter than the run")
+    It caches the transport phases and, with noise on, the occupation times
+    of every half step of each sample's path, taken in one call per path.
+    """
+
+    def __init__(self, config: KineticConfig, paths: Sequence[NoisePath | None]):
         self.config = config
-        self.path = path
         self.half_phases = transport_phases(config.grid, config.quad, config.dt / (2.0 * config.epsilon))
+        self.occupations = None
+        if config.noise is None:
+            return
+        if any(path is None for path in paths):
+            raise ValueError("a sampled noise path is required when noise is on")
+        if any(path.t_final < config.t_final - 1e-9 for path in paths):
+            raise ValueError("noise path is shorter than the run")
+        half = 0.5 * config.dt
+        starts = np.arange(config.n_steps) * config.dt
+        mids = starts + half
+        windows = np.stack([starts, mids], axis=-1), np.stack([mids, mids + half], axis=-1)
+        # (n_steps, 2 halves, B, n_states)
+        self.occupations = np.stack([path.occupations(*windows) for path in paths], axis=2)
 
-    def step(self, f: np.ndarray, t: float) -> np.ndarray:
-        """One splitting step from t to t + dt."""
+    def step(self, f: np.ndarray, k: int) -> np.ndarray:
+        """One splitting step of every row from k dt to (k + 1) dt.
+
+        Row b of f, shape (B, n_x, n_v), follows path b.  A row whose noise
+        exponent is too large raises a FloatingPointError with its row index.
+        """
         cfg = self.config
-        half = 0.5 * cfg.dt
         f = _translate(f, self.half_phases)
-        if self.path is not None:
-            f = f * noise_factor(self.path, t, half, cfg.epsilon)[:, None]
+        if self.occupations is not None:
+            f = f * noise_factor(cfg.noise, self.occupations[k, 0, :len(f)], cfg.epsilon)[..., None]
         f = relax_exact(cfg.quad, cfg.opacity, f, cfg.dt / cfg.epsilon**2)
-        if self.path is not None:
-            f = f * noise_factor(self.path, t + half, half, cfg.epsilon)[:, None]
+        if self.occupations is not None:
+            f = f * noise_factor(cfg.noise, self.occupations[k, 1, :len(f)], cfg.epsilon)[..., None]
         return _translate(f, self.half_phases)
 
 
+def _strang(
+    config: KineticConfig,
+    f0: np.ndarray,
+    paths: Sequence[NoisePath | None],
+    n_steps: int | None = None,
+    first_sample: int | None = None,
+) -> Iterator[tuple[int, float, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (k, t, f, rho, energy) for k = 0..n_steps (default: the run).
+
+    Every row of f, shape (B, n_x, n_v), starts from f0 (n_x, n_v) and
+    follows its own path; rho (B, n_x) is the density and energy (B,) the
+    squared weighted norm of each row.  Every step checks each row's energy
+    for finiteness and its noise exponents against EXPONENT_LIMIT.  A
+    failing row stops itself and the rows above it, so later yields carry
+    fewer rows; the rows below run on, and the loop ends by raising
+    FloatingPointError for the lowest failing row at its own first failure.
+    With ``first_sample`` set, the message names it as
+    ``sample first_sample + row``.
+    """
+    quad = config.quad
+    n_steps = config.n_steps if n_steps is None else n_steps
+    cell = config.grid.cell_volume
+    inverse_eq = quad.weights / quad.equilibrium
+    stepper = KineticStepper(config, paths)
+    # C order: a row's matrix-vector products must not see the batch
+    f = np.repeat(np.asarray(f0, dtype=float)[None], len(paths), axis=0)
+    failure = None
+    for k in range(n_steps + 1):
+        t = k * config.dt
+        while k and len(f):
+            try:
+                f = stepper.step(f, k - 1)
+                break
+            except _RowError as exc:
+                failure = _failure(first_sample, exc.row, str(exc))
+                f = f[:exc.row]
+        rho = density(quad, f)
+        energy = cell * ((f * f) @ inverse_eq).sum(axis=-1)
+        finite = np.isfinite(energy)
+        if not finite.all():
+            row = int(np.argmax(~finite))
+            failure = _failure(first_sample, row, f"kinetic field lost finiteness at step {k} (t = {t:g})")
+            f, rho, energy = f[:row], rho[:row], energy[:row]
+        if not len(f):
+            break
+        yield k, t, f, rho, energy
+    if failure is not None:
+        raise FloatingPointError(failure)
+
+
+def _failure(first_sample: int | None, row: int, message: str) -> str:
+    return message if first_sample is None else f"sample {first_sample + row}: {message}"
+
+
 def iterate_kinetic(config: KineticConfig, f0: np.ndarray, path: NoisePath | None = None):
-    """Yield (step index, time, kinetic field) from step 0 to n_steps."""
-    stepper = KineticStepper(config, path)
-    f = np.array(f0, dtype=float)
-    yield 0, 0.0, f
-    for k in range(config.n_steps):
-        f = stepper.step(f, k * config.dt)
-        yield k + 1, (k + 1) * config.dt, f
+    """Yield (step index, time, kinetic field) of one run from step 0 to n_steps."""
+    for k, t, f, _, _ in _strang(config, f0, [path]):
+        yield k, t, f[0]
+
+
+def _trajectories(
+    config: KineticConfig,
+    rho0: np.ndarray,
+    paths: Sequence[NoisePath | None],
+    first_sample: int | None = None,
+) -> list[KineticTrajectory]:
+    """Run one sample per path from rho0(x) F(v) and record its diagnostics."""
+    quad = config.quad
+    cell = config.grid.cell_volume
+    inverse_eq = quad.weights / quad.equilibrium
+    n_steps = config.n_steps
+    rows = len(paths)
+    f0 = np.multiply.outer(np.asarray(rho0, dtype=float), quad.equilibrium)
+    stride = config.snapshot_stride
+    step_times = np.arange(n_steps + 1) * config.dt
+    snap_steps = np.arange(0, n_steps + 1, stride)
+    if snap_steps[-1] != n_steps:
+        snap_steps = np.append(snap_steps, n_steps)
+    # one row per sample, so each sample's series is contiguous
+    mass, energy, defect = np.empty((3, rows, n_steps + 1))
+    snaps = np.empty((rows, len(snap_steps)) + config.grid.shape)
+    for k, _, f, rho, energy_k in _strang(config, f0, paths, first_sample=first_sample):
+        live = len(f)
+        mass[:live, k] = cell * rho.sum(axis=-1)
+        energy[:live, k] = energy_k
+        lf = np.multiply.outer(rho, quad.equilibrium) - f
+        defect_sq = cell * ((lf * lf) @ inverse_eq).sum(axis=-1)
+        defect[:live, k] = np.sqrt(np.maximum(defect_sq, 0.0)) / config.epsilon
+        if k % stride == 0:
+            snaps[:live, k // stride] = rho
+        elif k == n_steps:
+            snaps[:live, -1] = rho
+    return [
+        KineticTrajectory(config, step_times[snap_steps], snaps[b], step_times,
+                          mass[b], energy[b], defect[b], paths[b])
+        for b in range(rows)
+    ]
 
 
 def run_kinetic(
@@ -176,39 +308,39 @@ def run_kinetic(
     """Run from the well-prepared state rho0(x) F(v) and record diagnostics.
 
     With noise on, a path is sampled from ``rng`` unless one is supplied.
+    The run is the one-sample case of the batched loop: it aborts with
+    ``FloatingPointError`` at the first step whose field is not finite or
+    whose noise exponent exceeds EXPONENT_LIMIT.
     """
     if config.noise is not None and path is None:
         if rng is None:
             raise ValueError("pass rng (or a pre-sampled path) when noise is on")
         path = sample_path(config.noise, config.epsilon, config.t_final, rng)
-    grid, quad = config.grid, config.quad
-    f0 = np.multiply.outer(np.asarray(rho0, dtype=float), quad.equilibrium)
-    n_steps = config.n_steps
-    step_times = np.empty(n_steps + 1)
-    mass = np.empty(n_steps + 1)
-    energy = np.empty(n_steps + 1)
-    defect = np.empty(n_steps + 1)
-    snap_times = []
-    snaps = []
-    for k, t, f in iterate_kinetic(config, f0, path):
-        rho = density(quad, f)
-        step_times[k] = t
-        mass[k] = grid.integrate(rho)
-        energy[k] = weighted_norm_sq(grid, quad, f)
-        lf = np.multiply.outer(rho, quad.equilibrium) - f
-        defect[k] = weighted_norm(grid, quad, lf) / config.epsilon
-        if not np.isfinite(energy[k]):
-            raise FloatingPointError(f"kinetic field lost finiteness at step {k} (t = {t:g})")
-        if k % config.snapshot_stride == 0 or k == n_steps:
-            snap_times.append(t)
-            snaps.append(rho)
-    return KineticTrajectory(
-        config,
-        np.array(snap_times),
-        np.array(snaps),
-        step_times,
-        mass,
-        energy,
-        defect,
-        path,
-    )
+    return _trajectories(config, rho0, [path])[0]
+
+
+def _floats_per_sample(config: KineticConfig) -> int:
+    """Floats one sample of a chunk holds: its field and the temporaries of
+    a step (16 fields' worth), its half-step occupation table and its
+    per-step diagnostics."""
+    n_states = 0 if config.noise is None else config.noise.n_states
+    return 16 * config.grid.n_x * config.quad.n_v + config.n_steps * (2 * n_states + 3)
+
+
+def _sample_chunks(config: KineticConfig, n_samples: int, seed) -> Iterator[tuple[int, list]]:
+    """Yield (first sample, paths) for consecutive chunks of the samples.
+
+    Sample k draws its path from ``sample_rng(seed, k)``, as a lone run of
+    sample k does; with noise off every path is None.  A chunk holds at
+    most ``_CHUNK_BUDGET`` floats of per-sample state.
+    """
+    size = max(_CHUNK_BUDGET // _floats_per_sample(config), 1)
+    for start in range(0, n_samples, size):
+        samples = range(start, min(start + size, n_samples))
+        if config.noise is None:
+            yield start, [None] * len(samples)
+        else:
+            yield start, [
+                sample_path(config.noise, config.epsilon, config.t_final, sample_rng(seed, k))
+                for k in samples
+            ]

@@ -234,20 +234,31 @@ class NoisePath:
         k = int(np.searchsorted(self.jump_times, t, side="right")) - 1
         return int(self.state_indices[max(k, 0)])
 
-    def occupations(self, t0: float, t1: float) -> np.ndarray:
-        """Time spent in each state during [t0, t1]."""
-        if t0 < -1e-12 or t1 > self.t_final + 1e-9 or t1 < t0:
-            raise ValueError(f"window [{t0}, {t1}] outside the sampled path")
+    def occupations(self, t0, t1) -> np.ndarray:
+        """Time spent in each state during [t0, t1], shape (..., n_states).
+
+        ``t0`` and ``t1`` are one window or arrays of windows.  Each window
+        is cut into its pieces between jumps and the pieces are added in
+        time order, so a window gets the same bits alone as in an array.
+        A NaN jump time makes the occupations of the windows it bounds NaN.
+        """
+        t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
+        bad = (t0 < -1e-12) | (t1 > self.t_final + 1e-9) | (t1 < t0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"window [{t0.flat[i]}, {t1.flat[i]}] outside the sampled path")
         times = self.jump_times
-        occ = np.zeros(self.model.n_states)
-        k0 = max(int(np.searchsorted(times, t0, side="right")) - 1, 0)
-        k1 = max(int(np.searchsorted(times, t1, side="right")) - 1, 0)
-        for k in range(k0, k1 + 1):
-            left = max(float(times[k]), t0)
-            right = min(float(times[k + 1]) if k + 1 < len(times) else t1, t1)
-            if right > left:
-                occ[self.state_indices[k]] += right - left
-        return occ
+        lo, hi = t0.ravel(), t1.ravel()
+        first = np.maximum(np.searchsorted(times, lo, side="right") - 1, 0)
+        last = np.maximum(np.searchsorted(times, hi, side="right") - 1, 0)
+        counts = last - first + 1
+        window = np.repeat(np.arange(lo.size), counts)
+        piece = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        left = np.maximum(times[piece], lo[window])
+        right = np.minimum(np.append(times[1:], np.inf)[piece], hi[window])
+        occ = np.zeros((lo.size, self.model.n_states))
+        np.add.at(occ, (window, self.state_indices[piece]), np.maximum(right - left, 0.0))
+        return occ.reshape(t0.shape + (self.model.n_states,))
 
     def profile_integral(self, t0: float, t1: float) -> np.ndarray:
         """int_{t0}^{t1} m(s, x) ds as a field on the grid."""

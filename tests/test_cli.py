@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import nan_normals
-from rosselab import harness
+from conftest import nan_normals, nan_paths
+from rosselab import harness, kinetic
 from rosselab.cli import main
-from rosselab.kinetic import run_kinetic
 
 TELEGRAPH_INI = """
 [model]
@@ -226,19 +225,12 @@ class TestErrorPaths:
         assert "n_x" in capsys.readouterr().err
 
     def test_ensemble_sample_errors_exit_2(self, tmp_path, capsys, monkeypatch):
-        calls = {"n": 0}
-
-        def flaky(config, rho0, rng=None):
-            if calls["n"] == 1:
-                raise FloatingPointError("noise exponent overflow")
-            calls["n"] += 1
-            return run_kinetic(config, rho0, rng=rng)
-
-        monkeypatch.setattr(harness, "run_kinetic", flaky)
+        monkeypatch.setattr(kinetic, "sample_path", nan_paths({1: 0.0}))
         config = write_ini(tmp_path, TELEGRAPH_INI)
         assert main(["sweep", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
-        assert "sweep: sample 1: noise exponent overflow" in capsys.readouterr().err
+        assert "sweep: sample 1: kinetic field lost finiteness at step 1 " in \
+            capsys.readouterr().err
 
     def test_limit_ensemble_names_lowest_failing_sample(self, tmp_path, capsys,
                                                         monkeypatch):

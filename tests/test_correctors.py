@@ -1,11 +1,16 @@
 """Tests for the perturbed-test-function algebra and martingale residuals."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rosselab import fourier
+from conftest import nan_paths
+from rosselab import fourier, kinetic
 from rosselab.correctors import (
     FourierMode,
     GeneratorEvaluator,
@@ -363,3 +368,47 @@ class TestMartingaleResidual:
         assert check.qv_mean > 0.0
         assert check.mean_within(3.0)
         assert check.variance_within(5.0)
+
+    def martingale_fixture(self, fixture="telegraph", amplitude=1.0):
+        grid = TorusGrid(16)
+        rho0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * grid.axis_points())
+        quad = build_velocity_space("two-speed")
+        if fixture == "telegraph":
+            model = telegraph_noise(grid, cosine_profile(grid, amplitude, 1), 1.0)
+        else:
+            model = rotor_noise(grid, amplitude, 1, 2.0)
+        config = KineticConfig(grid, quad, make_opacity("rational", s0=1.0, s1=1.0),
+                               epsilon=0.25, t_final=0.1, dt=0.1 / 13.0, noise=model)
+        return config, noise_statistics(model), rho0
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        sizes=st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        fixture=st.sampled_from(["telegraph", "rotor"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_check_is_independent_of_chunk_size(self, sizes, fixture, seed):
+        n_samples, chunk = sizes
+        config, stats, rho0 = self.martingale_fixture(fixture)
+        whole = martingale_residual(config, stats, MODE, rho0, 0.1 / 13.0, 0.1,
+                                    n_samples, seed)
+        with mock.patch.object(kinetic, "_CHUNK_BUDGET",
+                               chunk * kinetic._floats_per_sample(config)):
+            chunked = martingale_residual(config, stats, MODE, rho0, 0.1 / 13.0, 0.1,
+                                          n_samples, seed)
+        assert dataclasses.astuple(chunked) == dataclasses.astuple(whole)
+
+    def test_failure_names_lowest_failing_sample(self, monkeypatch):
+        # sample 4 fails first in time, sample 2 later: the check names
+        # sample 2 at its own first failing step
+        monkeypatch.setattr(kinetic, "sample_path", nan_paths({4: 0.0, 2: 0.05}))
+        config, stats, rho0 = self.martingale_fixture()
+        with pytest.raises(FloatingPointError,
+                           match=r"^sample 2: kinetic field lost finiteness at step 7 "):
+            martingale_residual(config, stats, MODE, rho0, 0.0, 0.1, 6, 1)
+
+    def test_noise_overflow_names_its_sample(self):
+        config, stats, rho0 = self.martingale_fixture("rotor", amplitude=5000.0)
+        with pytest.raises(FloatingPointError,
+                           match=r"^sample 0: noise exponent \d+\.\d+ exceeds 50\.0"):
+            martingale_residual(config, stats, MODE, rho0, 0.0, 0.1, 3, 1)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import nan_normals
+from conftest import loud_paths, nan_normals, nan_paths
 from rosselab.correctors import FourierMode
-from rosselab import harness
+from rosselab import harness, kinetic
 from rosselab.harness import (
     FUNCTIONAL_NAMES,
     deterministic_convergence,
@@ -122,18 +122,31 @@ class TestEnsembles:
         assert estimates.values[2] > 0.0
 
     def test_errors_carry_sample_index(self, monkeypatch):
-        calls = {"n": 0}
-
-        def flaky(config, rho0, rng=None):
-            if calls["n"] == 2:
-                raise FloatingPointError("density lost positivity")
-            calls["n"] += 1
-            return run_kinetic(config, rho0, rng=rng)
-
-        monkeypatch.setattr(harness, "run_kinetic", flaky)
+        monkeypatch.setattr(kinetic, "sample_path", nan_paths({2: 0.0, 3: 0.0}))
         config, rho0 = self.noisy_kinetic_config()
-        with pytest.raises(FloatingPointError, match="sample 2: density lost positivity"):
+        with pytest.raises(FloatingPointError,
+                           match=r"^sample 2: kinetic field lost finiteness at step 1 "):
             kinetic_ensemble(config, rho0, MODE, 4, seed=1)
+
+    @pytest.mark.parametrize("chunk", [3, 6])
+    @pytest.mark.parametrize("stub, message", [
+        (nan_paths, r"kinetic field lost finiteness at step 5 "),
+        (loud_paths, r"noise exponent \S+ exceeds 50\.0"),
+    ])
+    def test_kinetic_error_names_lowest_failing_sample(self, monkeypatch, chunk, stub,
+                                                      message):
+        # sample 4 fails first in time, sample 2 later: the ensemble names
+        # sample 2 with its own first error, whether or not the two share a
+        # chunk
+        monkeypatch.setattr(kinetic, "sample_path", stub({4: 0.0, 2: 0.03}))
+        grid, rho0, quad, opacity = small_problem()
+        model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
+        config = KineticConfig(grid, quad, opacity, epsilon=0.25, t_final=0.05,
+                               dt=0.00625, noise=model)
+        monkeypatch.setattr(kinetic, "_CHUNK_BUDGET",
+                            chunk * kinetic._floats_per_sample(config))
+        with pytest.raises(FloatingPointError, match="^sample 2: " + message):
+            kinetic_ensemble(config, rho0, MODE, 6, seed=1)
 
     @pytest.mark.parametrize("n_samples", [0, 1])
     def test_too_few_samples_raise(self, n_samples):
@@ -254,6 +267,45 @@ class TestLimitEnsembleProperties:
         rho = run_limit(config, rho0, rng=sample_rng(seed, k)).final_density()
         assert ensemble.mode_values[k] == MODE.apply(grid, rho)
         assert ensemble.norm_sq[k] == l2_norm_sq(grid, rho)
+
+
+class TestKineticEnsembleProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.integers(2, 8).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(1, n))),
+        seed=st.one_of(st.integers(0, 2**32 - 1),
+                       st.tuples(st.integers(0, 2**16), st.integers(0, 2**16))),
+        fixture=st.sampled_from(["telegraph", "rotor", "off"]),
+        velocity=st.sampled_from(["two-speed", "legendre"]),
+    )
+    # two samples per chunk: sample 3 of 5 sits in the second of three chunks
+    @example(sizes=(5, 3, 2), seed=4, fixture="rotor", velocity="two-speed")
+    def test_sample_equals_lone_run(self, sizes, seed, fixture, velocity):
+        """Sample k of a kinetic ensemble equals a lone run of sample k, bit
+        for bit, whatever the chunk size."""
+        n_samples, k, chunk = sizes
+        grid = TorusGrid(8)
+        rho0 = 1.0 + 0.4 * np.cos(2.0 * np.pi * grid.axis_points())
+        model = {
+            "telegraph": telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0),
+            "rotor": rotor_noise(grid, 1.0, 1, 2.0),
+            "off": None,
+        }[fixture]
+        quad = build_velocity_space(velocity, None if velocity == "two-speed" else 4)
+        config = KineticConfig(grid, quad, make_opacity("rational", s0=1.0, s1=1.0),
+                               epsilon=0.2, t_final=0.2, noise=model, snapshot_stride=3)
+        with mock.patch.object(kinetic, "_CHUNK_BUDGET",
+                               chunk * kinetic._floats_per_sample(config)):
+            ensemble = kinetic_ensemble(config, rho0, MODE, n_samples, seed)
+        alone = run_kinetic(config, rho0, rng=sample_rng(seed, k))
+        rho = alone.final_density()
+        assert ensemble.mode_values[k] == MODE.apply(grid, rho)
+        assert ensemble.norm_sq[k] == l2_norm_sq(grid, rho)
+        assert ensemble.sup_energy[k] == alone.energy.max()
+        d = alone.defect**2
+        assert ensemble.defect_integral[k] == config.dt * (d.sum() - 0.5 * (d[0] + d[-1]))
+        assert ensemble.sobolev[k] == hs_norm(alone, 0.4)
 
 
 class TestRosselandReference:

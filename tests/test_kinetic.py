@@ -63,7 +63,7 @@ def test_noise_factor_matches_hand_integral():
         jump_times=np.array([0.0, 0.3]),
         state_indices=np.array([0, 1]),
     )
-    out = noise_factor(path, 0.0, 0.5, 0.5)
+    out = noise_factor(model, path.occupations(0.0, 0.5), 0.5)
     integral = 0.3 * model.states[0] + 0.2 * model.states[1]
     assert np.allclose(out, np.exp(integral / 0.5), atol=1e-14)
 
@@ -78,7 +78,7 @@ def test_noise_factor_overflow_guard():
         state_indices=np.array([0]),
     )
     with pytest.raises(FloatingPointError, match="amplitude"):
-        noise_factor(path, 0.0, 1.0, 0.1)
+        noise_factor(model, path.occupations(0.0, 1.0), 0.1)
 
 
 def test_config_validation():
@@ -150,7 +150,7 @@ def test_stepper_step_matches_run_single_step():
     path = sample_path(model, 0.25, cfg.t_final, np.random.default_rng(3))
     x = GRID.axis_points()
     f0 = np.multiply.outer(1.0 + 0.3 * np.sin(2.0 * np.pi * x), GT.equilibrium)
-    stepped = KineticStepper(cfg, path).step(f0, 0.0)
+    stepped = KineticStepper(cfg, [path]).step(f0[None], 0)[0]
     traj = run_kinetic(cfg, density(GT, f0), path=path)
     assert np.allclose(density(GT, stepped), traj.final_density(), atol=1e-13)
 

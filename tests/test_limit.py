@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from rosselab.limit import SpdeConfig, SpdeStepper, rosseland_rhs, run_limit, stable_dt
+from rosselab.limit import (
+    SpdeConfig,
+    SpdeStepper,
+    _integrate,
+    rosseland_rhs,
+    run_limit,
+    stable_dt,
+)
 from rosselab.model import (
     ConstantOpacity,
     RationalOpacity,
@@ -116,6 +123,18 @@ def gbm_config(stats, t_final=0.25, dt=1e-3, drift="effective"):
     )
 
 
+def final_densities(cfg, rho0, rng, n_samples):
+    """Final densities of n_samples runs drawing their normals from rng in
+    turn, as consecutive ``run_limit(cfg, rho0, rng=rng)`` calls do; the
+    runs are integrated as one batch, which leaves each run's bits as they
+    are alone."""
+    normals = np.stack(
+        [rng.standard_normal((cfg.n_steps, cfg.noise_rank)) for _ in range(n_samples)], axis=1
+    )
+    _, snaps, *_ = _integrate(cfg, rho0, normals, history=False)
+    return snaps[-1]
+
+
 def test_pointwise_mean_matches_discrete_geometric_growth():
     # with diffusion off each point follows a scalar linear SDE whose
     # Euler mean is exactly rho0 (1 + h dt)^n
@@ -125,9 +144,7 @@ def test_pointwise_mean_matches_discrete_geometric_growth():
     h = stats.drift_effective.reshape(-1)[x_idx]
     rho0 = np.full(GRID.shape, 1.0)
     rng = np.random.default_rng(5150)
-    vals = np.array(
-        [run_limit(cfg, rho0, rng=rng).final_density()[x_idx] for _ in range(1000)]
-    )
+    vals = final_densities(cfg, rho0, rng, 1000)[:, x_idx]
     discrete_mean = (1.0 + h * cfg.dt) ** cfg.n_steps
     sem = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - discrete_mean) <= 3.0 * sem
@@ -159,9 +176,7 @@ def test_log_density_is_centered_with_effective_drift(maker):
     cfg = gbm_config(stats, dt=1e-3)
     rho0 = np.full(GRID.shape, 2.0)
     rng = np.random.default_rng(99)
-    logs = np.empty(600)
-    for k in range(logs.size):
-        logs[k] = np.log(run_limit(cfg, rho0, rng=rng).final_density()[3])
+    logs = np.log(final_densities(cfg, rho0, rng, 600)[:, 3])
     sem = logs.std(ddof=1) / np.sqrt(logs.size)
     assert abs(logs.mean() - np.log(2.0)) <= 3.0 * sem + 2e-3
 
@@ -174,9 +189,7 @@ def test_log_density_decays_with_paper_drift():
     cfg = gbm_config(stats, dt=1e-3, drift="paper")
     rho0 = np.full(GRID.shape, 1.0)
     rng = np.random.default_rng(77)
-    logs = np.empty(500)
-    for k in range(logs.size):
-        logs[k] = np.log(run_limit(cfg, rho0, rng=rng).final_density()[x_idx])
+    logs = np.log(final_densities(cfg, rho0, rng, 500)[:, x_idx])
     sem = logs.std(ddof=1) / np.sqrt(logs.size)
     expected = -kxx * cfg.t_final
     assert abs(logs.mean() - expected) <= 3.0 * sem + 2e-3
@@ -193,9 +206,7 @@ def test_second_moment_growth_rate():
     cfg = gbm_config(stats, dt=1e-3)
     rho0 = np.full(GRID.shape, 1.0)
     rng = np.random.default_rng(31337)
-    sq = np.empty(1200)
-    for k in range(sq.size):
-        sq[k] = run_limit(cfg, rho0, rng=rng).final_density()[x_idx] ** 2
+    sq = final_densities(cfg, rho0, rng, 1200)[:, x_idx] ** 2
     discrete = ((1.0 + h * cfg.dt) ** 2 + kxx * cfg.dt) ** cfg.n_steps
     sem = sq.std(ddof=1) / np.sqrt(sq.size)
     assert abs(sq.mean() - discrete) <= 3.0 * sem

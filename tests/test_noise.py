@@ -1,7 +1,11 @@
 """Chain statistics: stationary laws, Poisson solves, covariance kernels, paths."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rosselab.model import TorusGrid
 from rosselab.noise import (
@@ -197,6 +201,60 @@ def test_path_bookkeeping_by_hand():
     assert np.allclose(integ, expected, atol=1e-14)
     with pytest.raises(ValueError):
         path.occupations(0.5, 1.5)
+
+
+def brute_force_occupations(path, t0, t1):
+    """Time in each state during [t0, t1], over every piece of the path."""
+    occ = np.zeros(path.model.n_states)
+    ends = [*path.jump_times[1:], math.inf]
+    for start, end, state in zip(path.jump_times, ends, path.state_indices):
+        left, right = max(start, t0), min(end, t1)
+        if right > left:
+            occ[state] += right - left
+    return occ
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fixture=st.sampled_from(["telegraph", "rotor"]),
+    epsilon=st.sampled_from([0.5, 0.25, 0.1]),
+    t_final=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_window_arrays_match_scalar_calls_and_brute_force(fixture, epsilon, t_final,
+                                                          seed, data):
+    """Occupations over an array of windows equal one call per window and a
+    sum over every piece of the path, bit for bit, and each sums to its
+    window length."""
+    if fixture == "telegraph":
+        model = telegraph_noise(GRID, cosine_profile(GRID, 1.0, 1), 1.0)
+    else:
+        model = rotor_noise(GRID, 1.0, 1, 2.0)
+    path = sample_path(model, epsilon, t_final, np.random.default_rng(seed))
+    # window ends anywhere, at jump times and at t_final
+    point = st.one_of(st.floats(0.0, t_final),
+                      st.sampled_from([*path.jump_times.tolist(), t_final]))
+    pairs = data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=20))
+    t0 = np.array([min(pair) for pair in pairs])
+    t1 = np.array([max(pair) for pair in pairs])
+    occ = path.occupations(t0, t1)
+    assert occ.shape == (len(pairs), model.n_states)
+    for i in range(len(pairs)):
+        assert np.array_equal(occ[i], path.occupations(float(t0[i]), float(t1[i])))
+        assert np.array_equal(occ[i], brute_force_occupations(path, t0[i], t1[i]))
+        assert abs(occ[i].sum() - (t1[i] - t0[i])) <= 1e-15
+    stacked = path.occupations(np.stack([t0, t0]), np.stack([t1, t1]))
+    assert stacked.shape == (2, len(pairs), model.n_states)
+    assert np.array_equal(stacked[1], occ)
+
+
+def test_nan_jump_time_makes_later_windows_nan():
+    model = telegraph_noise(GRID, cosine_profile(GRID, 1.0, 1), 1.0)
+    path = NoisePath(model, 0.5, 1.0, np.array([0.0, 0.4, np.nan]), np.array([0, 1, 1]))
+    occ = path.occupations(np.array([0.0, 0.2, 0.3]), np.array([0.2, 0.3, 0.5]))
+    assert np.array_equal(occ[:2], [[0.2, 0.0], [0.3 - 0.2, 0.0]])
+    assert np.isnan(occ[2]).any()
 
 
 def test_profile_integral_is_additive():
