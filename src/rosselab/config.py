@@ -234,7 +234,10 @@ def parse_config(path: str) -> RunConfig:
     and broken cross-field rules such as the kinetic step cap).
     """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot parse config file {path!r}: {exc}"]) from None
     violations: list[str] = []
     if not read:
         raise ConfigError([f"cannot read config file {path!r}"])
@@ -328,15 +331,19 @@ def parse_config(path: str) -> RunConfig:
         )
     if fixture != "off" and amplitude == 0.0:
         violations.append("[noise] amplitude must be nonzero when a fixture is on")
-    if dt is not None and dt > 0.5 * epsilon**2 * (1.0 + 1e-9):
-        violations.append(
-            f"[simulation] dt = {dt:g} violates the step rule dt <= eps^2/2 "
-            f"(eps = {epsilon:g} gives cap {0.5 * epsilon**2:g})"
-        )
-    if dt is not None and abs(round(t_final / dt) * dt - t_final) > 1e-9 * t_final:
-        violations.append(
-            f"[simulation] t_final = {t_final:g} is not an integer multiple of dt = {dt:g}"
-        )
+    if dt is not None:
+        # products, not powers: a float power raises OverflowError
+        cap = 0.5 * epsilon * epsilon
+        if dt > cap * (1.0 + 1e-9):
+            violations.append(
+                f"[simulation] dt = {dt:g} violates the step rule dt <= eps^2/2 "
+                f"(eps = {epsilon:g} gives cap {cap:g})"
+            )
+        steps = t_final / dt
+        if not math.isfinite(steps) or abs(round(steps) * dt - t_final) > 1e-9 * t_final:
+            violations.append(
+                f"[simulation] t_final = {t_final:g} is not an integer multiple of dt = {dt:g}"
+            )
     if dt_scale > 0.5 * (1.0 + 1e-9):
         violations.append(
             f"[simulation] dt_scale = {dt_scale:g} violates the step rule dt <= eps^2/2"

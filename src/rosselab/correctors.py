@@ -33,7 +33,7 @@ import numpy as np
 
 from .kinetic import KineticConfig, _sample_chunks, _strang
 from .model import TorusGrid, density, equilibrium_field
-from .noise import NoiseStatistics, solve_poisson
+from .noise import NoiseStatistics, _bordered_solve
 
 
 def _rows(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -113,62 +113,15 @@ def build_correctors(stats: NoiseStatistics, mode: FourierMode) -> CorrectorSet:
     states = stats.model.flat_states()
     first = -psi * p
     c = -states * psi * p
-    centered = c - stats.model.stationary @ c
-    second = -solve_poisson(stats.model.generator, stats.model.stationary, centered)
+    nu = stats.model.stationary
+    centered = c - nu @ c
+    # measured against c: for the telegraph chain c is the same in every
+    # state and its centred value is pure rounding noise
+    scale = max(np.max(np.abs(c)), 1.0)
+    if np.max(np.abs(nu @ centered)) > 1e-12 * scale:
+        raise ValueError("second-corrector forcing is not centered under the stationary law")
+    second = -_bordered_solve(stats.model.generator, nu, centered, scale)
     return CorrectorSet(stats, first, second)
-
-
-@dataclass(frozen=True)
-class GeneratorTerms:
-    """Term-by-term evaluation of L_eps phi_eps at one state.
-
-    Each field already carries its power of eps, so ``total`` is their sum.
-    ``eq2_residual`` is the unscaled 1/eps bracket (noise against the base
-    mode, the phi_1 chain term and the relaxation leakage), which the
-    Poisson equation for phi_1 cancels.
-    """
-
-    eps: float
-    transport_singular: float  # -(1/eps) (A f, p F)
-    transport_first: float  # -(A f, Dphi_1)
-    transport_second: float  # -eps (A f, Dphi_2)
-    relax_singular: float  # (1/eps^2) (sigma L f, p F): zero on density functionals
-    relax_first: float  # (1/eps) (sigma L f, Dphi_1)
-    relax_second: float  # (sigma L f, Dphi_2)
-    noise_singular: float  # (1/eps) (f n, p F)
-    noise_first: float  # (f n, Dphi_1)
-    noise_second: float  # eps (f n, Dphi_2)
-    chain_first: float  # (1/eps) (M phi_1)_i
-    chain_second: float  # (M phi_2)_i
-
-    @property
-    def total(self) -> float:
-        return (
-            self.transport_singular
-            + self.transport_first
-            + self.transport_second
-            + self.relax_singular
-            + self.relax_first
-            + self.relax_second
-            + self.noise_singular
-            + self.noise_first
-            + self.noise_second
-            + self.chain_first
-            + self.chain_second
-        )
-
-    @property
-    def eq2_residual(self) -> float:
-        return self.eps * (self.noise_singular + self.chain_first + self.relax_first)
-
-    @property
-    def drift_term(self) -> float:
-        """State-dependent drift pieces; equals int rho h_eff p dx exactly."""
-        return self.noise_first + self.chain_second
-
-    @property
-    def order_eps(self) -> float:
-        return self.transport_second + self.noise_second
 
 
 class GeneratorEvaluator:
@@ -204,7 +157,13 @@ class GeneratorEvaluator:
 
     def per_state(self, f: np.ndarray) -> dict[str, np.ndarray]:
         """All generator terms for f of shape (..., n_x, n_v), each of shape
-        (..., n_states) (n_states = 1 if no noise)."""
+        (..., n_states) (n_states = 1 if no noise).
+
+        Each term already carries its power of eps, so their sum is
+        L_eps phi_eps.  transport_* are -(1/eps)(A f, D phi_eps), relax_*
+        (1/eps^2)(sigma L f, D phi_eps), noise_* (1/eps)(f n, D phi_eps),
+        chain_* (1/eps^2)(M phi_eps); *_singular pairs with the base mode
+        p F, *_first with eps phi_1 and *_second with eps^2 phi_2."""
         cfg = self.config
         eps = cfg.epsilon
         quad = cfg.quad
@@ -278,11 +237,10 @@ def generator_terms(
     stats: NoiseStatistics | None,
     mode: FourierMode,
     f: np.ndarray,
-    state: int = 0,
-) -> GeneratorTerms:
-    """Evaluate every generator term at one chain state."""
-    terms = GeneratorEvaluator(config, stats, mode).per_state(f)
-    return GeneratorTerms(config.epsilon, **{k: float(v[state]) for k, v in terms.items()})
+) -> dict[str, np.ndarray]:
+    """Every generator term of L_eps phi_eps at f, per chain state; see
+    ``GeneratorEvaluator.per_state``."""
+    return GeneratorEvaluator(config, stats, mode).per_state(f)
 
 
 def limit_generator(

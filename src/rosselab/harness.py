@@ -1,4 +1,5 @@
-"""Ensemble statistics, scaling sweeps and deterministic convergence checks.
+"""Ensemble statistics, scaling sweeps, deterministic convergence checks and
+the identity battery.
 
 The sweep compares kinetic ensembles against limit-equation ensembles on a
 fixed triple of density functionals: the mean and variance of one Fourier
@@ -17,11 +18,20 @@ from typing import Sequence
 import numpy as np
 
 from . import fourier
-from .correctors import FourierMode
+from .correctors import FourierMode, build_correctors, generator_terms
 from .kinetic import DT_CAP, KineticConfig, _sample_chunks, _trajectories, run_kinetic
 from .limit import SpdeConfig, _integrate, rosseland_rhs, run_limit, stable_dt
-from .model import Opacity, TorusGrid, VelocityQuadrature, l2_norm_sq
-from .noise import NoiseModel, _entropy, noise_statistics, sample_rng
+from .model import (
+    Opacity,
+    TorusGrid,
+    VelocityQuadrature,
+    density,
+    equilibrium_field,
+    l2_norm_sq,
+    relaxation_operator,
+    weighted_inner,
+)
+from .noise import NoiseModel, NoiseStatistics, _entropy, noise_statistics, sample_rng
 
 #: names of the sweep functionals, in report order
 FUNCTIONAL_NAMES = ("mode-mean", "mode-var", "normsq-mean")
@@ -459,3 +469,79 @@ def deterministic_convergence(
         errors[i] = math.sqrt(_trapezoid(sq, interval))
     slope = float(np.polyfit(np.log(eps_sorted), np.log(errors), 1)[0])
     return ConvergenceReport(np.array(eps_sorted), errors, slope)
+
+
+def _telegraph_rate(model: NoiseModel) -> float | None:
+    """The flip rate of a telegraph chain (two states n and -n swapped at
+    one rate), None for any other chain."""
+    m = model.generator
+    if (model.n_states == 2 and m[0, 1] == m[1, 0]
+            and np.array_equal(model.states[1], -model.states[0])):
+        return float(m[0, 1])
+    return None
+
+
+def identity_residuals(
+    config: KineticConfig,
+    stats: NoiseStatistics | None,
+    mode: FourierMode,
+    f: np.ndarray,
+) -> dict[str, float]:
+    """The exact identities behind the scaling limit, as named residuals.
+
+    Every residual vanishes in exact arithmetic.  Always: the moments of the
+    velocity quadrature, the normalization of the mode, and the dissipation
+    of the relaxation operator and the duality of transport at the field f
+    (n_x, n_v).  With noise: the Poisson equation of the chain, the symmetry
+    of the kernel and both drift identities, then the generator algebra at
+    eps = config.epsilon: the 1/eps^2 terms vanish at the equilibrium of
+    <f>, the 1/eps bracket cancels at f, and the state-dependent drift
+    equals int <f> h_eff p dx in every state.  A telegraph chain adds the
+    closed forms of psi and of its mode weight and phi_2 = 0.
+    """
+    grid, quad = config.grid, config.quad
+    p = mode.profile(grid)
+    out = {
+        "velocity-mass": abs(quad.equilibrium_mass() - 1.0),
+        "velocity-null-flux": abs(quad.null_flux()),
+        "mode-normalization": abs(grid.integrate(p * p) - 1.0),
+    }
+    relax = relaxation_operator(quad, f)
+    out["relax-dissipation"] = abs(
+        weighted_inner(grid, quad, relax, f) + weighted_inner(grid, quad, relax, relax))
+    transport = np.stack(
+        [quad.speeds[k] * fourier.gradient(grid, f[..., k]) for k in range(quad.n_v)],
+        axis=-1,
+    )
+    flux = f @ (quad.weights * quad.speeds)
+    lhs = weighted_inner(grid, quad, transport, equilibrium_field(quad, p))
+    rhs = -grid.integrate(flux * fourier.gradient(grid, p))
+    out["transport-duality"] = abs(lhs - rhs)
+    if stats is not None:
+        model = stats.model
+        n_flat = model.flat_states()
+        psi = stats.poisson_profiles.reshape(model.n_states, -1)
+        out["poisson-residual"] = np.max(np.abs(model.generator @ psi - n_flat))
+        out["kernel-symmetry"] = np.max(np.abs(stats.kernel - stats.kernel.T))
+        out["drift-consistency"] = np.max(np.abs(stats.drift_paper + stats.drift_effective))
+        diag = np.diag(stats.kernel).reshape(grid.shape)
+        out["kernel-diag-drift"] = np.max(np.abs(diag - 2.0 * stats.drift_effective))
+        rate = _telegraph_rate(model)
+        if rate is not None:
+            out["telegraph-poisson-closed-form"] = np.max(np.abs(psi + n_flat / (2.0 * rate)))
+            profile_sq = grid.integrate(model.states[0] ** 2)
+            out["telegraph-mode-weight"] = abs(stats.mode_weights[0] - profile_sq / rate)
+        rho = density(quad, f)
+        at_rest = generator_terms(config, stats, mode, equilibrium_field(quad, rho))
+        out["transport-singular"] = np.max(np.abs(at_rest["transport_singular"]))
+        out["relax-singular"] = np.max(np.abs(at_rest["relax_singular"]))
+        terms = generator_terms(config, stats, mode, f)
+        bracket = terms["noise_singular"] + terms["chain_first"] + terms["relax_first"]
+        out["scale-balance-residual"] = np.max(np.abs(config.epsilon * bracket))
+        drift = terms["noise_first"] + terms["chain_second"]
+        out["drift-state-independence"] = np.max(np.abs(
+            drift - grid.integrate(rho * stats.drift_effective * p)))
+        if rate is not None:
+            second = build_correctors(stats, mode).second_profiles
+            out["telegraph-second-corrector-null"] = np.max(np.abs(second))
+    return {name: float(value) for name, value in out.items()}

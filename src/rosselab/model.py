@@ -175,10 +175,9 @@ class Opacity:
     diffusion flux of the limit equation).
     """
 
-    def __init__(self, name: str, sigma_star: float, sigma_upper: float, lipschitz: float):
+    def __init__(self, sigma_star: float, sigma_upper: float, lipschitz: float):
         if not 0.0 < sigma_star <= sigma_upper:
             raise ValueError("need 0 < sigma_star <= sigma_upper")
-        self.name = name
         self.sigma_star = sigma_star
         self.sigma_upper = sigma_upper
         self.lipschitz = lipschitz
@@ -189,18 +188,12 @@ class Opacity:
     def primitive(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return (
-            f"{self.name}: sigma in [{self.sigma_star:g}, {self.sigma_upper:g}], "
-            f"Lipschitz constant {self.lipschitz:g}"
-        )
-
 
 class ConstantOpacity(Opacity):
     """sigma(u) = c."""
 
     def __init__(self, value: float = 1.0):
-        super().__init__("constant", value, value, 0.0)
+        super().__init__(value, value, 0.0)
         self.value = value
 
     def __call__(self, u):
@@ -217,7 +210,7 @@ class RationalOpacity(Opacity):
         if s0 <= 0.0 or s1 < 0.0:
             raise ValueError("need s0 > 0 and s1 >= 0")
         # max |sigma'| = s1 * 3 sqrt(3) / 8, attained at u = 1/sqrt(3)
-        super().__init__("rational", s0, s0 + s1, s1 * 3.0 * math.sqrt(3.0) / 8.0)
+        super().__init__(s0, s0 + s1, s1 * 3.0 * math.sqrt(3.0) / 8.0)
         self.s0 = s0
         self.s1 = s1
 

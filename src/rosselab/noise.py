@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fourier
 from .model import TorusGrid
 
 #: relative floor below which covariance eigenvalues are clipped to zero
@@ -69,23 +68,30 @@ def solve_poisson(generator: np.ndarray, stationary: np.ndarray, values: np.ndar
     ``values`` must be centered under the stationary law (sum_i nu_i values_i
     = 0); this is exactly the solvability condition for the singular system.
     """
-    m = np.asarray(generator, dtype=float)
     nu = np.asarray(stationary, dtype=float)
     vals = np.asarray(values, dtype=float)
     flat = vals.reshape(vals.shape[0], -1)
-    mean = nu @ flat
     scale = max(np.max(np.abs(flat)), 1.0)
-    if np.max(np.abs(mean)) > 1e-12 * scale:
+    if np.max(np.abs(nu @ flat)) > 1e-12 * scale:
         raise ValueError("values are not centered under the stationary law")
+    return _bordered_solve(generator, nu, flat, scale).reshape(vals.shape)
+
+
+def _bordered_solve(generator, nu: np.ndarray, flat: np.ndarray, scale: float) -> np.ndarray:
+    """psi with M psi = flat - nu . flat and nu . psi = 0 for values
+    (n_states, k) whose centring the caller has checked; the residual is
+    checked against ``scale``, the size of the forcing."""
+    m = np.asarray(generator, dtype=float)
+    centered = flat - nu @ flat
     # Adding the rank-one term 1 (x) nu makes the system nonsingular without
     # changing the solution on the centered subspace.
     bordered = m + np.outer(np.ones(len(nu)), nu)
-    psi = np.linalg.solve(bordered, flat - mean)
+    psi = np.linalg.solve(bordered, centered)
     psi -= np.outer(np.ones(len(nu)), nu @ psi)
-    residual = np.max(np.abs(m @ psi - (flat - mean)))
+    residual = np.max(np.abs(m @ psi - centered))
     if residual > 1e-10 * scale:
         raise ValueError(f"Poisson solve residual {residual:.3e} too large")
-    return psi.reshape(vals.shape)
+    return psi
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +102,6 @@ class NoiseModel:
     states: np.ndarray  # (n_states,) + grid.shape
     generator: np.ndarray  # (n_states, n_states) rate matrix
     stationary: np.ndarray  # (n_states,)
-    sup_bound: float  # max over states of the W^{1,inf} norm of the profile
 
     @property
     def n_states(self) -> int:
@@ -129,11 +134,7 @@ def make_noise_model(
         states = states - mean.reshape(grid.shape)
     elif np.max(np.abs(mean)) > 1e-12 * max(np.max(np.abs(flat)), 1.0):
         raise ValueError("profiles are not centered under the stationary law")
-    bound = 0.0
-    for profile in states:
-        grad = fourier.gradient(grid, profile)
-        bound = max(bound, float(np.max(np.abs(profile))), float(np.max(np.abs(grad))))
-    return NoiseModel(grid, states, np.asarray(generator, dtype=float), nu, bound)
+    return NoiseModel(grid, states, np.asarray(generator, dtype=float), nu)
 
 
 def telegraph_noise(grid: TorusGrid, profile: np.ndarray, rate: float) -> NoiseModel:
@@ -259,11 +260,6 @@ class NoisePath:
         occ = np.zeros((lo.size, self.model.n_states))
         np.add.at(occ, (window, self.state_indices[piece]), np.maximum(right - left, 0.0))
         return occ.reshape(t0.shape + (self.model.n_states,))
-
-    def profile_integral(self, t0: float, t1: float) -> np.ndarray:
-        """int_{t0}^{t1} m(s, x) ds as a field on the grid."""
-        occ = self.occupations(t0, t1)
-        return (occ @ self.model.flat_states()).reshape(self.model.grid.shape)
 
 
 def _entropy(seed) -> tuple[int, ...]:

@@ -1,11 +1,12 @@
 """Shared pytest plumbing: collect acceptance verdict lines for the summary,
-and ``sample_rng`` / ``sample_path`` stand-ins for ensemble failure tests."""
+random ergodic chains, and ``sample_rng`` / ``sample_path`` stand-ins for
+ensemble failure tests."""
 
 import itertools
 
 import numpy as np
 
-from rosselab.noise import NoisePath, sample_path
+from rosselab.noise import NoisePath, make_noise_model, sample_path
 
 VERDICTS: list[str] = []
 
@@ -15,6 +16,21 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance verdicts")
         for line in VERDICTS:
             terminalreporter.write_line(line)
+
+
+def random_chain(rng, n_states, grid):
+    """Ergodic chain with random rates in [0.5, 2] and random centered
+    trigonometric profiles up to frequency 3."""
+    m = rng.uniform(0.5, 2.0, (n_states, n_states))
+    np.fill_diagonal(m, 0.0)
+    m -= np.diag(m.sum(axis=1))
+    x = grid.axis_points()
+    states = np.zeros((n_states, grid.n_x))
+    for i in range(n_states):
+        for k in range(1, 4):
+            states[i] += rng.normal() * np.cos(2.0 * np.pi * k * x)
+            states[i] += rng.normal() * np.sin(2.0 * np.pi * k * x)
+    return make_noise_model(grid, states, m)
 
 
 def nan_normals(nan_steps):

@@ -14,37 +14,31 @@ import numpy as np
 import pytest
 
 import conftest
+from conftest import random_chain
 from rosselab.cli import main
 from rosselab.config import parse_config
-from rosselab.correctors import (
-    FourierMode,
-    build_correctors,
-    generator_terms,
-    martingale_residual,
+from rosselab.correctors import FourierMode, build_correctors, martingale_residual
+from rosselab.harness import (
+    FUNCTIONAL_NAMES,
+    deterministic_convergence,
+    epsilon_sweep,
+    identity_residuals,
 )
-from rosselab.harness import FUNCTIONAL_NAMES, deterministic_convergence, epsilon_sweep
 from rosselab.kinetic import KineticConfig, iterate_kinetic, run_kinetic, transport_step
 from rosselab.model import (
     TorusGrid,
     build_velocity_space,
-    density,
     equilibrium_field,
     l2_norm_sq,
     make_opacity,
     relax_exact,
-    relaxation_operator,
-    weighted_inner,
 )
-from rosselab.noise import (
-    cosine_profile,
-    make_noise_model,
-    noise_statistics,
-    telegraph_noise,
-)
+from rosselab.noise import cosine_profile, noise_statistics, telegraph_noise
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "acceptance.ini"
 RUN = parse_config(str(CONFIG_PATH))
 MODE = FourierMode(1, "cos")
+OPACITY = make_opacity("rational", s0=1.0, s1=1.0)
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> bool:
@@ -54,38 +48,28 @@ def verdict(criterion: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-def random_chain(rng, n_states, grid):
-    """Ergodic chain with random rates and random trigonometric profiles."""
-    m = rng.uniform(0.5, 2.0, (n_states, n_states))
-    np.fill_diagonal(m, 0.0)
-    m -= np.diag(m.sum(axis=1))
-    x = grid.axis_points()
-    states = np.zeros((n_states, grid.n_x))
-    for i in range(n_states):
-        for k in range(1, 4):
-            states[i] += rng.normal() * np.cos(2.0 * np.pi * k * x)
-            states[i] += rng.normal() * np.sin(2.0 * np.pi * k * x)
-    return make_noise_model(grid, states, m)
+def battery(grid, quad, stats, f):
+    """The identity battery at f, with the generator terms at eps = 1/4."""
+    noise = None if stats is None else stats.model
+    config = KineticConfig(grid, quad, OPACITY, epsilon=0.25, t_final=0.01, noise=noise)
+    return identity_residuals(config, stats, MODE, f)
 
 
 def test_criterion_1_structural_identities():
     tol = 1e-12
     grid = TorusGrid(16)
-    opacity = make_opacity("rational", s0=1.0, s1=1.0)
     worst = 0.0
     rng = np.random.default_rng(100)
     for name in ("two-speed", "legendre"):
         quad = build_velocity_space(name)
-        worst = max(worst, abs(quad.equilibrium_mass() - 1.0))
-        worst = max(worst, abs(quad.null_flux()))
         assert quad.diffusion_coefficient() > 0.0
         for _ in range(50):
             f = 1.0 + 0.4 * rng.standard_normal(grid.shape + (quad.n_v,))
-            relax = relaxation_operator(quad, f)
-            dissip = weighted_inner(grid, quad, relax, f) + weighted_inner(grid, quad, relax, relax)
-            worst = max(worst, abs(dissip))
-            two_leg = relax_exact(quad, opacity, relax_exact(quad, opacity, f, 0.3), 0.5)
-            one_leg = relax_exact(quad, opacity, f, 0.8)
+            found = battery(grid, quad, None, f)
+            worst = max(worst, found["velocity-mass"], found["velocity-null-flux"],
+                        found["relax-dissipation"])
+            two_leg = relax_exact(quad, OPACITY, relax_exact(quad, OPACITY, f, 0.3), 0.5)
+            one_leg = relax_exact(quad, OPACITY, f, 0.8)
             worst = max(worst, float(np.max(np.abs(two_leg - one_leg))))
     assert verdict(
         1, worst <= tol,
@@ -96,29 +80,24 @@ def test_criterion_1_structural_identities():
 def test_criterion_2_noise_algebra():
     tol = 1e-12
     grid = TorusGrid(16)
+    quad = build_velocity_space("two-speed")
+    f = np.ones(grid.shape + (quad.n_v,))
     amplitude, rate = 1.3, 0.7
     stats = noise_statistics(
         telegraph_noise(grid, cosine_profile(grid, amplitude, 1), rate)
     )
+    found = battery(grid, quad, stats, f)
+    worst = max(found[name] for name in (
+        "telegraph-poisson-closed-form", "telegraph-mode-weight", "kernel-diag-drift",
+        "drift-consistency"))
     profile = stats.model.states[0].ravel()
-    worst = 0.0
-    psi = stats.poisson_profiles.reshape(2, -1)
-    n = stats.model.flat_states()
-    worst = max(worst, float(np.max(np.abs(psi + n / (2.0 * rate)))))
     worst = max(worst, float(np.max(np.abs(stats.kernel - np.outer(profile, profile) / rate))))
-    norm_sq = grid.integrate(profile**2)
-    worst = max(worst, abs(stats.mode_weights[0] - norm_sq / rate))
-    diag = np.diag(stats.kernel).reshape(grid.shape)
-    worst = max(worst, float(np.max(np.abs(stats.drift_effective - 0.5 * diag))))
-    worst = max(worst, float(np.max(np.abs(stats.drift_effective + stats.drift_paper))))
 
     poisson = 0.0
     for n_states in (3, 4, 5):
         model = random_chain(np.random.default_rng(200 + n_states), n_states, grid)
-        chain_stats = noise_statistics(model)
-        resid = model.generator @ chain_stats.poisson_profiles.reshape(n_states, -1) \
-            - model.flat_states()
-        poisson = max(poisson, float(np.max(np.abs(resid))))
+        found = battery(grid, quad, noise_statistics(model), f)
+        poisson = max(poisson, found["poisson-residual"])
     ok = worst <= tol and poisson <= tol
     assert verdict(
         2, ok,
@@ -195,10 +174,10 @@ def test_criterion_5_corrector_algebra():
     grid = TorusGrid(16)
     x = grid.axis_points()
     quad = build_velocity_space("two-speed")
-    opacity = make_opacity("rational", s0=1.0, s1=1.0)
     rho = 1.0 + 0.3 * np.cos(2.0 * np.pi * x) - 0.2 * np.sin(2.0 * np.pi * x)
 
-    fixtures = [noise_statistics(telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0))]
+    telegraph = noise_statistics(telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0))
+    fixtures = [telegraph]
     for seed in (31, 32):
         fixtures.append(noise_statistics(random_chain(np.random.default_rng(seed), 4, grid)))
 
@@ -211,19 +190,12 @@ def test_criterion_5_corrector_algebra():
         forcing = np.array([grid.integrate(s * rho * p) for s in model.states])
         poisson = max(poisson, float(np.max(np.abs(model.generator @ first + forcing))))
 
-        config = KineticConfig(grid, quad, opacity, epsilon=0.25, t_final=0.01,
-                               noise=model)
-        equilibrium = equilibrium_field(quad, rho)
         f_random = 1.0 + 0.3 * rng.standard_normal(grid.shape + (quad.n_v,))
-        for state in range(model.n_states):
-            terms_eq = generator_terms(config, stats, MODE, equilibrium, state)
-            singular = max(singular, abs(terms_eq.transport_singular),
-                           abs(terms_eq.relax_singular))
-            terms_rand = generator_terms(config, stats, MODE, f_random, state)
-            balance = max(balance, abs(terms_rand.eq2_residual))
-
-    telegraph_stats = fixtures[0]
-    phi2 = float(np.max(np.abs(build_correctors(telegraph_stats, MODE).second_profiles)))
+        found = battery(grid, quad, stats, f_random)
+        singular = max(singular, found["transport-singular"], found["relax-singular"])
+        balance = max(balance, found["scale-balance-residual"])
+        if stats is telegraph:
+            phi2 = found["telegraph-second-corrector-null"]
     ok = max(poisson, singular, balance, phi2) <= tol
     assert verdict(
         5, ok,

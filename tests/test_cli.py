@@ -217,6 +217,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "sigma_star" in err
 
+    def test_config_without_section_header_exits_2(self, tmp_path, capsys):
+        config = write_ini(tmp_path, "n_x = 16\n")
+        assert main(["verify", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "no section headers" in capsys.readouterr().err
+
+    def test_arithmetic_overflow_exits_2(self, tmp_path, capsys):
+        # the default step rule squares epsilon, which overflows here
+        config = write_ini(tmp_path, "[simulation]\nepsilon = 1e200\n")
+        assert main(["run-kinetic", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "run-kinetic: " in capsys.readouterr().err
+
     def test_solver_errors_exit_2(self, tmp_path, capsys):
         # a grid too coarse for the spatial discretization
         config = write_ini(tmp_path, "[model]\nn_x = 2\n")

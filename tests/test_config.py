@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rosselab.config import ConfigError, RunConfig, parse_config
+from rosselab.config import KNOWN_KEYS, ConfigError, RunConfig, parse_config
 from rosselab.correctors import FourierMode
 
 
@@ -168,6 +170,63 @@ sigma_upper = 1.0
     def test_dt_scale_cap(self, tmp_path):
         with pytest.raises(ConfigError, match="dt_scale"):
             parse_config(write_config(tmp_path, "[simulation]\ndt_scale = 0.6\n"))
+
+    @pytest.mark.parametrize("text", [
+        "n_x = 16\n",
+        "[model]\nn_x = 16\n[model]\nvelocity = gt2\n",
+        "[model]\nn_x = 16\nn_x = 32\n",
+        "[model]\nn_x = 16\ngarbage line\n",
+    ], ids=["no-section-header", "duplicate-section", "duplicate-key", "garbage-line"])
+    def test_malformed_ini_is_a_config_error(self, tmp_path, text):
+        with pytest.raises(ConfigError, match="cannot parse config file"):
+            parse_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("text", [
+        "[simulation]\nepsilon = 1e200\ndt = 1\n",
+        "[simulation]\nt_final = 1e300\ndt = 1e-300\n",
+    ], ids=["huge-epsilon", "step-count-overflow"])
+    def test_extreme_step_rules_are_violations_not_overflows(self, tmp_path, text):
+        with pytest.raises(ConfigError, match="integer multiple"):
+            parse_config(write_config(tmp_path, text))
+
+    def test_undecodable_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[model]\nn_x = \xff\xfe\n")
+        with pytest.raises(ConfigError, match="cannot parse config file"):
+            parse_config(str(path))
+
+
+_SECTIONS = [*KNOWN_KEYS, "modle", "DEFAULT", ""]
+_KEYS = [key for keys in KNOWN_KEYS.values() for key in keys] + ["n_y", ""]
+_VALUES = st.one_of(
+    st.sampled_from([
+        "auto", "off", "telegraph", "rotor3", "legendre", "constant", "paper",
+        "cos1", "sin0", "cos1, sin2", "cos1:0.5", "sin2:x", "0", "-1", "3", "nan",
+        "inf", "1e308", "1e-308", "1e200", "1e-200", "0.5, 0.5", ",", "",
+    ]),
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+_LINES = st.one_of(
+    st.sampled_from(_SECTIONS).map(lambda name: f"[{name}]"),
+    st.tuples(st.sampled_from(_KEYS), st.sampled_from(["=", ":", " = ", ""]), _VALUES)
+    .map("".join),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINES, max_size=14))
+def test_fuzzed_ini_raises_only_config_errors(tmp_path_factory, lines):
+    """Whatever the text, parse_config returns a RunConfig or raises a
+    ConfigError (which the command line turns into exit code 2)."""
+    path = tmp_path_factory.mktemp("fuzz") / "run.ini"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        assert isinstance(parse_config(str(path)), RunConfig)
+    except ConfigError:
+        pass
 
 
 class TestBuilders:

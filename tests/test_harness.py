@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import loud_paths, nan_normals, nan_paths
+from conftest import loud_paths, nan_normals, nan_paths, random_chain
 from rosselab.correctors import FourierMode
 from rosselab import harness, kinetic
 from rosselab.harness import (
@@ -17,6 +17,7 @@ from rosselab.harness import (
     epsilon_sweep,
     functional_triple,
     hs_norm,
+    identity_residuals,
     kinetic_ensemble,
     limit_ensemble,
     rosseland_reference,
@@ -460,3 +461,54 @@ class TestHsNorm:
         config = SpdeConfig(grid, opacity, 1.0, 0.02)
         trajectory = run_limit(config, rho0)
         assert hs_norm(trajectory, 0.8) > 0.0
+
+
+#: the rows of the identity battery that only telegraph chains get
+TELEGRAPH_ROWS = {"telegraph-poisson-closed-form", "telegraph-mode-weight",
+                  "telegraph-second-corrector-null"}
+
+
+class TestIdentityBattery:
+    @staticmethod
+    def residuals(stats, quad_name, eps, mode, rng):
+        grid = stats.model.grid
+        quad = build_velocity_space(quad_name)
+        f = 1.0 + 0.3 * rng.standard_normal(grid.shape + (quad.n_v,))
+        config = KineticConfig(grid, quad, make_opacity("rational", s0=1.0, s1=1.0),
+                               epsilon=eps, t_final=0.01, noise=stats.model)
+        return identity_residuals(config, stats, mode, f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_states=st.integers(3, 5),
+        seed=st.integers(0, 2**32 - 1),
+        quad_name=st.sampled_from(["two-speed", "legendre"]),
+        eps=st.floats(0.05, 1.0),
+        mode=st.sampled_from([FourierMode(0), MODE, FourierMode(2, "sin")]),
+    )
+    def test_residuals_vanish_on_random_ergodic_chains(self, n_states, seed, quad_name,
+                                                       eps, mode):
+        rng = np.random.default_rng(seed)
+        stats = noise_statistics(random_chain(rng, n_states, TorusGrid(16)))
+        eigenvalues = np.linalg.eigvalsh(stats.kernel)
+        assert eigenvalues[0] >= -1e-12 * eigenvalues[-1]
+        found = self.residuals(stats, quad_name, eps, mode, rng)
+        assert len(found) == 13 and not TELEGRAPH_ROWS & set(found)
+        assert max(found.values()) <= 1e-12, found
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        amplitude=st.floats(0.1, 3.0),
+        rate=st.floats(0.2, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+        quad_name=st.sampled_from(["two-speed", "legendre"]),
+        eps=st.floats(0.05, 1.0),
+    )
+    def test_telegraph_chains_add_their_closed_forms(self, amplitude, rate, seed,
+                                                     quad_name, eps):
+        grid = TorusGrid(16)
+        stats = noise_statistics(telegraph_noise(grid, cosine_profile(grid, amplitude, 1),
+                                                 rate))
+        found = self.residuals(stats, quad_name, eps, MODE, np.random.default_rng(seed))
+        assert len(found) == 16 and TELEGRAPH_ROWS <= set(found)
+        assert max(found.values()) <= 1e-12, found

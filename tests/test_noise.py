@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_chain
 from rosselab.model import TorusGrid
 from rosselab.noise import (
     NoisePath,
     cosine_profile,
-    make_noise_model,
     noise_statistics,
     rotor_noise,
     sample_path,
@@ -21,20 +21,6 @@ from rosselab.noise import (
 )
 
 GRID = TorusGrid(32)
-
-
-def random_chain(rng, n_states, grid=GRID, n_modes=3):
-    """Random ergodic chain with random centered trigonometric profiles."""
-    m = rng.uniform(0.5, 2.0, (n_states, n_states))
-    np.fill_diagonal(m, 0.0)
-    m -= np.diag(m.sum(axis=1))
-    x = grid.axis_points()
-    states = np.zeros((n_states, grid.n_x))
-    for i in range(n_states):
-        for k in range(1, n_modes + 1):
-            states[i] += rng.normal() * np.cos(2.0 * np.pi * k * x)
-            states[i] += rng.normal() * np.sin(2.0 * np.pi * k * x)
-    return make_noise_model(grid, states, m)
 
 
 # --- generators and stationary laws --------------------------------------
@@ -78,7 +64,7 @@ def test_stationary_law_random_chains(n_states):
 @pytest.mark.parametrize("n_states", [3, 4, 5])
 def test_poisson_solve_random_chains(n_states):
     rng = np.random.default_rng(10 + n_states)
-    model = random_chain(rng, n_states)
+    model = random_chain(rng, n_states, GRID)
     psi = solve_poisson(model.generator, model.stationary, model.states)
     flat = model.flat_states()
     residual = model.generator @ psi.reshape(n_states, -1) - flat
@@ -94,7 +80,7 @@ def test_poisson_solve_rejects_uncentered_values():
 
 def test_make_noise_model_centers_profiles():
     rng = np.random.default_rng(4)
-    model = random_chain(rng, 4)
+    model = random_chain(rng, 4, GRID)
     mean = model.stationary @ model.flat_states()
     assert np.max(np.abs(mean)) <= 1e-12
 
@@ -159,7 +145,7 @@ def test_rotor_kernel_modes():
 @pytest.mark.parametrize("n_states", [3, 4, 5])
 def test_kernel_structure_random_chains(n_states):
     rng = np.random.default_rng(40 + n_states)
-    stats = noise_statistics(random_chain(rng, n_states))
+    stats = noise_statistics(random_chain(rng, n_states, GRID))
     assert np.max(np.abs(stats.kernel - stats.kernel.T)) <= 1e-12
     assert np.allclose(stats.drift_effective, -stats.drift_paper, atol=1e-13)
     diag = np.diag(stats.kernel).reshape(GRID.shape)
@@ -173,7 +159,7 @@ def test_kernel_structure_random_chains(n_states):
 
 def test_mode_profiles_are_orthonormal():
     rng = np.random.default_rng(77)
-    stats = noise_statistics(random_chain(rng, 4))
+    stats = noise_statistics(random_chain(rng, 4, GRID))
     flat = stats.mode_profiles.reshape(stats.rank, -1)
     gram = GRID.cell_volume * flat @ flat.T
     assert np.allclose(gram, np.eye(stats.rank), atol=1e-12)
@@ -196,7 +182,7 @@ def test_path_bookkeeping_by_hand():
     assert path.state_index_at(0.9) == 0
     assert np.allclose(path.occupations(0.0, 1.0), [0.55, 0.45], atol=1e-15)
     assert np.allclose(path.occupations(0.2, 0.8), [0.15, 0.45], atol=1e-15)
-    integ = path.profile_integral(0.0, 1.0)
+    integ = path.occupations(0.0, 1.0) @ model.flat_states()
     expected = 0.55 * model.states[0] + 0.45 * model.states[1]
     assert np.allclose(integ, expected, atol=1e-14)
     with pytest.raises(ValueError):
@@ -261,9 +247,9 @@ def test_profile_integral_is_additive():
     model = rotor_noise(GRID, 1.0, 1, 2.0)
     rng = np.random.default_rng(9)
     path = sample_path(model, 0.5, 2.0, rng)
-    left = path.profile_integral(0.0, 0.8)
-    right = path.profile_integral(0.8, 2.0)
-    total = path.profile_integral(0.0, 2.0)
+    left = path.occupations(0.0, 0.8) @ model.flat_states()
+    right = path.occupations(0.8, 2.0) @ model.flat_states()
+    total = path.occupations(0.0, 2.0) @ model.flat_states()
     assert np.allclose(left + right, total, atol=1e-12)
 
 
@@ -314,6 +300,6 @@ def test_time_reversal_half_kernel(builder):
     for k in range(vals.size):
         path = sample_path(model, 1.0, 8.0, rng)
         start = model.states[path.state_indices[0], iy]
-        vals[k] = start * path.profile_integral(0.0, 8.0)[ix]
+        vals[k] = start * (path.occupations(0.0, 8.0) @ model.flat_states())[ix]
     sem = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - expected) <= 3.0 * sem
