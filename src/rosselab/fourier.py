@@ -28,6 +28,13 @@ def _laplace_symbol(n_x: int) -> np.ndarray:
     return -4.0 * np.pi**2 * (k * k)
 
 
+@functools.lru_cache(maxsize=None)
+def half_laplace_symbol(n_x: int) -> np.ndarray:
+    """Symbol of the Laplacian in the rfft layout, xi = 0, ..., n_x // 2."""
+    k = np.arange(n_x // 2 + 1, dtype=float)
+    return -4.0 * np.pi**2 * (k * k)
+
+
 def gradient(grid: TorusGrid, rho: np.ndarray) -> np.ndarray:
     """Spectral derivative of a scalar field."""
     rho_hat = np.fft.fft(rho)

@@ -1,8 +1,8 @@
-"""Euler-Maruyama solver for the stochastic nonlinear diffusion limit.
+"""Stiff-stable solvers for the stochastic nonlinear diffusion limit.
 
 The limit density solves
 
-    d rho = div( K grad G(rho) ) dt + h(x) rho dt + rho dW(t, x),
+    d rho = K Lap G(rho) dt + h(x) rho dt + rho dW(t, x),
 
 where G is the opacity primitive (G' = 1/sigma), K the velocity diffusion
 coefficient, W the Q-Wiener field with covariance kernel k(x, y), and h the
@@ -10,11 +10,30 @@ drift field.  The Stratonovich-consistent Ito drift is h = h_eff = k(x,x)/2;
 the opposite sign convention h = H = -h_eff is kept selectable for
 comparison runs.
 
-The noise increment uses the covariance eigenmodes,
-    dW = sum_j sqrt(lambda_j) e_j(x) dbeta_j,
-so one step reads
+Both integrators of the diffusion term split it the same way:
 
-    rho <- rho + dt (K Lap G(rho) + h rho) + sqrt(dt) rho sum_j sqrt(lambda_j) e_j xi_j.
+    K Lap G(rho) = c Lap rho + N(rho),   c = K (1/sigma_* + 1/sigma^*) / 2,
+
+a linear part solved in Fourier space and the explicit remainder
+N(rho) = Lap(K G(rho) - c rho) (``split_rate``, ``rosseland_remainder``).
+G' lies between 1/sigma^* and 1/sigma_*, so c is at least half the largest
+diffusivity K / sigma_*, which makes the linearised implicit step below
+stable at any dt (Douglas-Dupont stabilisation).  For a constant opacity
+N = 0.
+
+One limit step composes the exact geometric flow of the noise,
+
+    rho <- rho exp(dW + (h - k(x,x)/2) dt),
+    dW = sqrt(dt) sum_j sqrt(lambda_j) e_j(x) xi_j,
+
+which keeps rho positive and is exactly exp(dW) for h = h_eff, with one
+linearly implicit diffusion solve,
+
+    rho_hat <- (rho + dt N(rho))_hat / (1 - dt c symbol).
+
+No step is capped by the grid spacing; ``SpdeConfig`` documents the
+default step rule.  ``harness.rosseland_reference`` integrates the
+noise-free equation by ETDRK4 on the same split.
 
 Densities may carry a leading sample axis, shape (B, n_x), with normals of
 shape (B, rank): every operation of a step acts on each row alone, so a
@@ -36,14 +55,9 @@ from . import fourier
 from .model import Opacity, TorusGrid
 from .noise import NoiseStatistics
 
-#: dt <= STAB_CAP * dx^2 * sigma_star / K; 0.2 is just under the explicit
-#: stability threshold 2/pi^2 for the spectral Laplacian
-STAB_CAP = 0.2
-
-
-def stable_dt(grid: TorusGrid, opacity: Opacity, diffusion: float) -> float:
-    """Largest stable step for the explicit diffusion update."""
-    return STAB_CAP * grid.spacing**2 * opacity.sigma_star / diffusion
+#: ``SpdeConfig(dt=None)`` takes at least this many steps per decay time
+#: sigma_* / (4 pi^2 K) of the first Fourier mode at the largest diffusivity
+STEPS_PER_DECAY = 8
 
 
 def rosseland_rhs(grid: TorusGrid, opacity: Opacity, diffusion: float, rho: np.ndarray) -> np.ndarray:
@@ -51,13 +65,32 @@ def rosseland_rhs(grid: TorusGrid, opacity: Opacity, diffusion: float, rho: np.n
     return diffusion * fourier.laplacian(grid, opacity.primitive(rho))
 
 
+def split_rate(opacity: Opacity, diffusion: float) -> float:
+    """c = K (1/sigma_* + 1/sigma^*) / 2, the rate of the linear part c Lap rho."""
+    return 0.5 * diffusion * (1.0 / opacity.sigma_star + 1.0 / opacity.sigma_upper)
+
+
+def rosseland_remainder(
+    grid: TorusGrid, opacity: Opacity, diffusion: float, rho_hat: np.ndarray
+) -> np.ndarray:
+    """N(rho) = K Lap G(rho) - c Lap rho in the rfft layout, from the rfft
+    coefficients rho_hat (leading sample axes allowed)."""
+    rho = np.fft.irfft(rho_hat, grid.n_x)
+    potential = diffusion * opacity.primitive(rho) - split_rate(opacity, diffusion) * rho
+    return fourier.half_laplace_symbol(grid.n_x) * np.fft.rfft(potential)
+
+
 @dataclass(frozen=True)
 class SpdeConfig:
     """Discretization of one limit-equation run.
 
-    ``dt=None`` picks the largest stable step dividing t_final.  With
-    ``include_diffusion=False`` the parabolic part is switched off (pure
-    multiplicative-noise test mode) and the stability cap does not apply.
+    ``dt=None`` takes n = ceil(STEPS_PER_DECAY * t_final / tau) equal steps,
+    where tau = sigma_* / (4 pi^2 K) is the decay time of the first Fourier
+    mode at the largest diffusivity.  The rule does not depend on the grid,
+    since the step is stable at any dt.  With ``include_diffusion=False``
+    the parabolic part is switched off (pure multiplicative-noise test
+    mode, exact in law at any dt) and ``dt=None`` takes one step.  An
+    explicit dt must divide t_final.
     """
 
     grid: TorusGrid
@@ -79,14 +112,13 @@ class SpdeConfig:
             raise ValueError("snapshot_stride must be at least 1")
         if self.noise is not None and self.noise.model.grid != self.grid:
             raise ValueError("noise statistics live on a different grid")
-        cap = stable_dt(self.grid, self.opacity, self.diffusion)
         if self.dt is None:
-            limit = cap if self.include_diffusion else self.t_final
-            n = max(int(math.ceil(self.t_final / limit - 1e-12)), 1)
+            n = 1
+            if self.include_diffusion:
+                decay = self.opacity.sigma_star / (4.0 * math.pi**2 * self.diffusion)
+                n = max(int(math.ceil(STEPS_PER_DECAY * self.t_final / decay - 1e-12)), 1)
             object.__setattr__(self, "dt", self.t_final / n)
         else:
-            if self.include_diffusion and self.dt > cap * (1.0 + 1e-9):
-                raise ValueError(f"dt = {self.dt:g} exceeds the stability cap {cap:g}")
             n = round(self.t_final / self.dt)
             if n < 1 or abs(n * self.dt - self.t_final) > 1e-9 * self.t_final:
                 raise ValueError("t_final must be an integer multiple of dt")
@@ -116,29 +148,33 @@ class SpdeTrajectory:
 
 
 class SpdeStepper:
-    """Euler-Maruyama stepper with precomputed drift and noise modes."""
+    """Geometric noise flow followed by one linearly implicit diffusion
+    solve, with the noise modes and the solve's multipliers precomputed."""
 
     def __init__(self, config: SpdeConfig):
         self.config = config
-        grid = config.grid
+        dt, diffusion = config.dt, config.diffusion
+        symbol = fourier.half_laplace_symbol(config.grid.n_x)
+        rate = split_rate(config.opacity, diffusion)
+        # (rho + dt N(rho))_hat / (1 - dt c symbol)
+        #   = rho_hat + dt K symbol G(rho)_hat / (1 - dt c symbol),
+        # one forward and one inverse transform per step
+        self.gain = dt * diffusion * symbol / (1.0 - dt * rate * symbol)
         if config.noise is None:
-            self.drift_field = np.zeros(grid.shape)
-            self.modes = np.zeros((0, grid.n_x))
+            self.modes = np.zeros((0, config.grid.n_x))
         else:
-            self.drift_field = config.noise.drift(config.drift)
-            self.modes = np.sqrt(config.noise.mode_weights)[:, None] * config.noise.mode_profiles
+            noise = config.noise
+            self.modes = np.sqrt(noise.mode_weights)[:, None] * noise.mode_profiles
+            # (h - k(x,x)/2) dt, exactly zero for the effective drift
+            self.log_drift = (noise.drift(config.drift) - noise.drift_effective) * dt
 
     def step(self, rho: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """One Euler-Maruyama step of rho, shape (..., n_x).
+        """One step of rho, shape (..., n_x).
 
         xi, shape (..., rank), holds one standard normal per noise mode and
         per sample; leading axes of rho and xi are sample axes.
         """
         cfg = self.config
-        dt = cfg.dt
-        out = rho + dt * (self.drift_field * rho)
-        if cfg.include_diffusion:
-            out = out + dt * rosseland_rhs(cfg.grid, cfg.opacity, cfg.diffusion, rho)
         if len(self.modes):
             # sum_j xi_j sqrt(lambda_j) e_j, one mode at a time: a matrix
             # product may block the sum differently for different batch
@@ -146,8 +182,11 @@ class SpdeStepper:
             field = xi[..., 0, None] * self.modes[0]
             for j in range(1, len(self.modes)):
                 field = field + xi[..., j, None] * self.modes[j]
-            out = out + math.sqrt(dt) * rho * field
-        return out
+            rho = rho * np.exp(math.sqrt(cfg.dt) * field + self.log_drift)
+        if cfg.include_diffusion:
+            g_hat = np.fft.rfft(cfg.opacity.primitive(rho))
+            rho = rho + np.fft.irfft(self.gain * g_hat, cfg.grid.n_x)
+        return rho
 
 
 def _integrate(

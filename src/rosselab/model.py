@@ -168,19 +168,20 @@ def relaxation_operator(quad: VelocityQuadrature, f: np.ndarray) -> np.ndarray:
 
 
 class Opacity:
-    """Density-dependent relaxation rate sigma(u) with uniform bounds.
+    """Density-dependent relaxation rate sigma(u) with uniform bounds
+    sigma_star <= sigma(u) <= sigma_upper; the limit solvers split their
+    diffusion at the midpoint of the diffusivities these bound.
 
     Subclasses implement ``__call__`` (the rate) and ``primitive`` (the
     function G with G'(u) = 1/sigma(u), G(0) = 0, used by the nonlinear
     diffusion flux of the limit equation).
     """
 
-    def __init__(self, sigma_star: float, sigma_upper: float, lipschitz: float):
+    def __init__(self, sigma_star: float, sigma_upper: float):
         if not 0.0 < sigma_star <= sigma_upper:
             raise ValueError("need 0 < sigma_star <= sigma_upper")
         self.sigma_star = sigma_star
         self.sigma_upper = sigma_upper
-        self.lipschitz = lipschitz
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -193,7 +194,7 @@ class ConstantOpacity(Opacity):
     """sigma(u) = c."""
 
     def __init__(self, value: float = 1.0):
-        super().__init__(value, value, 0.0)
+        super().__init__(value, value)
         self.value = value
 
     def __call__(self, u):
@@ -209,8 +210,7 @@ class RationalOpacity(Opacity):
     def __init__(self, s0: float = 1.0, s1: float = 1.0):
         if s0 <= 0.0 or s1 < 0.0:
             raise ValueError("need s0 > 0 and s1 >= 0")
-        # max |sigma'| = s1 * 3 sqrt(3) / 8, attained at u = 1/sqrt(3)
-        super().__init__(s0, s0 + s1, s1 * 3.0 * math.sqrt(3.0) / 8.0)
+        super().__init__(s0, s0 + s1)
         self.s0 = s0
         self.s1 = s1
 

@@ -2,7 +2,7 @@
 
 The verdict lines are echoed in the terminal summary at the end of any
 pytest run (see conftest.py).  Criteria 6 and 7 carry Monte Carlo weight;
-the whole battery takes about half a minute on one core (see README.md).  The
+the whole battery takes about 20 seconds (see README.md).  The
 scaling-limit fixture and every statistical threshold come from
 configs/acceptance.ini, not from literals in this file.
 """

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from conftest import nan_normals, nan_paths
 from rosselab import harness, kinetic
 from rosselab.cli import main
+
+ACCEPTANCE_INI = Path(__file__).resolve().parent.parent / "configs" / "acceptance.ini"
 
 TELEGRAPH_INI = """
 [model]
@@ -99,6 +102,20 @@ class TestNoiseInfo:
         assert main(["noise-info", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
         assert "off" in capsys.readouterr().err
+
+
+class TestRunCommands:
+    def test_run_spde_takes_the_dt_the_config_accepts(self, tmp_path, capsys):
+        # dt = eps^2/8 passes the config's kinetic step rule and the limit
+        # solver has no cap of its own, so both run commands accept it
+        text = ACCEPTANCE_INI.read_text().replace(
+            "[simulation]\n", "[simulation]\nepsilon = 0.25\ndt = 0.0078125\n")
+        config = write_ini(tmp_path, text)
+        for command in ("run-kinetic", "run-spde"):
+            out = tmp_path / command
+            assert main([command, "--config", config, "--out", str(out)]) == 0
+            assert column(out / "manifest.csv", "value")[-1] == "0.0078125"
+        assert "run-spde: 32 steps with effective drift" in capsys.readouterr().out
 
 
 class TestReproducibility:

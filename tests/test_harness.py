@@ -94,9 +94,9 @@ class TestSampleRng:
 
 class TestEnsembles:
     def gbm_fixture(self):
-        # Diffusion switched off, so each grid point evolves as a geometric
-        # SDE and the discrete second moment is exactly
-        # ((1 + h dt)^2 + k(x,x) dt)^n per point.
+        # Diffusion switched off, so each grid point follows the geometric
+        # SDE d rho = h rho dt + rho dW, which the noise flow samples
+        # exactly: E rho_T^2 = rho0^2 exp((2 h + k(x,x)) T) per point.
         grid = TorusGrid(8)
         x = grid.axis_points()
         rho0 = 1.0 + 0.4 * np.cos(2.0 * np.pi * x)
@@ -190,19 +190,22 @@ class TestEnsembles:
 
     def test_second_moment_matches_geometric_sde_oracle(self):
         grid, rho0, config, stats = self.gbm_fixture()
-        h = stats.drift_effective
-        factor = (1.0 + config.dt * h) ** 2 + 2.0 * config.dt * h
-        expected = grid.cell_volume * float(np.sum(rho0**2 * factor**config.n_steps))
+        h = stats.drift_effective  # = k(x,x) / 2
+        expected = grid.cell_volume * float(np.sum(rho0**2 * np.exp(4.0 * h * config.t_final)))
         est = limit_ensemble(config, rho0, MODE, 400, seed=77).functionals()
         assert est.sems[2] > 0.0
         assert abs(est.values[2] - expected) <= 3.0 * est.sems[2]
 
     def test_doubling_samples_shrinks_squared_stderr(self):
+        # the squared stderr of a heavy-tailed norm estimate scatters, so the
+        # median over five seeds is checked rather than one seed's ratio
         grid, rho0, config, _ = self.gbm_fixture()
-        small = limit_ensemble(config, rho0, MODE, 150, seed=9).functionals()
-        big = limit_ensemble(config, rho0, MODE, 600, seed=9).functionals()
-        ratio = small.sems[2] ** 2 / big.sems[2] ** 2
-        assert 2.0 < ratio < 8.0
+        ratios = []
+        for seed in range(9, 14):
+            small = limit_ensemble(config, rho0, MODE, 150, seed=seed).functionals()
+            big = limit_ensemble(config, rho0, MODE, 600, seed=seed).functionals()
+            ratios.append(small.sems[2] ** 2 / big.sems[2] ** 2)
+        assert 2.0 < np.median(ratios) < 8.0
 
     def test_kinetic_ensemble_reproducible(self):
         config, rho0 = self.noisy_kinetic_config()
@@ -336,10 +339,10 @@ class TestRosselandReference:
         assert np.max(np.abs(masses - masses[0])) < 1e-12
 
     def test_self_consistent_under_dt_halving(self):
+        # the default takes 16 steps per snapshot interval of 0.05
         grid, rho0, _, opacity = small_problem(32)
-        base_dt = 2.5 / (math.pi**2 * grid.n_x**2 / opacity.sigma_star)
         _, coarse = rosseland_reference(grid, opacity, 1.0, rho0, 0.1, 3)
-        _, fine = rosseland_reference(grid, opacity, 1.0, rho0, 0.1, 3, dt=base_dt / 2)
+        _, fine = rosseland_reference(grid, opacity, 1.0, rho0, 0.1, 3, dt=0.05 / 32)
         diff = math.sqrt(l2_norm_sq(grid, coarse[-1] - fine[-1]))
         assert diff < 1e-6
 

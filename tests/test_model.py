@@ -97,16 +97,6 @@ def test_rational_opacity_bounds_and_limits():
     assert np.all(vals <= sigma.sigma_upper)
 
 
-def test_rational_opacity_lipschitz_constant():
-    sigma = RationalOpacity(1.0, 1.0)
-    assert sigma.lipschitz == pytest.approx(0.649519052838329, abs=1e-15)
-    u = np.linspace(-3.0, 3.0, 20001)
-    slopes = np.abs(np.diff(sigma(u)) / np.diff(u))
-    assert np.max(slopes) <= sigma.lipschitz + 1e-6
-    # the bound is attained near u = 1/sqrt(3)
-    assert np.max(slopes) >= sigma.lipschitz - 1e-6
-
-
 @pytest.mark.parametrize(
     "u,expected",
     [
@@ -144,7 +134,6 @@ def test_constant_opacity():
     sigma = ConstantOpacity(2.5)
     assert sigma(1.7) == 2.5
     assert sigma.primitive(5.0) == 2.0
-    assert sigma.lipschitz == 0.0
 
 
 def test_make_opacity_dispatch():
