@@ -289,7 +289,8 @@ def cmd_rates(setup: Setup, out: Path, args) -> int:
 def cmd_verify(setup: Setup, out: Path, args) -> int:
     run = setup.run
     rng = np.random.default_rng(VERIFY_SEED)
-    f = 1.0 + 0.3 * rng.standard_normal(setup.grid.shape + (setup.quad.n_v,))
+    # kinetic fields are (n_v, n_x): the draw keeps its (n_x, n_v) order
+    f = (1.0 + 0.3 * rng.standard_normal(setup.grid.shape + (setup.quad.n_v,))).T
     config = KineticConfig(setup.grid, setup.quad, setup.opacity, epsilon=0.25,
                            t_final=0.01, noise=setup.noise)
     residuals = identity_residuals(config, setup.stats, run.modes[0], f)

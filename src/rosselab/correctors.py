@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinetic import KineticConfig, _sample_chunks, _strang
-from .model import TorusGrid, density, equilibrium_field
+from .model import TorusGrid, density, equilibrium_field, relaxation_operator
 from .noise import NoiseStatistics, _bordered_solve
 
 
@@ -151,12 +151,28 @@ class GeneratorEvaluator:
         self.noise_w = self.states * w  # rows n_i W_i
         self.noise_u = self.states * u
 
-    def _div_flux(self, f: np.ndarray) -> np.ndarray:
-        flux = f @ self.flux_weights
-        return np.fft.irfft(self.freq * np.fft.rfft(flux), n=self.config.grid.n_x)
+    def fields(self, f: np.ndarray) -> np.ndarray:
+        """The density, the flux divergence div <a f> and the relaxation
+        average <L f> of fields f (..., n_v, n_x), stacked as (..., 3, n_x)."""
+        quad = self.config.quad
+        flux = self.flux_weights @ f
+        div_flux = np.fft.irfft(self.freq * np.fft.rfft(flux), n=self.config.grid.n_x)
+        return np.stack([density(quad, f), div_flux,
+                         density(quad, relaxation_operator(quad, f))], axis=-2)
+
+    def spectral_fields(self, f_hat: np.ndarray) -> np.ndarray:
+        """``fields`` of f from its rfft along x, by one inverse transform."""
+        quad = self.config.quad
+        spectra = np.stack([density(quad, f_hat), self.freq * (self.flux_weights @ f_hat),
+                            density(quad, relaxation_operator(quad, f_hat))], axis=-2)
+        return np.fft.irfft(spectra, n=self.config.grid.n_x)
 
     def per_state(self, f: np.ndarray) -> dict[str, np.ndarray]:
-        """All generator terms for f of shape (..., n_x, n_v), each of shape
+        """All generator terms for f of shape (..., n_v, n_x); see ``terms``."""
+        return self.terms(self.fields(f))
+
+    def terms(self, fields: np.ndarray) -> dict[str, np.ndarray]:
+        """All generator terms of the ``fields`` of f, each of shape
         (..., n_states) (n_states = 1 if no noise).
 
         Each term already carries its power of eps, so their sum is
@@ -166,10 +182,7 @@ class GeneratorEvaluator:
         p F, *_first with eps phi_1 and *_second with eps^2 phi_2."""
         cfg = self.config
         eps = cfg.epsilon
-        quad = cfg.quad
-        rho = density(quad, f)
-        div_flux = self._div_flux(f)
-        relax_avg = density(quad, equilibrium_field(quad, rho) - f)
+        rho, div_flux, relax_avg = fields[..., 0, :], fields[..., 1, :], fields[..., 2, :]
         sig_relax = cfg.opacity(rho) * relax_avg
         t_sing = -self.cell * _rows(self.p[None], div_flux) / eps
         r_sing = self.cell * _rows(self.p[None], sig_relax) / eps**2
@@ -204,8 +217,9 @@ class GeneratorEvaluator:
             "chain_second": _rows(self.generator, second_vals),
         }
 
-    def totals(self, f: np.ndarray) -> np.ndarray:
-        terms = self.per_state(f)
+    def totals(self, fields: np.ndarray) -> np.ndarray:
+        """L_eps phi_eps per state at the ``fields`` of f."""
+        terms = self.terms(fields)
         return sum(terms.values())
 
     def gamma(self, rho: np.ndarray) -> np.ndarray:
@@ -221,9 +235,9 @@ class GeneratorEvaluator:
         jumps = (v[..., None, :] - v[..., :, None]) ** 2
         return np.einsum("il,...il->...i", self.generator, jumps)
 
-    def perturbed(self, f: np.ndarray) -> np.ndarray:
-        """phi + eps phi_1 + eps^2 phi_2 for every chain state."""
-        rho = density(self.config.quad, f)
+    def perturbed(self, rho: np.ndarray) -> np.ndarray:
+        """phi + eps phi_1 + eps^2 phi_2 for every chain state at the density
+        rho (..., n_x)."""
         base = self.cell * _rows(self.p[None], rho)
         if self.correctors is None:
             return base
@@ -315,8 +329,8 @@ def martingale_residual(
         if abs(k * dt - t) > 1e-9 * max(t, dt):
             raise ValueError(f"{name} = {t} is not a multiple of dt = {dt}")
     evaluator = GeneratorEvaluator(config, stats, mode)
-    grid, quad = config.grid, config.quad
-    f0 = np.multiply.outer(np.asarray(rho0, dtype=float), quad.equilibrium)
+    grid = config.grid
+    f0 = equilibrium_field(config.quad, np.asarray(rho0, dtype=float))
     noisy = config.noise is not None
     weighted = np.empty(n_samples)
     squares = np.empty(n_samples)
@@ -331,20 +345,23 @@ def martingale_residual(
             occupations = np.full((len(ends), rows, 1), dt)
         integral = np.zeros(rows)
         qv = np.zeros(rows)
-        for k, t, f, rho, _ in _strang(config, f0, paths, k_end, first_sample=first):
+        for k, t, f, _ in _strang(config, f0, paths, k_end, first_sample=first):
+            if k < k_start:
+                continue
             live = len(f)
+            fields = evaluator.spectral_fields(f)
+            rho = fields[:, 0]
             if k == k_start:
                 weight = np.array([math.tanh(mode.apply(grid, rho_s)) for rho_s in rho])
-                start_value = _at_states(evaluator.perturbed(f), paths, t)
-            if k >= k_start:
-                g_now = evaluator.totals(f)
-                gamma_now = evaluator.gamma(rho)
-                if k > k_start:
-                    occ = occupations[k - k_start - 1, :live, None, :]
-                    integral[:live] += _rows(occ, g_prev[:live] + g_now)[:, 0] / 2.0
-                    qv[:live] += _rows(occ, gamma_prev[:live] + gamma_now)[:, 0] / 2.0
-                g_prev, gamma_prev = g_now, gamma_now
-        residual = _at_states(evaluator.perturbed(f), paths, t_end) - start_value - integral
+                start_value = _at_states(evaluator.perturbed(rho), paths, t)
+            g_now = evaluator.totals(fields)
+            gamma_now = evaluator.gamma(rho)
+            if k > k_start:
+                occ = occupations[k - k_start - 1, :live, None, :]
+                integral[:live] += _rows(occ, g_prev[:live] + g_now)[:, 0] / 2.0
+                qv[:live] += _rows(occ, gamma_prev[:live] + gamma_now)[:, 0] / 2.0
+            g_prev, gamma_prev = g_now, gamma_now
+        residual = _at_states(evaluator.perturbed(rho), paths, t_end) - start_value - integral
         weighted[first:first + rows] = residual * weight
         squares[first:first + rows] = residual**2
         qvs[first:first + rows] = qv

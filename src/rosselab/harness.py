@@ -515,7 +515,7 @@ def identity_residuals(
     Every residual vanishes in exact arithmetic.  Always: the moments of the
     velocity quadrature, the normalization of the mode, and the dissipation
     of the relaxation operator and the duality of transport at the field f
-    (n_x, n_v).  With noise: the Poisson equation of the chain, the symmetry
+    (n_v, n_x).  With noise: the Poisson equation of the chain, the symmetry
     of the kernel and both drift identities, then the generator algebra at
     eps = config.epsilon: the 1/eps^2 terms vanish at the equilibrium of
     <f>, the 1/eps bracket cancels at f, and the state-dependent drift
@@ -532,11 +532,8 @@ def identity_residuals(
     relax = relaxation_operator(quad, f)
     out["relax-dissipation"] = abs(
         weighted_inner(grid, quad, relax, f) + weighted_inner(grid, quad, relax, relax))
-    transport = np.stack(
-        [quad.speeds[k] * fourier.gradient(grid, f[..., k]) for k in range(quad.n_v)],
-        axis=-1,
-    )
-    flux = f @ (quad.weights * quad.speeds)
+    transport = np.stack([a * fourier.gradient(grid, row) for a, row in zip(quad.speeds, f)])
+    flux = (quad.weights * quad.speeds) @ f
     lhs = weighted_inner(grid, quad, transport, equilibrium_field(quad, p))
     rhs = -grid.integrate(flux * fourier.gradient(grid, p))
     out["transport-duality"] = abs(lhs - rhs)

@@ -15,18 +15,29 @@ interval, and R is the exact relaxation flow over dt/eps^2.  The splitting
 is second order in dt at fixed eps and unconditionally stable; dt is capped
 at eps^2/2 so that relaxation and noise are resolved.
 
-The solver steps a batch of samples, kinetic fields of shape (B, n_x, n_v)
-with one noise path per row.  Every operation of a step acts on each row
-alone (transforms along x, one matrix-vector product per row), so a
-sample's bits do not depend on the batch it runs in.  One loop,
-``_strang``, advances such a batch and checks every row at every step;
-``run_kinetic`` is its one-sample case, and ``harness.kinetic_ensemble``
-and ``correctors.martingale_residual`` run their samples through it in
-chunks of bounded memory (``_sample_chunks``).
+Consecutive steps meet in T(dt/2) T(dt/2) = T(dt), so the loop runs on the
+spectrum: a kinetic field has shape (..., n_v, n_x), space last, and the
+loop state is its rfft along x, shape (B, n_v, n_x // 2 + 1).  A step
+multiplies by the half-step phases, takes one irfft for N R N and one rfft
+back, and multiplies by the phases again.  For even n_x it then sets the
+Nyquist coefficient to its real part, as the inverse transform between the
+two half translations of the unfused composition does, so both agree in
+exact arithmetic.  Energy and defect come from the spectrum by Parseval,
+mass from its zero mode; densities return to physical space only where a
+caller records them.
+
+The solver steps a batch of samples with one noise path per row.  Every
+operation of a step acts on each row alone (transforms along x, one
+vector-matrix product per row), so a sample's bits do not depend on the
+batch it runs in.  One loop, ``_strang``, advances such a batch and checks
+every row at every step; ``run_kinetic`` is its one-sample case, and
+``harness.kinetic_ensemble`` and ``correctors.martingale_residual`` run their
+samples through it in chunks of bounded memory (``_sample_chunks``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -38,6 +49,7 @@ from .model import (
     TorusGrid,
     VelocityQuadrature,
     density,
+    equilibrium_field,
     relax_exact,
 )
 from .noise import NoiseModel, NoisePath, sample_path, sample_rng
@@ -52,25 +64,32 @@ _CHUNK_BUDGET = 2**17
 
 
 def transport_phases(grid: TorusGrid, quad: VelocityQuadrature, tau: float) -> np.ndarray:
-    """Spectral multipliers shifting node k by tau * a_k, rfft layout."""
+    """Spectral multipliers shifting node k by tau * a_k, shape (n_v, n_x // 2 + 1)."""
     freqs = np.fft.rfftfreq(grid.n_x, d=grid.spacing)
-    return np.exp(-2j * np.pi * tau * np.outer(freqs, quad.speeds))
+    return np.exp(-2j * np.pi * tau * np.outer(quad.speeds, freqs))
 
 
-def _translate(f: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    f_hat = np.fft.rfft(f, axis=-2)
-    f_hat *= phases
-    return np.fft.irfft(f_hat, n=f.shape[-2], axis=-2)
+@functools.lru_cache(maxsize=16)
+def _energy_weights(grid: TorusGrid, quad: VelocityQuadrature) -> np.ndarray:
+    """Flattened c_kj with ||f||^2 = sum_kj c_kj |f_hat_kj|^2 over the rfft
+    modes j: (w_k / F_k) (dx / n_x) m_j, where m_j = 2 counts mode j and its
+    mirror -j, and m_j = 1 for the zero mode and the Nyquist mode of even n_x."""
+    n_x = grid.n_x
+    mirrors = np.where(2 * np.arange(n_x // 2 + 1) % n_x == 0, 1.0, 2.0)
+    parseval = mirrors * (grid.cell_volume / n_x)
+    weights = np.outer(quad.weights / quad.equilibrium, parseval).ravel()
+    weights.flags.writeable = False  # shared by every caller of the cache
+    return weights
 
 
-def transport_step(
-    grid: TorusGrid, quad: VelocityQuadrature, f: np.ndarray, tau: float
-) -> np.ndarray:
-    """Translate node k by tau * a_k; exact for trigonometric data below the
-    Nyquist frequency.  The Nyquist mode itself cannot be translated off the
-    grid and is damped by the real-part projection, so the step never gains
-    energy."""
-    return _translate(f, transport_phases(grid, quad, tau))
+def spectral_energy(grid: TorusGrid, quad: VelocityQuadrature, f_hat: np.ndarray) -> np.ndarray:
+    """Squared weighted norm of each field from its rfft along x, shape
+    (..., n_v, n_x // 2 + 1), by Parseval; the Nyquist coefficient of an even
+    n_x must be real, as it is for the rfft of a real field."""
+    weights = _energy_weights(grid, quad)
+    power = f_hat.real**2 + f_hat.imag**2
+    # one dot product per row: a product over the sample axis blocks sums by batch
+    return (power.reshape(power.shape[:-2] + (1, weights.size)) @ weights)[..., 0]
 
 
 class _RowError(FloatingPointError):
@@ -82,21 +101,23 @@ class _RowError(FloatingPointError):
 
 
 def noise_factor(model: NoiseModel, occupations: np.ndarray, epsilon: float) -> np.ndarray:
-    """exp((1/eps) int m(s, x) ds) per row, exact for the sampled chain.
+    """exp((1/eps) int m(s, x) ds) per window, exact for the sampled chain.
 
-    ``occupations``, shape (..., n_states), holds each sample's time in
-    every chain state over the interval.  Raises FloatingPointError for the
-    lowest row whose exponent exceeds EXPONENT_LIMIT.
+    ``occupations``, shape (rows, ..., n_states), holds each sample's time in
+    every chain state over each of its windows; the result has shape
+    (rows, ..., n_x).  Raises FloatingPointError for the lowest row with an
+    exponent above EXPONENT_LIMIT, naming the peak of its first such window.
     """
-    # one vector-matrix product per row, so a row's bits do not depend on
+    # one vector-matrix product per window, so a row's bits do not depend on
     # its batch (a batched matrix product blocks its sums differently)
     exponent = (occupations[..., None, :] @ model.flat_states())[..., 0, :] / epsilon
-    peaks = np.max(np.abs(exponent), axis=-1).reshape(-1)
+    peaks = np.abs(exponent).max(axis=-1)
     over = peaks > EXPONENT_LIMIT
     if over.any():
-        row = int(np.argmax(over))
-        raise _RowError(row, (
-            f"noise exponent {peaks[row]:.2f} exceeds {EXPONENT_LIMIT}; "
+        peaks, over = np.atleast_1d(peaks, over)
+        first = np.unravel_index(over.argmax(), over.shape)
+        raise _RowError(int(first[0]), (
+            f"noise exponent {peaks[first]:.2f} exceeds {EXPONENT_LIMIT}; "
             "noise amplitude / epsilon too large for this dt"
         ))
     return np.exp(exponent)
@@ -161,10 +182,13 @@ class KineticTrajectory:
 
 
 class KineticStepper:
-    """Stepper for a batch of samples, shape (B, n_x, n_v), of one configuration.
+    """Stepper for a batch of samples of one configuration, on the spectral
+    state: row b of the state, shape (B, n_v, n_x // 2 + 1), is the rfft
+    along x of sample b's field.
 
-    It caches the transport phases and, with noise on, the occupation times
-    of every half step of each sample's path, taken in one call per path.
+    It caches the transport phases of a half step and, with noise on, the
+    occupation times of both half steps of every step of each sample's path,
+    taken in one call per path.
     """
 
     def __init__(self, config: KineticConfig, paths: Sequence[NoisePath | None]):
@@ -181,23 +205,29 @@ class KineticStepper:
         starts = np.arange(config.n_steps) * config.dt
         mids = starts + half
         windows = np.stack([starts, mids], axis=-1), np.stack([mids, mids + half], axis=-1)
-        # (n_steps, 2 halves, B, n_states)
-        self.occupations = np.stack([path.occupations(*windows) for path in paths], axis=2)
+        # (n_steps, B, 2 halves, n_states)
+        self.occupations = np.stack([path.occupations(*windows) for path in paths], axis=1)
 
     def step(self, f: np.ndarray, k: int) -> np.ndarray:
         """One splitting step of every row from k dt to (k + 1) dt.
 
-        Row b of f, shape (B, n_x, n_v), follows path b.  A row whose noise
-        exponent is too large raises a FloatingPointError with its row index.
+        Takes and returns the spectral state; row b follows path b.  A row
+        whose noise exponent is too large raises a FloatingPointError with
+        its row index.
         """
         cfg = self.config
-        f = _translate(f, self.half_phases)
+        g = np.fft.irfft(f * self.half_phases, n=cfg.grid.n_x)
         if self.occupations is not None:
-            f = f * noise_factor(cfg.noise, self.occupations[k, 0, :len(f)], cfg.epsilon)[..., None]
-        f = relax_exact(cfg.quad, cfg.opacity, f, cfg.dt / cfg.epsilon**2)
+            factors = noise_factor(cfg.noise, self.occupations[k, :len(f)], cfg.epsilon)
+            g *= factors[:, None, 0]
+        g = relax_exact(cfg.quad, cfg.opacity, g, cfg.dt / cfg.epsilon**2)
         if self.occupations is not None:
-            f = f * noise_factor(cfg.noise, self.occupations[k, 1, :len(f)], cfg.epsilon)[..., None]
-        return _translate(f, self.half_phases)
+            g *= factors[:, None, 1]
+        f = np.fft.rfft(g)
+        f *= self.half_phases
+        if cfg.grid.n_x % 2 == 0:
+            f.imag[..., -1] = 0.0
+        return f
 
 
 def _strang(
@@ -206,11 +236,11 @@ def _strang(
     paths: Sequence[NoisePath | None],
     n_steps: int | None = None,
     first_sample: int | None = None,
-) -> Iterator[tuple[int, float, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (k, t, f, rho, energy) for k = 0..n_steps (default: the run).
+) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
+    """Yield (k, t, f, energy) for k = 0..n_steps (default: the run).
 
-    Every row of f, shape (B, n_x, n_v), starts from f0 (n_x, n_v) and
-    follows its own path; rho (B, n_x) is the density and energy (B,) the
+    Every row of the spectral state f, shape (B, n_v, n_x // 2 + 1), starts
+    from the field f0 (n_v, n_x) and follows its own path; energy (B,) is the
     squared weighted norm of each row.  Every step checks each row's energy
     for finiteness and its noise exponents against EXPONENT_LIMIT.  A
     failing row stops itself and the rows above it, so later yields carry
@@ -219,13 +249,10 @@ def _strang(
     With ``first_sample`` set, the message names it as
     ``sample first_sample + row``.
     """
-    quad = config.quad
     n_steps = config.n_steps if n_steps is None else n_steps
-    cell = config.grid.cell_volume
-    inverse_eq = quad.weights / quad.equilibrium
     stepper = KineticStepper(config, paths)
     # C order: a row's matrix-vector products must not see the batch
-    f = np.repeat(np.asarray(f0, dtype=float)[None], len(paths), axis=0)
+    f = np.repeat(np.fft.rfft(np.asarray(f0, dtype=float))[None], len(paths), axis=0)
     failure = None
     for k in range(n_steps + 1):
         t = k * config.dt
@@ -236,28 +263,21 @@ def _strang(
             except _RowError as exc:
                 failure = _failure(first_sample, exc.row, str(exc))
                 f = f[:exc.row]
-        rho = density(quad, f)
-        energy = cell * ((f * f) @ inverse_eq).sum(axis=-1)
+        energy = spectral_energy(config.grid, config.quad, f)
         finite = np.isfinite(energy)
         if not finite.all():
             row = int(np.argmax(~finite))
             failure = _failure(first_sample, row, f"kinetic field lost finiteness at step {k} (t = {t:g})")
-            f, rho, energy = f[:row], rho[:row], energy[:row]
+            f, energy = f[:row], energy[:row]
         if not len(f):
             break
-        yield k, t, f, rho, energy
+        yield k, t, f, energy
     if failure is not None:
         raise FloatingPointError(failure)
 
 
 def _failure(first_sample: int | None, row: int, message: str) -> str:
     return message if first_sample is None else f"sample {first_sample + row}: {message}"
-
-
-def iterate_kinetic(config: KineticConfig, f0: np.ndarray, path: NoisePath | None = None):
-    """Yield (step index, time, kinetic field) of one run from step 0 to n_steps."""
-    for k, t, f, _, _ in _strang(config, f0, [path]):
-        yield k, t, f[0]
 
 
 def _trajectories(
@@ -267,12 +287,10 @@ def _trajectories(
     first_sample: int | None = None,
 ) -> list[KineticTrajectory]:
     """Run one sample per path from rho0(x) F(v) and record its diagnostics."""
-    quad = config.quad
-    cell = config.grid.cell_volume
-    inverse_eq = quad.weights / quad.equilibrium
+    grid, quad = config.grid, config.quad
     n_steps = config.n_steps
     rows = len(paths)
-    f0 = np.multiply.outer(np.asarray(rho0, dtype=float), quad.equilibrium)
+    f0 = equilibrium_field(quad, np.asarray(rho0, dtype=float))
     stride = config.snapshot_stride
     step_times = np.arange(n_steps + 1) * config.dt
     snap_steps = np.arange(0, n_steps + 1, stride)
@@ -280,18 +298,16 @@ def _trajectories(
         snap_steps = np.append(snap_steps, n_steps)
     # one row per sample, so each sample's series is contiguous
     mass, energy, defect = np.empty((3, rows, n_steps + 1))
-    snaps = np.empty((rows, len(snap_steps)) + config.grid.shape)
-    for k, _, f, rho, energy_k in _strang(config, f0, paths, first_sample=first_sample):
+    snaps = np.empty((rows, len(snap_steps)) + grid.shape)
+    for k, _, f, energy_k in _strang(config, f0, paths, first_sample=first_sample):
         live = len(f)
-        mass[:live, k] = cell * rho.sum(axis=-1)
+        rho = density(quad, f)
+        mass[:live, k] = grid.cell_volume * rho[:, 0].real
         energy[:live, k] = energy_k
-        lf = np.multiply.outer(rho, quad.equilibrium) - f
-        defect_sq = cell * ((lf * lf) @ inverse_eq).sum(axis=-1)
+        defect_sq = spectral_energy(grid, quad, equilibrium_field(quad, rho) - f)
         defect[:live, k] = np.sqrt(np.maximum(defect_sq, 0.0)) / config.epsilon
-        if k % stride == 0:
-            snaps[:live, k // stride] = rho
-        elif k == n_steps:
-            snaps[:live, -1] = rho
+        if k % stride == 0 or k == n_steps:
+            snaps[:live, math.ceil(k / stride)] = np.fft.irfft(rho, n=grid.n_x)
     return [
         KineticTrajectory(config, step_times[snap_steps], snaps[b], step_times,
                           mass[b], energy[b], defect[b], paths[b])

@@ -7,8 +7,10 @@ equilibrium-weighted space with squared norm
 
     ||f||^2 = int sum_k w_k |f(x, v_k)|^2 / F(v_k) dx.
 
-Velocity arrays use the last axis for v, so a kinetic field on a grid with
-shape ``grid.shape`` is an array of shape ``grid.shape + (n_v,)``.
+Space is the last axis of every array, as for densities: a kinetic field is
+an array of shape ``(..., n_v, n_x)``, one row per velocity node.  The
+velocity operations below are linear in f, so they act alike on a field and
+on its Fourier transform along x.
 """
 
 from __future__ import annotations
@@ -140,18 +142,18 @@ def build_velocity_space(name: str, n_nodes: int | None = None) -> VelocityQuadr
 
 
 def density(quad: VelocityQuadrature, f: np.ndarray) -> np.ndarray:
-    """Velocity average <f> over the trailing axis."""
-    return f @ quad.weights
+    """Velocity average <f> over the velocity axis, shape (..., n_x)."""
+    return quad.weights @ f
 
 
 def equilibrium_field(quad: VelocityQuadrature, rho: np.ndarray) -> np.ndarray:
-    """Local equilibrium rho(x) F(v)."""
-    return np.multiply.outer(rho, quad.equilibrium)
+    """Local equilibrium rho(x) F(v), shape (..., n_v, n_x)."""
+    return quad.equilibrium[:, None] * np.asarray(rho)[..., None, :]
 
 
 def weighted_inner(grid: TorusGrid, quad: VelocityQuadrature, f: np.ndarray, g: np.ndarray) -> float:
     """Inner product in the equilibrium-weighted space, (f, g) = int <fg/F> dx."""
-    return float(grid.cell_volume * np.sum((f * g) @ (quad.weights / quad.equilibrium)))
+    return float(grid.cell_volume * np.sum((quad.weights / quad.equilibrium) @ (f * g)))
 
 
 def weighted_norm_sq(grid: TorusGrid, quad: VelocityQuadrature, f: np.ndarray) -> float:
@@ -252,4 +254,4 @@ def relax_exact(
     rho = density(quad, f)
     eq = equilibrium_field(quad, rho)
     decay = np.exp(-tau * opacity(rho))
-    return eq + (f - eq) * decay[..., None]
+    return eq + (f - eq) * decay[..., None, :]

@@ -1,11 +1,13 @@
 """Shared pytest plumbing: collect acceptance verdict lines for the summary,
-random ergodic chains, and ``sample_rng`` / ``sample_path`` stand-ins for
-ensemble failure tests."""
+random ergodic chains, physical-space views of the kinetic solver's phases
+and steps, and ``sample_rng`` / ``sample_path`` stand-ins for ensemble
+failure tests."""
 
 import itertools
 
 import numpy as np
 
+from rosselab.kinetic import KineticStepper, transport_phases
 from rosselab.noise import NoisePath, make_noise_model, sample_path
 
 VERDICTS: list[str] = []
@@ -31,6 +33,27 @@ def random_chain(rng, n_states, grid):
             states[i] += rng.normal() * np.cos(2.0 * np.pi * k * x)
             states[i] += rng.normal() * np.sin(2.0 * np.pi * k * x)
     return make_noise_model(grid, states, m)
+
+
+def translate(grid, quad, f, tau):
+    """Translate node k of the fields f (..., n_v, n_x) by tau * a_k with the
+    solver's transport phases.  Exact for trigonometric data below the
+    Nyquist frequency; the Nyquist mode cannot be translated off the grid
+    and is projected on its real part, so the energy never grows."""
+    return np.fft.irfft(np.fft.rfft(f) * transport_phases(grid, quad, tau), n=grid.n_x)
+
+
+def stepped_fields(config, f0, path=None):
+    """Fields f_0, ..., f_n (n_steps + 1, n_v, n_x) of one run of the
+    solver's step from the field f0, transformed back from its spectral
+    state after every step."""
+    stepper = KineticStepper(config, [path])
+    f_hat = np.fft.rfft(f0)[None]
+    fields = [np.asarray(f0, dtype=float)]
+    for k in range(config.n_steps):
+        f_hat = stepper.step(f_hat, k)
+        fields.append(np.fft.irfft(f_hat[0], n=config.grid.n_x))
+    return np.array(fields)
 
 
 def nan_normals(nan_steps):

@@ -2,7 +2,7 @@
 
 The verdict lines are echoed in the terminal summary at the end of any
 pytest run (see conftest.py).  Criteria 6 and 7 carry Monte Carlo weight;
-the whole battery takes about 20 seconds (see README.md).  The
+the whole battery takes about 10 seconds (see README.md).  The
 scaling-limit fixture and every statistical threshold come from
 configs/acceptance.ini, not from literals in this file.
 """
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import random_chain
+from conftest import random_chain, stepped_fields, translate
 from rosselab.cli import main
 from rosselab.config import parse_config
 from rosselab.correctors import FourierMode, build_correctors, martingale_residual
@@ -24,7 +24,7 @@ from rosselab.harness import (
     epsilon_sweep,
     identity_residuals,
 )
-from rosselab.kinetic import KineticConfig, iterate_kinetic, run_kinetic, transport_step
+from rosselab.kinetic import KineticConfig, run_kinetic
 from rosselab.model import (
     TorusGrid,
     build_velocity_space,
@@ -64,7 +64,7 @@ def test_criterion_1_structural_identities():
         quad = build_velocity_space(name)
         assert quad.diffusion_coefficient() > 0.0
         for _ in range(50):
-            f = 1.0 + 0.4 * rng.standard_normal(grid.shape + (quad.n_v,))
+            f = 1.0 + 0.4 * rng.standard_normal((quad.n_v,) + grid.shape)
             found = battery(grid, quad, None, f)
             worst = max(worst, found["velocity-mass"], found["velocity-null-flux"],
                         found["relax-dissipation"])
@@ -81,7 +81,7 @@ def test_criterion_2_noise_algebra():
     tol = 1e-12
     grid = TorusGrid(16)
     quad = build_velocity_space("two-speed")
-    f = np.ones(grid.shape + (quad.n_v,))
+    f = np.ones((quad.n_v,) + grid.shape)
     amplitude, rate = 1.3, 0.7
     stats = noise_statistics(
         telegraph_noise(grid, cosine_profile(grid, amplitude, 1), rate)
@@ -112,14 +112,14 @@ def test_criterion_3_solver_oracles():
     quad = build_velocity_space("two-speed")
 
     f0 = np.stack([1.0 + 0.5 * np.cos(2.0 * np.pi * x)
-                   + 0.3 * np.sin(4.0 * np.pi * x)] * 2, axis=-1)
+                   + 0.3 * np.sin(4.0 * np.pi * x)] * 2)
     tau = 0.137
-    shifted = transport_step(grid, quad, f0, tau)
+    shifted = translate(grid, quad, f0, tau)
     advect = 0.0
     for k, a in enumerate(quad.speeds):
         exact = (1.0 + 0.5 * np.cos(2.0 * np.pi * (x - a * tau))
                  + 0.3 * np.sin(4.0 * np.pi * (x - a * tau)))
-        advect = max(advect, float(np.max(np.abs(shifted[..., k] - exact))))
+        advect = max(advect, float(np.max(np.abs(shifted[k] - exact))))
 
     heat_grid = TorusGrid(64)
     xh = heat_grid.axis_points()
@@ -135,14 +135,11 @@ def test_criterion_3_solver_oracles():
 
     def final_state(dt):
         config = KineticConfig(grid, quad, opacity, epsilon=0.3, t_final=0.12, dt=dt)
-        f = equilibrium_field(quad, rho)
-        for _, _, fk in iterate_kinetic(config, f):
-            out = fk
-        return out
+        return stepped_fields(config, equilibrium_field(quad, rho))[-1]
 
     fa, fb, fc = final_state(0.004), final_state(0.002), final_state(0.001)
-    e1 = math.sqrt(sum(l2_norm_sq(grid, (fa - fb)[..., k]) for k in range(2)))
-    e2 = math.sqrt(sum(l2_norm_sq(grid, (fb - fc)[..., k]) for k in range(2)))
+    e1 = math.sqrt(sum(l2_norm_sq(grid, row) for row in fa - fb))
+    e2 = math.sqrt(sum(l2_norm_sq(grid, row) for row in fb - fc))
     ratio = e1 / e2
 
     ok = advect <= 1e-12 and heat_err <= 1e-4 and 4.0 / 1.5 <= ratio <= 4.0 * 1.5
@@ -190,7 +187,7 @@ def test_criterion_5_corrector_algebra():
         forcing = np.array([grid.integrate(s * rho * p) for s in model.states])
         poisson = max(poisson, float(np.max(np.abs(model.generator @ first + forcing))))
 
-        f_random = 1.0 + 0.3 * rng.standard_normal(grid.shape + (quad.n_v,))
+        f_random = 1.0 + 0.3 * rng.standard_normal((quad.n_v,) + grid.shape)
         found = battery(grid, quad, stats, f_random)
         singular = max(singular, found["transport-singular"], found["relax-singular"])
         balance = max(balance, found["scale-balance-residual"])

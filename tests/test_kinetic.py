@@ -1,14 +1,19 @@
 """Transport, noise factor and splitting checks for the kinetic solver."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import stepped_fields, translate
 from rosselab.kinetic import (
     KineticConfig,
     KineticStepper,
     noise_factor,
     run_kinetic,
-    transport_step,
+    spectral_energy,
 )
 from rosselab.model import (
     ConstantOpacity,
@@ -16,7 +21,10 @@ from rosselab.model import (
     TorusGrid,
     build_velocity_space,
     density,
+    equilibrium_field,
     l2_norm_sq,
+    relax_exact,
+    relaxation_operator,
     weighted_norm_sq,
 )
 from rosselab.noise import NoisePath, cosine_profile, sample_path, telegraph_noise
@@ -28,24 +36,24 @@ GT = build_velocity_space("two-speed")
 def test_transport_translates_each_node():
     quad = build_velocity_space("legendre", 4)
     x = GRID.axis_points()
-    f = np.empty(GRID.shape + (quad.n_v,))
+    f = np.empty((quad.n_v,) + GRID.shape)
     for k in range(quad.n_v):
-        f[:, k] = np.cos(2.0 * np.pi * x) + 0.3 * np.sin(4.0 * np.pi * x)
+        f[k] = np.cos(2.0 * np.pi * x) + 0.3 * np.sin(4.0 * np.pi * x)
     tau = 0.37
-    out = transport_step(GRID, quad, f, tau)
+    out = translate(GRID, quad, f, tau)
     for k, a in enumerate(quad.speeds):
         shifted = np.cos(2.0 * np.pi * (x - tau * a)) + 0.3 * np.sin(4.0 * np.pi * (x - tau * a))
-        assert np.max(np.abs(out[:, k] - shifted)) <= 1e-12
+        assert np.max(np.abs(out[k] - shifted)) <= 1e-12
 
 
 def test_transport_preserves_mass_and_energy():
     rng = np.random.default_rng(8)
-    f = rng.standard_normal(GRID.shape + (GT.n_v,))
+    f = rng.standard_normal((GT.n_v,) + GRID.shape)
     # band-limit below Nyquist, where the spectral shift is unitary
-    f_hat = np.fft.rfft(f, axis=0)
-    f_hat[-1] = 0.0
-    f = np.fft.irfft(f_hat, n=GRID.n_x, axis=0)
-    out = transport_step(GRID, GT, f, 0.123)
+    f_hat = np.fft.rfft(f)
+    f_hat[..., -1] = 0.0
+    f = np.fft.irfft(f_hat, n=GRID.n_x)
+    out = translate(GRID, GT, f, 0.123)
     assert GRID.integrate(density(GT, out)) == pytest.approx(
         GRID.integrate(density(GT, f)), abs=1e-13
     )
@@ -149,8 +157,10 @@ def test_stepper_step_matches_run_single_step():
     cfg = KineticConfig(GRID, GT, RationalOpacity(), 0.25, 0.03125, dt=0.03125, noise=model)
     path = sample_path(model, 0.25, cfg.t_final, np.random.default_rng(3))
     x = GRID.axis_points()
-    f0 = np.multiply.outer(1.0 + 0.3 * np.sin(2.0 * np.pi * x), GT.equilibrium)
-    stepped = KineticStepper(cfg, [path]).step(f0[None], 0)[0]
+    f0 = equilibrium_field(GT, 1.0 + 0.3 * np.sin(2.0 * np.pi * x))
+    # the step maps the spectrum of the field to the spectrum of the next one
+    stepped_hat = KineticStepper(cfg, [path]).step(np.fft.rfft(f0)[None], 0)[0]
+    stepped = np.fft.irfft(stepped_hat, n=GRID.n_x)
     traj = run_kinetic(cfg, density(GT, f0), path=path)
     assert np.allclose(density(GT, stepped), traj.final_density(), atol=1e-13)
 
@@ -161,3 +171,92 @@ def test_snapshot_stride_keeps_endpoints():
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.9, rel=1e-12)
     assert len(traj.step_times) == cfg.n_steps + 1
+
+def unfused_fields(config, f0):
+    """Final field of the noise-off composition T(dt/2) R(dt) T(dt/2), each
+    half translation in physical space and back, as the solver ran before
+    it fused consecutive half steps."""
+    half = config.dt / (2.0 * config.epsilon)
+    f = f0
+    for _ in range(config.n_steps):
+        f = translate(config.grid, config.quad, f, half)
+        f = relax_exact(config.quad, config.opacity, f, config.dt / config.epsilon**2)
+        f = translate(config.grid, config.quad, f, half)
+    return f
+
+
+SOLVER_CASES = dict(
+    n_x=st.integers(4, 64),
+    velocity=st.sampled_from(["two-speed", "legendre"]),
+    eps=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def rough_case(n_x, velocity, eps, n_steps=3):
+    """A configuration of a few steps at the dt cap on a grid of n_x cells."""
+    grid = TorusGrid(n_x)
+    quad = build_velocity_space(velocity)
+    return KineticConfig(grid, quad, RationalOpacity(), eps, n_steps * 0.5 * eps**2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**SOLVER_CASES)
+def test_spectral_diagnostics_equal_physical_formulas(n_x, velocity, eps, seed):
+    """Mass, energy and defect that the loop takes from the spectrum equal
+    the physical-space formulas on the transformed-back field, for rough
+    data with Nyquist content."""
+    config = rough_case(n_x, velocity, eps)
+    grid, quad = config.grid, config.quad
+    rho0 = np.random.default_rng(seed).uniform(0.1, 2.0, n_x)
+    traj = run_kinetic(config, rho0)
+    fields = stepped_fields(config, equilibrium_field(quad, rho0))
+    for k, f in enumerate(fields):
+        assert traj.mass[k] == pytest.approx(grid.integrate(density(quad, f)), rel=1e-13)
+        assert traj.energy[k] == pytest.approx(weighted_norm_sq(grid, quad, f), rel=1e-13)
+        defect = math.sqrt(weighted_norm_sq(grid, quad, relaxation_operator(quad, f))) / eps
+        # <f> F - f cancels: its rounding error scales with the field, so a
+        # defect near equilibrium is held to the field's norm
+        scale = math.sqrt(traj.energy[k]) / eps
+        assert traj.defect[k] == pytest.approx(defect, rel=1e-13, abs=1e-13 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**SOLVER_CASES)
+def test_fused_steps_equal_the_unfused_composition(n_x, velocity, eps, seed):
+    """The spectral loop matches two half translations per step on rough
+    fields; for even n_x this holds only with the Nyquist projection."""
+    config = rough_case(n_x, velocity, eps)
+    f0 = np.random.default_rng(seed).uniform(0.1, 2.0, (config.quad.n_v, n_x))
+    fused = stepped_fields(config, f0)[-1]
+    unfused = unfused_fields(config, f0)
+    assert np.max(np.abs(fused - unfused)) <= 1e-12 * np.max(np.abs(unfused))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_x=st.integers(4, 64),
+    velocity=st.sampled_from(["two-speed", "legendre"]),
+    opacity=st.one_of(
+        st.builds(RationalOpacity, st.floats(0.1, 5.0), st.floats(0.0, 5.0)),
+        st.builds(ConstantOpacity, st.floats(0.1, 5.0)),
+    ),
+    eps=st.floats(0.05, 1.0),
+    dt_fraction=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noise_off_step_conserves_mass_and_never_gains_energy(n_x, velocity, opacity, eps,
+                                                               dt_fraction, seed):
+    grid = TorusGrid(n_x)
+    quad = build_velocity_space(velocity)
+    dt = dt_fraction * 0.5 * eps**2
+    config = KineticConfig(grid, quad, opacity, eps, dt, dt=dt)
+    f = np.random.default_rng(seed).uniform(0.05, 3.0, (quad.n_v, n_x))
+    before = np.fft.rfft(f)[None]
+    after = KineticStepper(config, [None]).step(before, 0)
+
+    def mass(f_hat):
+        return grid.cell_volume * density(quad, f_hat)[0, 0].real
+
+    assert mass(after) == pytest.approx(mass(before), rel=1e-13)
+    assert spectral_energy(grid, quad, after)[0] <= spectral_energy(grid, quad, before)[0] * (1 + 1e-13)

@@ -1,11 +1,15 @@
 """The traced benchmark run wraps ``rosselab`` functions that it names by
 string in ``benchmarks/tracing.py``; a rename in the package must fail here,
-not only when the benchmark runs with ``--trace 1``."""
+not only when the benchmark runs with ``--trace 1``.  The per-layer metrics
+count calls of those functions, so the solver loops must keep calling them
+once per step."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
@@ -36,3 +40,57 @@ def test_target_resolves(name, module, attr, coarse):
         assert callable(vars(getattr(owner, cls_name))[method])
     else:
         assert callable(getattr(owner, attr))
+
+
+def traced_calls(run) -> dict[tuple[str, str], int]:
+    """Calls per (traced name, traced parent) while ``run(pkg)`` runs under
+    the benchmark's tracer, which patches every binding of its targets."""
+    pkg = SimpleNamespace(**{layer: importlib.import_module(f"rosselab.{layer}")
+                             for layer in TRACING_MODULE.LAYERS})
+    tracer = TRACING_MODULE.Tracer()
+    with tracer.installed(pkg):
+        run(pkg)
+    return {key: entry[0] for key, entry in tracer.stats.items()}
+
+
+def small_noisy_config(pkg, n_steps):
+    grid = pkg.model.TorusGrid(8)
+    noise = pkg.noise.telegraph_noise(grid, pkg.noise.cosine_profile(grid, 1.0, 1), 1.0)
+    return pkg.kinetic.KineticConfig(
+        grid, pkg.model.build_velocity_space("two-speed"), pkg.model.RationalOpacity(),
+        epsilon=0.25, t_final=n_steps * 0.01, dt=0.01, noise=noise)
+
+
+def test_kinetic_run_calls_each_traced_phase_per_step():
+    """Inlining a traced phase into the loop would zero its per-layer metric;
+    here it fails instead."""
+    n_steps = 5
+
+    def run(pkg):
+        config = small_noisy_config(pkg, n_steps)
+        pkg.kinetic.run_kinetic(config, np.ones(8), rng=np.random.default_rng(1))
+
+    calls = traced_calls(run)
+    assert calls[("kinetic.step", "kinetic.run")] == n_steps
+    assert calls[("model.relax_exact", "kinetic.step")] == n_steps
+    assert calls[("kinetic.noise_factor", "kinetic.step")] >= n_steps
+
+
+def test_martingale_evaluates_the_generator_per_window_step():
+    k_start, k_end = 2, 6
+
+    def run(pkg):
+        config = small_noisy_config(pkg, k_end)
+        stats = pkg.noise.noise_statistics(config.noise)
+        pkg.correctors.martingale_residual(
+            config, stats, pkg.correctors.FourierMode(1), np.ones(8),
+            k_start * config.dt, k_end * config.dt, n_samples=3, base_seed=1)
+
+    calls = traced_calls(run)
+    # the three samples run as one chunk
+    assert calls[("kinetic.step", "correctors.martingale")] == k_end
+    assert calls[("model.relax_exact", "kinetic.step")] == k_end
+    assert calls[("kinetic.noise_factor", "kinetic.step")] >= k_end
+    window = k_end - k_start + 1
+    assert calls[("correctors.totals", "correctors.martingale")] == window
+    assert calls[("correctors.gamma", "correctors.martingale")] == window
