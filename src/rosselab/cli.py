@@ -107,8 +107,8 @@ def cmd_noise_info(setup: Setup, out: Path, args) -> int:
     stats = setup.stats
     model = stats.model
     x = setup.grid.axis_points()
-    states = model.flat_states()
-    psi = stats.poisson_profiles.reshape(model.n_states, -1)
+    states = model.states
+    psi = stats.poisson_profiles
     header = (
         ["x"]
         + [f"n{i}" for i in range(model.n_states)]

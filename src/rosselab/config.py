@@ -3,6 +3,7 @@
 The grammar is INI-style: sections [model], [noise], [simulation],
 [harness], [output], lowercase keys, ``#`` or ``;`` comments.  Every key has
 a default, so a minimal file only overrides what an experiment changes.
+``KEYS`` lists every key once, with the RunConfig field it sets.
 Unknown sections or keys are rejected with a close-match suggestion, and all
 violations are reported together rather than one at a time.
 """
@@ -17,27 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correctors import FourierMode, parse_mode
-from .model import Opacity, TorusGrid, VelocityQuadrature, build_velocity_space, make_opacity
+from .model import (
+    ConstantOpacity,
+    Opacity,
+    RationalOpacity,
+    TorusGrid,
+    VelocityQuadrature,
+    build_velocity_space,
+)
 from .noise import NoiseModel, cosine_profile, rotor_noise, telegraph_noise
-
-KNOWN_KEYS = {
-    "model": ("n_x", "velocity", "velocity_nodes", "opacity", "sigma_star", "sigma_upper"),
-    "noise": ("fixture", "amplitude", "frequency", "rate"),
-    "simulation": (
-        "epsilon", "epsilons", "t_final", "dt", "dt_scale", "snapshot_stride",
-        "drift", "rho0_mean", "rho0_modes",
-    ),
-    "harness": (
-        "modes", "samples_kinetic", "samples_limit", "base_seed", "sobolev_order",
-        "slack_sigma", "paper_excess_min", "band_max", "slope_min", "heat_gap_max",
-        "identity_tol",
-    ),
-    "output": ("directory",),
-}
-
-VELOCITY_CHOICES = ("two-speed", "gt2", "legendre", "cont")
-FIXTURE_CHOICES = ("off", "telegraph", "rotor3")
-DRIFT_CHOICES = ("effective", "paper")
 
 
 class ConfigError(ValueError):
@@ -96,9 +85,8 @@ class RunConfig:
 
     def build_opacity(self) -> Opacity:
         if self.opacity_kind == "constant":
-            return make_opacity("constant", value=self.sigma_star)
-        return make_opacity("rational", s0=self.sigma_star,
-                            s1=self.sigma_upper - self.sigma_star)
+            return ConstantOpacity(self.sigma_star)
+        return RationalOpacity(self.sigma_star, self.sigma_upper - self.sigma_star)
 
     def build_noise(self, grid: TorusGrid) -> NoiseModel | None:
         if self.fixture == "off":
@@ -115,50 +103,6 @@ class RunConfig:
             angle = 2.0 * math.pi * mode.frequency * x
             rho = rho + amp * (np.cos(angle) if mode.parity == "cos" else np.sin(angle))
         return rho
-
-
-def _suggest(name: str, candidates) -> str:
-    close = difflib.get_close_matches(name, list(candidates), n=1)
-    return f"; did you mean {close[0]!r}?" if close else ""
-
-
-class _Reader:
-    """Typed option access that records violations instead of raising."""
-
-    def __init__(self, parser: configparser.ConfigParser, violations: list[str]):
-        self.parser = parser
-        self.violations = violations
-
-    def has(self, section: str, key: str) -> bool:
-        return self.parser.has_option(section, key)
-
-    def raw(self, section: str, key: str) -> str | None:
-        if self.parser.has_option(section, key):
-            return self.parser.get(section, key).strip()
-        return None
-
-    def value(self, section: str, key: str, default, conv, description: str):
-        text = self.raw(section, key)
-        if text is None:
-            return default
-        try:
-            return conv(text)
-        except (ValueError, TypeError) as exc:
-            self.violations.append(f"[{section}] {key} = {text!r}: expected {description} ({exc})")
-            return default
-
-    def choice(self, section: str, key: str, default: str, choices) -> str:
-        text = self.raw(section, key)
-        if text is None:
-            return default
-        low = text.lower()
-        if low not in choices:
-            options = ", ".join(choices)
-            self.violations.append(
-                f"[{section}] {key} = {text!r}: must be one of {options}{_suggest(low, choices)}"
-            )
-            return default
-        return low
 
 
 def _positive_float(text: str) -> float:
@@ -227,6 +171,60 @@ def _dt_rule(text: str) -> float | None:
     return _positive_float(text)
 
 
+VELOCITY_CHOICES = ("two-speed", "gt2", "legendre", "cont")
+FIXTURE_CHOICES = ("off", "telegraph", "rotor3")
+DRIFT_CHOICES = ("effective", "paper")
+
+#: every config key as (section, key, RunConfig field, converter or tuple of
+#: choices, description of the expected value), in the order its
+#: violations are reported
+KEYS = (
+    ("model", "n_x", "n_x", _positive_int, "a positive integer"),
+    ("model", "velocity", "velocity", VELOCITY_CHOICES, None),
+    ("model", "velocity_nodes", "velocity_nodes", _positive_int, "a positive integer"),
+    ("model", "opacity", "opacity_kind", ("constant", "rational"), None),
+    ("model", "sigma_star", "sigma_star", _positive_float, "a positive number"),
+    ("model", "sigma_upper", "sigma_upper", _positive_float, "a positive number"),
+    ("noise", "fixture", "fixture", FIXTURE_CHOICES, None),
+    ("noise", "amplitude", "amplitude", _finite_float, "a finite number"),
+    ("noise", "frequency", "frequency", _positive_int, "a positive integer"),
+    ("noise", "rate", "rate", _positive_float, "a positive number"),
+    ("simulation", "epsilon", "epsilon", _positive_float, "a positive number"),
+    ("simulation", "epsilons", "epsilons", _epsilon_list,
+     "a comma-separated list of distinct positive numbers"),
+    ("simulation", "t_final", "t_final", _positive_float, "a positive number"),
+    ("simulation", "dt", "dt", _dt_rule, "'auto' or a positive number"),
+    ("simulation", "dt_scale", "dt_scale", _positive_float, "a positive number"),
+    ("simulation", "snapshot_stride", "snapshot_stride", _positive_int, "a positive integer"),
+    ("simulation", "drift", "drift", DRIFT_CHOICES, None),
+    ("simulation", "rho0_mean", "rho0_mean", _finite_float, "a finite number"),
+    ("simulation", "rho0_modes", "rho0_modes", _weighted_modes,
+     "a list like 'cos1:0.5, sin2:0.1'"),
+    ("harness", "modes", "modes", _mode_list, "a single mode like 'cos1'"),
+    ("harness", "samples_kinetic", "samples_kinetic", _positive_int, "a positive integer"),
+    ("harness", "samples_limit", "samples_limit", _positive_int, "a positive integer"),
+    ("harness", "base_seed", "base_seed", _seed, "a nonnegative integer"),
+    ("harness", "sobolev_order", "sobolev_order", _positive_float, "a positive number"),
+    ("harness", "slack_sigma", "slack_sigma", _positive_float, "a positive number"),
+    ("harness", "paper_excess_min", "paper_excess_min", _positive_float, "a positive number"),
+    ("harness", "band_max", "band_max", _positive_float, "a positive number"),
+    ("harness", "slope_min", "slope_min", _positive_float, "a positive number"),
+    ("harness", "heat_gap_max", "heat_gap_max", _positive_float, "a positive number"),
+    ("harness", "identity_tol", "identity_tol", _positive_float, "a positive number"),
+    ("output", "directory", "out_dir", str, "a path"),
+)
+
+KNOWN_KEYS = {
+    section: tuple(key for s, key, *_ in KEYS if s == section)
+    for section in dict.fromkeys(entry[0] for entry in KEYS)
+}
+
+
+def _suggest(name: str, candidates) -> str:
+    close = difflib.get_close_matches(name, list(candidates), n=1)
+    return f"; did you mean {close[0]!r}?" if close else ""
+
+
 def parse_config(path: str) -> RunConfig:
     """Parse and fully validate a run configuration file.
 
@@ -253,136 +251,59 @@ def parse_config(path: str) -> RunConfig:
                 violations.append(
                     f"[{section}] unknown key {key!r}{_suggest(key, KNOWN_KEYS[section])}"
                 )
-    reader = _Reader(parser, violations)
-    defaults = RunConfig()
 
-    n_x = reader.value("model", "n_x", defaults.n_x, _positive_int, "a positive integer")
-    velocity = reader.choice("model", "velocity", defaults.velocity, VELOCITY_CHOICES)
-    velocity_nodes = reader.value("model", "velocity_nodes", None, _positive_int,
-                                  "a positive integer")
-    opacity_kind = reader.choice("model", "opacity", defaults.opacity_kind,
-                                 ("constant", "rational"))
-    sigma_star = reader.value("model", "sigma_star", defaults.sigma_star,
-                              _positive_float, "a positive number")
-    sigma_upper = reader.value("model", "sigma_upper", defaults.sigma_upper,
-                               _positive_float, "a positive number")
+    values = {}
+    for section, key, field, conv, description in KEYS:
+        if not parser.has_option(section, key):
+            continue
+        text = parser.get(section, key).strip()
+        if isinstance(conv, tuple):
+            low = text.lower()
+            if low in conv:
+                values[field] = low
+            else:
+                violations.append(f"[{section}] {key} = {text!r}: must be one of "
+                                  f"{', '.join(conv)}{_suggest(low, conv)}")
+            continue
+        try:
+            values[field] = conv(text)
+        except (ValueError, TypeError) as exc:
+            violations.append(f"[{section}] {key} = {text!r}: expected {description} ({exc})")
+    run = RunConfig(**values)
 
-    fixture = reader.choice("noise", "fixture", defaults.fixture, FIXTURE_CHOICES)
-    amplitude = reader.value("noise", "amplitude", defaults.amplitude, _finite_float,
-                             "a finite number")
-    frequency = reader.value("noise", "frequency", defaults.frequency, _positive_int,
-                             "a positive integer")
-    rate = reader.value("noise", "rate", defaults.rate, _positive_float,
-                        "a positive number")
-
-    epsilon = reader.value("simulation", "epsilon", defaults.epsilon, _positive_float,
-                           "a positive number")
-    epsilons = reader.value("simulation", "epsilons", defaults.epsilons, _epsilon_list,
-                            "a comma-separated list of distinct positive numbers")
-    t_final = reader.value("simulation", "t_final", defaults.t_final, _positive_float,
-                           "a positive number")
-    dt = reader.value("simulation", "dt", defaults.dt, _dt_rule,
-                      "'auto' or a positive number")
-    dt_scale = reader.value("simulation", "dt_scale", defaults.dt_scale, _positive_float,
-                            "a positive number")
-    snapshot_stride = reader.value("simulation", "snapshot_stride",
-                                   defaults.snapshot_stride, _positive_int,
-                                   "a positive integer")
-    drift = reader.choice("simulation", "drift", defaults.drift, DRIFT_CHOICES)
-    rho0_mean = reader.value("simulation", "rho0_mean", defaults.rho0_mean,
-                             _finite_float, "a finite number")
-    rho0_modes = reader.value("simulation", "rho0_modes", defaults.rho0_modes,
-                              _weighted_modes, "a list like 'cos1:0.5, sin2:0.1'")
-
-    modes = reader.value("harness", "modes", defaults.modes, _mode_list,
-                         "a single mode like 'cos1'")
-    samples_kinetic = reader.value("harness", "samples_kinetic",
-                                   defaults.samples_kinetic, _positive_int,
-                                   "a positive integer")
-    samples_limit = reader.value("harness", "samples_limit", defaults.samples_limit,
-                                 _positive_int, "a positive integer")
-    base_seed = reader.value("harness", "base_seed", defaults.base_seed, _seed,
-                             "a nonnegative integer")
-    sobolev_order = reader.value("harness", "sobolev_order", defaults.sobolev_order,
-                                 _positive_float, "a positive number")
-    slack_sigma = reader.value("harness", "slack_sigma", defaults.slack_sigma,
-                               _positive_float, "a positive number")
-    paper_excess_min = reader.value("harness", "paper_excess_min",
-                                    defaults.paper_excess_min, _positive_float,
-                                    "a positive number")
-    band_max = reader.value("harness", "band_max", defaults.band_max, _positive_float,
-                            "a positive number")
-    slope_min = reader.value("harness", "slope_min", defaults.slope_min,
-                             _positive_float, "a positive number")
-    heat_gap_max = reader.value("harness", "heat_gap_max", defaults.heat_gap_max,
-                                _positive_float, "a positive number")
-    identity_tol = reader.value("harness", "identity_tol", defaults.identity_tol,
-                                _positive_float, "a positive number")
-
-    out_dir = reader.value("output", "directory", defaults.out_dir, str, "a path")
-
-    if velocity in ("two-speed", "gt2") and reader.has("model", "velocity_nodes"):
+    if run.velocity in ("two-speed", "gt2") and parser.has_option("model", "velocity_nodes"):
         violations.append("[model] velocity_nodes requires velocity = legendre")
-    if opacity_kind == "constant" and reader.has("model", "sigma_upper"):
+    if run.opacity_kind == "constant" and parser.has_option("model", "sigma_upper"):
         violations.append("[model] sigma_upper applies to the rational opacity only")
-    if opacity_kind == "rational" and sigma_upper < sigma_star:
+    if run.opacity_kind == "rational" and run.sigma_upper < run.sigma_star:
         violations.append(
-            f"[model] sigma_upper = {sigma_upper:g} must be at least sigma_star = {sigma_star:g}"
+            f"[model] sigma_upper = {run.sigma_upper:g} must be at least "
+            f"sigma_star = {run.sigma_star:g}"
         )
-    if fixture != "off" and amplitude == 0.0:
+    if run.fixture != "off" and run.amplitude == 0.0:
         violations.append("[noise] amplitude must be nonzero when a fixture is on")
-    if dt is not None:
+    if run.dt is not None:
         # products, not powers: a float power raises OverflowError
-        cap = 0.5 * epsilon * epsilon
-        if dt > cap * (1.0 + 1e-9):
+        cap = 0.5 * run.epsilon * run.epsilon
+        if run.dt > cap * (1.0 + 1e-9):
             violations.append(
-                f"[simulation] dt = {dt:g} violates the step rule dt <= eps^2/2 "
-                f"(eps = {epsilon:g} gives cap {cap:g})"
+                f"[simulation] dt = {run.dt:g} violates the step rule dt <= eps^2/2 "
+                f"(eps = {run.epsilon:g} gives cap {cap:g})"
             )
-        steps = t_final / dt
-        if not math.isfinite(steps) or abs(round(steps) * dt - t_final) > 1e-9 * t_final:
+        steps = run.t_final / run.dt
+        if (not math.isfinite(steps)
+                or abs(round(steps) * run.dt - run.t_final) > 1e-9 * run.t_final):
             violations.append(
-                f"[simulation] t_final = {t_final:g} is not an integer multiple of dt = {dt:g}"
+                f"[simulation] t_final = {run.t_final:g} is not an integer multiple "
+                f"of dt = {run.dt:g}"
             )
-    if dt_scale > 0.5 * (1.0 + 1e-9):
+    if run.dt_scale > 0.5 * (1.0 + 1e-9):
         violations.append(
-            f"[simulation] dt_scale = {dt_scale:g} violates the step rule dt <= eps^2/2"
+            f"[simulation] dt_scale = {run.dt_scale:g} violates the step rule dt <= eps^2/2"
         )
-    if samples_kinetic < 2 or samples_limit < 2:
+    if run.samples_kinetic < 2 or run.samples_limit < 2:
         violations.append("[harness] sample counts must be at least 2")
 
     if violations:
         raise ConfigError(violations)
-    return RunConfig(
-        n_x=n_x,
-        velocity=velocity,
-        velocity_nodes=velocity_nodes,
-        opacity_kind=opacity_kind,
-        sigma_star=sigma_star,
-        sigma_upper=sigma_upper,
-        fixture=fixture,
-        amplitude=amplitude,
-        frequency=frequency,
-        rate=rate,
-        epsilon=epsilon,
-        epsilons=epsilons,
-        t_final=t_final,
-        dt=dt,
-        dt_scale=dt_scale,
-        snapshot_stride=snapshot_stride,
-        drift=drift,
-        rho0_mean=rho0_mean,
-        rho0_modes=rho0_modes,
-        modes=modes,
-        samples_kinetic=samples_kinetic,
-        samples_limit=samples_limit,
-        base_seed=base_seed,
-        sobolev_order=sobolev_order,
-        slack_sigma=slack_sigma,
-        paper_excess_min=paper_excess_min,
-        band_max=band_max,
-        slope_min=slope_min,
-        heat_gap_max=heat_gap_max,
-        identity_tol=identity_tol,
-        out_dir=out_dir,
-    )
+    return run

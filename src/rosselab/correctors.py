@@ -109,10 +109,9 @@ class CorrectorSet:
 def build_correctors(stats: NoiseStatistics, mode: FourierMode) -> CorrectorSet:
     grid = stats.model.grid
     p = mode.profile(grid)
-    psi = stats.poisson_profiles.reshape(stats.model.n_states, -1)
-    states = stats.model.flat_states()
+    psi = stats.poisson_profiles
     first = -psi * p
-    c = -states * psi * p
+    c = -stats.model.states * psi * p
     nu = stats.model.stationary
     centered = c - nu @ c
     # measured against c: for the telegraph chain c is the same in every
@@ -142,7 +141,7 @@ class GeneratorEvaluator:
             self.correctors = None
             return
         self.correctors = build_correctors(stats, mode)
-        self.states = stats.model.flat_states()
+        self.states = stats.model.states
         self.generator = stats.model.generator
         w, u = self.correctors.first_profiles, self.correctors.second_profiles
         self.w_profiles = w
@@ -255,25 +254,6 @@ def generator_terms(
     """Every generator term of L_eps phi_eps at f, per chain state; see
     ``GeneratorEvaluator.per_state``."""
     return GeneratorEvaluator(config, stats, mode).per_state(f)
-
-
-def limit_generator(
-    grid: TorusGrid,
-    opacity,
-    diffusion: float,
-    stats: NoiseStatistics | None,
-    rho: np.ndarray,
-    mode: FourierMode,
-    drift: str = "effective",
-) -> float:
-    """Generator of the limit equation on the cylinder functional of a mode."""
-    from .limit import rosseland_rhs
-
-    p = mode.profile(grid)
-    value = grid.cell_volume * np.sum(rosseland_rhs(grid, opacity, diffusion, rho) * p)
-    if stats is not None:
-        value += grid.cell_volume * np.sum(stats.drift(drift) * rho * p)
-    return float(value)
 
 
 @dataclass(frozen=True)

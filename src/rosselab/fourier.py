@@ -48,13 +48,8 @@ def laplacian(grid: TorusGrid, rho: np.ndarray) -> np.ndarray:
     return np.fft.ifft(_laplace_symbol(grid.n_x) * rho_hat).real
 
 
-def coefficients(grid: TorusGrid, rho: np.ndarray) -> np.ndarray:
-    """Fourier coefficients rho_hat(xi) in full FFT layout."""
-    return np.fft.fft(rho) * grid.cell_volume
-
-
 def sobolev_norm_sq(grid: TorusGrid, rho: np.ndarray, s: float) -> float:
     """Squared H^s norm, sum_xi (1 + 4 pi^2 xi^2)^s |rho_hat(xi)|^2."""
     weight = (1.0 - _laplace_symbol(grid.n_x)) ** s
-    c = coefficients(grid, rho)
+    c = np.fft.fft(rho) * grid.cell_volume
     return float(np.sum(weight * (c.real**2 + c.imag**2)))

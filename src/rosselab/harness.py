@@ -22,6 +22,7 @@ from .correctors import FourierMode, build_correctors, generator_terms
 from .kinetic import DT_CAP, KineticConfig, _sample_chunks, _trajectories, run_kinetic
 from .limit import SpdeConfig, _integrate, rosseland_remainder, run_limit, split_rate
 from .model import (
+    SMOOTHING_EXPONENT,
     Opacity,
     TorusGrid,
     VelocityQuadrature,
@@ -52,11 +53,10 @@ def hs_norm(trajectory, order: float) -> float:
     config = trajectory.config
     if order <= 0.0:
         raise ValueError(f"the Sobolev order must be positive, got {order}")
-    quad = getattr(config, "quad", None)
-    if quad is not None and order >= quad.smoothing_exponent / 2.0:
+    if hasattr(config, "quad") and order >= SMOOTHING_EXPONENT / 2.0:
         raise ValueError(
             f"Sobolev order {order} is not below half the smoothing exponent "
-            f"{quad.smoothing_exponent} of the velocity space"
+            f"{SMOOTHING_EXPONENT} of the velocity space"
         )
     values = [
         fourier.sobolev_norm_sq(config.grid, rho, order)
@@ -71,7 +71,6 @@ class FunctionalTriple:
 
     values: np.ndarray  # (3,)
     sems: np.ndarray  # (3,)
-    n_samples: int
 
 
 def functional_triple(mode_values: np.ndarray, norm_sq: np.ndarray) -> FunctionalTriple:
@@ -94,7 +93,7 @@ def functional_triple(mode_values: np.ndarray, norm_sq: np.ndarray) -> Functiona
         math.sqrt(var_of_var),
         float(norm_sq.std(ddof=1)) / math.sqrt(n),
     ])
-    return FunctionalTriple(values, sems, n)
+    return FunctionalTriple(values, sems)
 
 
 def _trapezoid(values: np.ndarray, dt: float) -> float:
@@ -277,7 +276,7 @@ class SweepReport:
 
 def _degenerate_triple(mode_value: float, norm_sq: float) -> FunctionalTriple:
     """Functional triple of a deterministic run (zero variance and sems)."""
-    return FunctionalTriple(np.array([mode_value, 0.0, norm_sq]), np.zeros(3), 2)
+    return FunctionalTriple(np.array([mode_value, 0.0, norm_sq]), np.zeros(3))
 
 
 def epsilon_sweep(
@@ -308,10 +307,10 @@ def epsilon_sweep(
         mode = FourierMode(1, "cos")
     if not 0.0 < dt_scale <= DT_CAP:
         raise ValueError(f"dt_scale must lie in (0, {DT_CAP}]")
-    if sobolev_order >= quad.smoothing_exponent / 2.0:
+    if sobolev_order >= SMOOTHING_EXPONENT / 2.0:
         raise ValueError(
             f"sobolev order {sobolev_order} is not below half the smoothing "
-            f"exponent {quad.smoothing_exponent} of the velocity space"
+            f"exponent {SMOOTHING_EXPONENT} of the velocity space"
         )
     stats = None if noise_model is None else noise_statistics(noise_model)
     diffusion = quad.diffusion_coefficient()
@@ -539,16 +538,15 @@ def identity_residuals(
     out["transport-duality"] = abs(lhs - rhs)
     if stats is not None:
         model = stats.model
-        n_flat = model.flat_states()
-        psi = stats.poisson_profiles.reshape(model.n_states, -1)
-        out["poisson-residual"] = np.max(np.abs(model.generator @ psi - n_flat))
+        psi = stats.poisson_profiles
+        out["poisson-residual"] = np.max(np.abs(model.generator @ psi - model.states))
         out["kernel-symmetry"] = np.max(np.abs(stats.kernel - stats.kernel.T))
         out["drift-consistency"] = np.max(np.abs(stats.drift_paper + stats.drift_effective))
         diag = np.diag(stats.kernel).reshape(grid.shape)
         out["kernel-diag-drift"] = np.max(np.abs(diag - 2.0 * stats.drift_effective))
         rate = _telegraph_rate(model)
         if rate is not None:
-            out["telegraph-poisson-closed-form"] = np.max(np.abs(psi + n_flat / (2.0 * rate)))
+            out["telegraph-poisson-closed-form"] = np.max(np.abs(psi + model.states / (2.0 * rate)))
             profile_sq = grid.integrate(model.states[0] ** 2)
             out["telegraph-mode-weight"] = abs(stats.mode_weights[0] - profile_sq / rate)
         rho = density(quad, f)

@@ -110,7 +110,7 @@ def noise_factor(model: NoiseModel, occupations: np.ndarray, epsilon: float) -> 
     """
     # one vector-matrix product per window, so a row's bits do not depend on
     # its batch (a batched matrix product blocks its sums differently)
-    exponent = (occupations[..., None, :] @ model.flat_states())[..., 0, :] / epsilon
+    exponent = (occupations[..., None, :] @ model.states)[..., 0, :] / epsilon
     peaks = np.abs(exponent).max(axis=-1)
     over = peaks > EXPONENT_LIMIT
     if over.any():

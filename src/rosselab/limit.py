@@ -61,7 +61,12 @@ STEPS_PER_DECAY = 8
 
 
 def rosseland_rhs(grid: TorusGrid, opacity: Opacity, diffusion: float, rho: np.ndarray) -> np.ndarray:
-    """K Lap G(rho), the nonlinear diffusion term, evaluated spectrally."""
+    """K Lap G(rho), the nonlinear diffusion term, evaluated spectrally.
+
+    The integrators work through ``split_rate`` and ``rosseland_remainder``
+    instead; this direct form is the independent route the tests check them
+    against, and the benchmark's tracer names it.
+    """
     return diffusion * fourier.laplacian(grid, opacity.primitive(rho))
 
 

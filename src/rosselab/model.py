@@ -60,29 +60,30 @@ def l2_norm_sq(grid: TorusGrid, rho: np.ndarray) -> float:
     return float(grid.cell_volume * np.sum(rho * rho))
 
 
+#: velocity-averaging regularity exponent of the velocity models; Sobolev
+#: diagnostics of kinetic densities need an order below half of it
+SMOOTHING_EXPONENT = 1.0
+
+
 @dataclass(frozen=True, eq=False)
 class VelocityQuadrature:
     """Discrete velocity measure with equilibrium profile and transport speeds.
 
-    ``weights`` and ``nodes`` discretize the velocity measure, ``equilibrium``
-    is the positive profile F with <F> = 1, and ``speeds`` are the transport
-    speeds a(v_k) with vanishing equilibrium flux sum_k w_k a_k F_k = 0.
-    ``smoothing_exponent`` records the velocity-averaging regularity exponent
-    used to validate Sobolev diagnostics of order s < exponent / 2.
+    ``weights`` discretize the velocity measure at the nodes v_k, ``speeds``
+    are the transport speeds a(v_k) = v_k with vanishing equilibrium flux
+    sum_k w_k a_k F_k = 0, and ``equilibrium`` is the positive profile F
+    with <F> = 1.
     """
 
-    name: str
-    nodes: np.ndarray
     weights: np.ndarray
     speeds: np.ndarray
     equilibrium: np.ndarray
-    smoothing_exponent: float = 1.0
 
     def __post_init__(self) -> None:
-        n = self.nodes.shape[0]
+        n = self.speeds.shape[0]
         if n < 2:
             raise ValueError(f"need at least 2 velocity nodes, got {n}")
-        for label in ("weights", "speeds", "equilibrium"):
+        for label in ("weights", "equilibrium"):
             if getattr(self, label).shape != (n,):
                 raise ValueError(f"{label} must have shape ({n},)")
         if np.any(self.weights <= 0.0):
@@ -92,7 +93,7 @@ class VelocityQuadrature:
 
     @property
     def n_v(self) -> int:
-        return self.nodes.shape[0]
+        return self.speeds.shape[0]
 
     def equilibrium_mass(self) -> float:
         """<F>, exactly 1 after builder normalization."""
@@ -125,7 +126,7 @@ def build_velocity_space(name: str, n_nodes: int | None = None) -> VelocityQuadr
         nodes = np.array([-1.0, 1.0])
         weights = np.array([0.5, 0.5])
         equilibrium = np.array([1.0, 1.0])
-        return VelocityQuadrature("two-speed", nodes, weights, nodes.copy(), equilibrium)
+        return VelocityQuadrature(weights, nodes, equilibrium)
     if key in ("legendre", "cont"):
         n = 8 if n_nodes is None else n_nodes
         if n < 2:
@@ -137,7 +138,7 @@ def build_velocity_space(name: str, n_nodes: int | None = None) -> VelocityQuadr
         w = (w + w[::-1]) / 2.0
         equilibrium = np.full(n, 0.5)
         w = w / math.fsum(w * equilibrium)
-        return VelocityQuadrature("legendre", x, w, x.copy(), equilibrium)
+        return VelocityQuadrature(w, x, equilibrium)
     raise ValueError(f"unknown velocity model {name!r}; use 'two-speed' or 'legendre'")
 
 
@@ -154,14 +155,6 @@ def equilibrium_field(quad: VelocityQuadrature, rho: np.ndarray) -> np.ndarray:
 def weighted_inner(grid: TorusGrid, quad: VelocityQuadrature, f: np.ndarray, g: np.ndarray) -> float:
     """Inner product in the equilibrium-weighted space, (f, g) = int <fg/F> dx."""
     return float(grid.cell_volume * np.sum((quad.weights / quad.equilibrium) @ (f * g)))
-
-
-def weighted_norm_sq(grid: TorusGrid, quad: VelocityQuadrature, f: np.ndarray) -> float:
-    return weighted_inner(grid, quad, f, f)
-
-
-def weighted_norm(grid: TorusGrid, quad: VelocityQuadrature, f: np.ndarray) -> float:
-    return math.sqrt(max(weighted_norm_sq(grid, quad, f), 0.0))
 
 
 def relaxation_operator(quad: VelocityQuadrature, f: np.ndarray) -> np.ndarray:
@@ -225,15 +218,6 @@ class RationalOpacity(Opacity):
         s0, s1 = self.s0, self.s1
         scale = math.sqrt(s0 / (s0 + s1))
         return u / s0 - (s1 / s0) / math.sqrt(s0 * (s0 + s1)) * np.arctan(scale * u)
-
-
-def make_opacity(kind: str, **params: float) -> Opacity:
-    key = kind.strip().lower()
-    if key == "constant":
-        return ConstantOpacity(params.get("value", 1.0))
-    if key == "rational":
-        return RationalOpacity(params.get("s0", 1.0), params.get("s1", 1.0))
-    raise ValueError(f"unknown opacity kind {kind!r}; use 'constant' or 'rational'")
 
 
 def relax_exact(

@@ -107,9 +107,6 @@ class NoiseModel:
     def n_states(self) -> int:
         return self.states.shape[0]
 
-    def flat_states(self) -> np.ndarray:
-        return self.states.reshape(self.n_states, -1)
-
 
 def make_noise_model(
     grid: TorusGrid,
@@ -195,10 +192,9 @@ def noise_statistics(model: NoiseModel) -> NoiseStatistics:
     """Poisson profiles, drift fields and covariance eigenmodes of a chain."""
     grid = model.grid
     psi = solve_poisson(model.generator, model.stationary, model.states)
-    n_flat = model.flat_states()
-    p_flat = psi.reshape(model.n_states, -1)
-    drift_paper = np.einsum("i,ix,ix->x", model.stationary, n_flat, p_flat).reshape(grid.shape)
-    half = p_flat.T @ (model.stationary[:, None] * n_flat)
+    states = model.states
+    drift_paper = np.einsum("i,ix,ix->x", model.stationary, states, psi)
+    half = psi.T @ (model.stationary[:, None] * states)
     kernel = -(half + half.T)
     drift_effective = (0.5 * np.diag(kernel)).reshape(grid.shape)
     eigvals, eigvecs = np.linalg.eigh(kernel * grid.cell_volume)
@@ -222,7 +218,6 @@ class NoisePath:
     """
 
     model: NoiseModel
-    epsilon: float
     t_final: float
     jump_times: np.ndarray
     state_indices: np.ndarray
@@ -298,4 +293,4 @@ def sample_path(
         times.append(t)
         states.append(state)
         t += float(rng.exponential(1.0 / rates[state]))
-    return NoisePath(model, epsilon, t_final, np.array(times), np.array(states, dtype=np.int64))
+    return NoisePath(model, t_final, np.array(times), np.array(states, dtype=np.int64))

@@ -81,7 +81,7 @@ def nan_paths(nan_times):
     step whose window reaches that time.  An ensemble draws the path of
     sample k with its k-th call."""
     return _altered_draws(nan_times, lambda path, t: NoisePath(
-        path.model, path.epsilon, path.t_final, np.array([0.0, t, np.nan]),
+        path.model, path.t_final, np.array([0.0, t, np.nan]),
         np.zeros(3, dtype=np.int64)))
 
 

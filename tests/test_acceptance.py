@@ -15,7 +15,7 @@ import pytest
 
 import conftest
 from conftest import random_chain, stepped_fields, translate
-from rosselab.cli import main
+from rosselab.cli import Setup, main
 from rosselab.config import parse_config
 from rosselab.correctors import FourierMode, build_correctors, martingale_residual
 from rosselab.harness import (
@@ -26,19 +26,22 @@ from rosselab.harness import (
 )
 from rosselab.kinetic import KineticConfig, run_kinetic
 from rosselab.model import (
+    ConstantOpacity,
+    RationalOpacity,
     TorusGrid,
     build_velocity_space,
     equilibrium_field,
     l2_norm_sq,
-    make_opacity,
     relax_exact,
 )
 from rosselab.noise import cosine_profile, noise_statistics, telegraph_noise
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "acceptance.ini"
 RUN = parse_config(str(CONFIG_PATH))
+#: the fixture's solver objects, built once as the command line builds them
+SETUP = Setup(RUN)
 MODE = FourierMode(1, "cos")
-OPACITY = make_opacity("rational", s0=1.0, s1=1.0)
+OPACITY = RationalOpacity(1.0, 1.0)
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> bool:
@@ -124,13 +127,13 @@ def test_criterion_3_solver_oracles():
     heat_grid = TorusGrid(64)
     xh = heat_grid.axis_points()
     rho0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * xh)
-    config = KineticConfig(heat_grid, quad, make_opacity("constant", value=1.0),
+    config = KineticConfig(heat_grid, quad, ConstantOpacity(1.0),
                            epsilon=0.009, t_final=0.1, dt=1e-5)
     trajectory = run_kinetic(config, rho0)
     exact = 1.0 + 0.5 * math.exp(-4.0 * math.pi**2 * 0.1) * np.cos(2.0 * np.pi * xh)
     heat_err = math.sqrt(l2_norm_sq(heat_grid, trajectory.final_density() - exact))
 
-    opacity = make_opacity("rational", s0=1.0, s1=1.0)
+    opacity = RationalOpacity(1.0, 1.0)
     rho = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
 
     def final_state(dt):
@@ -151,12 +154,8 @@ def test_criterion_3_solver_oracles():
 
 
 def test_criterion_4_deterministic_limit():
-    grid = RUN.build_grid()
-    quad = RUN.build_quad()
-    opacity = RUN.build_opacity()
-    rho0 = RUN.build_rho0(grid)
-    report = deterministic_convergence(grid, quad, opacity, rho0, 0.5,
-                                       [0.4, 0.2, 0.1, 0.05])
+    report = deterministic_convergence(SETUP.grid, SETUP.quad, SETUP.opacity, SETUP.rho0,
+                                       0.5, [0.4, 0.2, 0.1, 0.05])
     ok = report.errors_strictly_decreasing() and report.slope >= RUN.slope_min
     errors = ", ".join(f"{e:.2e}" for e in report.errors)
     assert verdict(
@@ -202,15 +201,12 @@ def test_criterion_5_corrector_algebra():
 
 
 def test_criterion_6_martingale_problem():
-    grid = RUN.build_grid()
-    quad = RUN.build_quad()
-    opacity = RUN.build_opacity()
-    rho0 = RUN.build_rho0(grid)
+    grid = SETUP.grid
     model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
     stats = noise_statistics(model)
-    config = KineticConfig(grid, quad, opacity, epsilon=0.25, t_final=0.3,
+    config = KineticConfig(grid, SETUP.quad, SETUP.opacity, epsilon=0.25, t_final=0.3,
                            dt=0.1 / 13.0, noise=model)
-    check = martingale_residual(config, stats, MODE, rho0, 0.1, 0.3,
+    check = martingale_residual(config, stats, MODE, SETUP.rho0, 0.1, 0.3,
                                 n_samples=10_000, base_seed=20260823)
     mean_sigmas = abs(check.weighted_mean) / check.weighted_sem
     qv_sigmas = abs(check.qv_gap_mean) / check.qv_gap_sem
@@ -224,10 +220,9 @@ def test_criterion_6_martingale_problem():
 
 @pytest.fixture(scope="module")
 def sweep_report():
-    grid = RUN.build_grid()
     return epsilon_sweep(
-        grid, RUN.build_quad(), RUN.build_opacity(), RUN.build_noise(grid),
-        RUN.build_rho0(grid), RUN.t_final, RUN.epsilons,
+        SETUP.grid, SETUP.quad, SETUP.opacity, SETUP.noise, SETUP.rho0,
+        RUN.t_final, RUN.epsilons,
         RUN.samples_kinetic, RUN.samples_limit, RUN.base_seed,
         mode=RUN.modes[0], sobolev_order=RUN.sobolev_order,
         dt_scale=RUN.dt_scale,

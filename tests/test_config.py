@@ -1,20 +1,35 @@
 """Tests for the run-configuration grammar and its validation."""
 
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosselab.config import KNOWN_KEYS, ConfigError, RunConfig, parse_config
+from rosselab.config import KEYS, KNOWN_KEYS, ConfigError, RunConfig, parse_config
 from rosselab.correctors import FourierMode
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, text):
     path = tmp_path / "run.ini"
     path.write_text(text)
     return str(path)
+
+
+def violations(tmp_path, text):
+    """The violation list parse_config reports for text, [] when it parses."""
+    try:
+        parse_config(write_config(tmp_path, text))
+    except ConfigError as exc:
+        return exc.violations
+    return []
 
 
 class TestParsing:
@@ -110,67 +125,6 @@ t_final = 0.1
         else:
             pytest.fail("expected a ConfigError")
 
-    def test_more_than_one_mode_rejected(self, tmp_path):
-        # every consumer reads a single mode, so a second one would be
-        # silently dropped
-        with pytest.raises(ConfigError, match=r"\[harness\] modes .*got 2 modes"):
-            parse_config(write_config(tmp_path, "[harness]\nmodes = cos1, sin2\n"))
-
-    def test_step_rule_violation_names_the_rule(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"dt <= eps\^2/2"):
-            parse_config(write_config(tmp_path, """
-[simulation]
-epsilon = 0.2
-dt = 0.05
-t_final = 0.1
-"""))
-
-    def test_time_horizon_must_be_a_step_multiple(self, tmp_path):
-        with pytest.raises(ConfigError, match="integer multiple"):
-            parse_config(write_config(tmp_path, """
-[simulation]
-epsilon = 1.0
-dt = 0.03
-t_final = 0.1
-"""))
-
-    def test_duplicate_epsilons_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="distinct"):
-            parse_config(write_config(tmp_path, "[simulation]\nepsilons = 0.2, 0.2\n"))
-
-    def test_velocity_nodes_need_the_quadrature_model(self, tmp_path):
-        with pytest.raises(ConfigError, match="velocity_nodes"):
-            parse_config(write_config(tmp_path, """
-[model]
-velocity = two-speed
-velocity_nodes = 6
-"""))
-
-    def test_sigma_upper_requires_rational_opacity(self, tmp_path):
-        with pytest.raises(ConfigError, match="sigma_upper"):
-            parse_config(write_config(tmp_path, """
-[model]
-opacity = constant
-sigma_upper = 2.0
-"""))
-
-    def test_sigma_bounds_must_be_ordered(self, tmp_path):
-        with pytest.raises(ConfigError, match="at least sigma_star"):
-            parse_config(write_config(tmp_path, """
-[model]
-opacity = rational
-sigma_star = 2.0
-sigma_upper = 1.0
-"""))
-
-    def test_bad_choice_lists_options(self, tmp_path):
-        with pytest.raises(ConfigError, match="telegraph"):
-            parse_config(write_config(tmp_path, "[noise]\nfixture = telegrph\n"))
-
-    def test_dt_scale_cap(self, tmp_path):
-        with pytest.raises(ConfigError, match="dt_scale"):
-            parse_config(write_config(tmp_path, "[simulation]\ndt_scale = 0.6\n"))
-
     @pytest.mark.parametrize("text", [
         "n_x = 16\n",
         "[model]\nn_x = 16\n[model]\nvelocity = gt2\n",
@@ -227,6 +181,151 @@ def test_fuzzed_ini_raises_only_config_errors(tmp_path_factory, lines):
         assert isinstance(parse_config(str(path)), RunConfig)
     except ConfigError:
         pass
+
+
+# --- the parser's exact output -------------------------------------------
+
+#: one bad value per key of KEYS and the exact violations it gives; a path
+#: takes any text
+BAD_VALUES = {
+    "n_x": ("three", ["[model] n_x = 'three': expected a positive integer "
+                      "(invalid literal for int() with base 10: 'three')"]),
+    "velocity": ("four-speed", ["[model] velocity = 'four-speed': must be one of two-speed, "
+                                "gt2, legendre, cont; did you mean 'two-speed'?"]),
+    "velocity_nodes": ("0", ["[model] velocity_nodes = '0': expected a positive integer "
+                             "(must be a positive integer)",
+                             "[model] velocity_nodes requires velocity = legendre"]),
+    "opacity": ("linear", ["[model] opacity = 'linear': must be one of constant, rational"]),
+    "sigma_star": ("-1", ["[model] sigma_star = '-1': expected a positive number "
+                          "(must be a positive finite number)"]),
+    "sigma_upper": ("0", ["[model] sigma_upper = '0': expected a positive number "
+                          "(must be a positive finite number)"]),
+    "fixture": ("none", ["[noise] fixture = 'none': must be one of off, telegraph, rotor3"]),
+    "amplitude": ("nan", ["[noise] amplitude = 'nan': expected a finite number "
+                          "(must be finite)"]),
+    "frequency": ("1.5", ["[noise] frequency = '1.5': expected a positive integer "
+                          "(invalid literal for int() with base 10: '1.5')"]),
+    "rate": ("0", ["[noise] rate = '0': expected a positive number "
+                   "(must be a positive finite number)"]),
+    "epsilon": ("-0.25", ["[simulation] epsilon = '-0.25': expected a positive number "
+                          "(must be a positive finite number)"]),
+    "epsilons": ("0.5, 0.5", ["[simulation] epsilons = '0.5, 0.5': expected a "
+                              "comma-separated list of distinct positive numbers "
+                              "(epsilons must be distinct)"]),
+    "t_final": ("inf", ["[simulation] t_final = 'inf': expected a positive number "
+                        "(must be a positive finite number)"]),
+    "dt": ("fast", ["[simulation] dt = 'fast': expected 'auto' or a positive number "
+                    "(could not convert string to float: 'fast')"]),
+    "dt_scale": ("0", ["[simulation] dt_scale = '0': expected a positive number "
+                       "(must be a positive finite number)"]),
+    "snapshot_stride": ("0", ["[simulation] snapshot_stride = '0': expected a positive "
+                              "integer (must be a positive integer)"]),
+    "drift": ("ito", ["[simulation] drift = 'ito': must be one of effective, paper"]),
+    "rho0_mean": ("inf", ["[simulation] rho0_mean = 'inf': expected a finite number "
+                          "(must be finite)"]),
+    "rho0_modes": ("cos1", ["[simulation] rho0_modes = 'cos1': expected a list like "
+                            "'cos1:0.5, sin2:0.1' ('cos1' is not of the form mode:amplitude)"]),
+    "modes": ("cos1, sin2", ["[harness] modes = 'cos1, sin2': expected a single mode like "
+                             "'cos1' (got 2 modes; the sweep and verify read exactly one)"]),
+    "samples_kinetic": ("-5", ["[harness] samples_kinetic = '-5': expected a positive "
+                               "integer (must be a positive integer)"]),
+    "samples_limit": ("many", ["[harness] samples_limit = 'many': expected a positive "
+                               "integer (invalid literal for int() with base 10: 'many')"]),
+    "base_seed": ("-1", ["[harness] base_seed = '-1': expected a nonnegative integer "
+                         "(must be a nonnegative integer)"]),
+    "sobolev_order": ("0", ["[harness] sobolev_order = '0': expected a positive number "
+                            "(must be a positive finite number)"]),
+    "slack_sigma": ("-1", ["[harness] slack_sigma = '-1': expected a positive number "
+                           "(must be a positive finite number)"]),
+    "paper_excess_min": ("nan", ["[harness] paper_excess_min = 'nan': expected a positive "
+                                 "number (must be a positive finite number)"]),
+    "band_max": ("0", ["[harness] band_max = '0': expected a positive number "
+                       "(must be a positive finite number)"]),
+    "slope_min": ("x", ["[harness] slope_min = 'x': expected a positive number "
+                        "(could not convert string to float: 'x')"]),
+    "heat_gap_max": ("-0.02", ["[harness] heat_gap_max = '-0.02': expected a positive "
+                               "number (must be a positive finite number)"]),
+    "identity_tol": ("0", ["[harness] identity_tol = '0': expected a positive number "
+                           "(must be a positive finite number)"]),
+    "directory": ("", []),
+}
+
+#: a near miss for each choice key, so the suggestion is pinned too
+NEAR_MISSES = {
+    "velocity": ("Legendr", ["[model] velocity = 'Legendr': must be one of two-speed, gt2, "
+                             "legendre, cont; did you mean 'legendre'?"]),
+    "opacity": ("constnt", ["[model] opacity = 'constnt': must be one of constant, "
+                            "rational; did you mean 'constant'?"]),
+    "fixture": ("telegrph", ["[noise] fixture = 'telegrph': must be one of off, telegraph, "
+                             "rotor3; did you mean 'telegraph'?"]),
+    "drift": ("papr", ["[simulation] drift = 'papr': must be one of effective, paper; "
+                       "did you mean 'paper'?"]),
+}
+
+#: one input per cross-field rule
+CROSS_FIELD = {
+    "velocity-nodes-need-legendre": (
+        "[model]\nvelocity = gt2\nvelocity_nodes = 4\n",
+        ["[model] velocity_nodes requires velocity = legendre"]),
+    "sigma-upper-needs-rational": (
+        "[model]\nopacity = constant\nsigma_upper = 3.0\n",
+        ["[model] sigma_upper applies to the rational opacity only"]),
+    "sigma-bounds-ordered": (
+        "[model]\nsigma_star = 2.5\nsigma_upper = 1.5\n",
+        ["[model] sigma_upper = 1.5 must be at least sigma_star = 2.5"]),
+    "amplitude-nonzero": (
+        "[noise]\nfixture = rotor3\namplitude = 0\n",
+        ["[noise] amplitude must be nonzero when a fixture is on"]),
+    "dt-step-cap": (
+        "[simulation]\nepsilon = 0.2\ndt = 0.05\nt_final = 0.1\n",
+        ["[simulation] dt = 0.05 violates the step rule dt <= eps^2/2 "
+         "(eps = 0.2 gives cap 0.02)"]),
+    "t-final-step-multiple": (
+        "[simulation]\nepsilon = 1.0\ndt = 0.03\nt_final = 0.1\n",
+        ["[simulation] t_final = 0.1 is not an integer multiple of dt = 0.03"]),
+    "dt-scale-cap": (
+        "[simulation]\ndt_scale = 0.6\n",
+        ["[simulation] dt_scale = 0.6 violates the step rule dt <= eps^2/2"]),
+    "sample-counts": (
+        "[harness]\nsamples_limit = 1\n",
+        ["[harness] sample counts must be at least 2"]),
+}
+
+_SECTION_OF = {key: section for section, key, *_ in KEYS}
+
+
+def test_bad_values_cover_every_key():
+    assert sorted(BAD_VALUES) == sorted(_SECTION_OF)
+
+
+@pytest.mark.parametrize("key", list(BAD_VALUES))
+def test_bad_value_violations_are_pinned(tmp_path, key):
+    value, expected = BAD_VALUES[key]
+    assert violations(tmp_path, f"[{_SECTION_OF[key]}]\n{key} = {value}\n") == expected
+
+
+@pytest.mark.parametrize("key", list(NEAR_MISSES))
+def test_near_miss_choices_are_pinned(tmp_path, key):
+    value, expected = NEAR_MISSES[key]
+    assert violations(tmp_path, f"[{_SECTION_OF[key]}]\n{key} = {value}\n") == expected
+
+
+@pytest.mark.parametrize("rule", list(CROSS_FIELD))
+def test_cross_field_violations_are_pinned(tmp_path, rule):
+    text, expected = CROSS_FIELD[rule]
+    assert violations(tmp_path, text) == expected
+
+
+def test_keys_name_exactly_the_config_fields():
+    named = sorted(field for _, _, field, *_ in KEYS)
+    assert named == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+def test_readme_config_block_is_the_default_config(tmp_path):
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    assert parse_config(write_config(tmp_path, block)) == RunConfig()
+    missing = [key for _, key, *_ in KEYS if not re.search(rf"\b{key} =", block)]
+    assert missing == []
 
 
 class TestBuilders:

@@ -16,19 +16,20 @@ from rosselab.correctors import (
     GeneratorEvaluator,
     build_correctors,
     generator_terms,
-    limit_generator,
     martingale_residual,
     parse_mode,
 )
 from rosselab.harness import identity_residuals
 from rosselab.kinetic import KineticConfig
+from rosselab.limit import rosseland_rhs
 from rosselab.model import (
+    ConstantOpacity,
+    RationalOpacity,
     TorusGrid,
     build_velocity_space,
     density,
     equilibrium_field,
-    make_opacity,
-    weighted_norm,
+    weighted_inner,
 )
 from rosselab.noise import (
     cosine_profile,
@@ -72,7 +73,7 @@ def random_chain_stats(seed, n_states=4, grid=GRID):
 
 def kinetic_config(eps, noise, quad_name="two-speed", n_nodes=None, grid=GRID):
     quad = build_velocity_space(quad_name, n_nodes)
-    opacity = make_opacity("rational", s0=1.0, s1=0.5)
+    opacity = RationalOpacity(1.0, 0.5)
     return KineticConfig(grid, quad, opacity, epsilon=eps, t_final=0.001, noise=noise)
 
 
@@ -191,8 +192,8 @@ class TestCorrectors:
             + np.max(np.abs(correctors.first_profiles))
             + np.max(np.abs(correctors.second_profiles))
         )
-        norm = weighted_norm(GRID, quad, f)
-        config = KineticConfig(GRID, quad, make_opacity("rational", s0=1.0, s1=0.5),
+        norm = math.sqrt(weighted_inner(GRID, quad, f, f))
+        config = KineticConfig(GRID, quad, RationalOpacity(1.0, 0.5),
                                epsilon=0.5, t_final=0.001, noise=stats.model)
         values = GeneratorEvaluator(config, stats, MODE).perturbed(density(quad, f))
         assert np.max(np.abs(values)) <= c_star * (1.0 + norm) ** 2
@@ -242,10 +243,11 @@ class TestGeneratorAlgebra:
         # s eps + c eps^2; fitting three epsilons predicts a fourth.
         stats = rotor_stats()
         quad = build_velocity_space("legendre", 8)
-        opacity = make_opacity("rational", s0=1.0, s1=0.5)
+        opacity = RationalOpacity(1.0, 0.5)
         diffusion = quad.diffusion_coefficient()
         grad_rho = fourier.gradient(GRID, RHO)
-        limit_value = limit_generator(GRID, opacity, diffusion, stats, RHO, MODE)
+        limit_value = MODE.apply(
+            GRID, rosseland_rhs(GRID, opacity, diffusion, RHO) + stats.drift("effective") * RHO)
 
         def quasi_steady(eps):
             slope = -(eps / opacity(RHO)) * grad_rho
@@ -305,28 +307,29 @@ class TestGeneratorAlgebra:
 class TestLimitGenerator:
     def test_constant_opacity_closed_form(self):
         sigma0, alpha, freq, diffusion = 2.0, 0.3, 1, 0.5
-        opacity = make_opacity("constant", value=sigma0)
+        opacity = ConstantOpacity(sigma0)
         rho = 1.0 + alpha * np.cos(2.0 * np.pi * freq * X)
-        value = limit_generator(GRID, opacity, diffusion, None, rho, FourierMode(freq))
+        value = FourierMode(freq).apply(GRID, rosseland_rhs(GRID, opacity, diffusion, rho))
         expected = -diffusion * 4.0 * math.pi**2 * freq**2 * alpha / sigma0 * math.sqrt(2.0) / 2.0
         assert abs(value - expected) < 1e-10
 
     def test_drift_conventions_differ_by_twice_effective(self):
         stats = telegraph_stats()
-        opacity = make_opacity("constant", value=1.0)
-        eff = limit_generator(GRID, opacity, 1.0, stats, RHO, MODE, drift="effective")
-        pap = limit_generator(GRID, opacity, 1.0, stats, RHO, MODE, drift="paper")
+        opacity = ConstantOpacity(1.0)
+        rhs = rosseland_rhs(GRID, opacity, 1.0, RHO)
+        eff = MODE.apply(GRID, rhs + stats.drift("effective") * RHO)
+        pap = MODE.apply(GRID, rhs + stats.drift("paper") * RHO)
         gap = 2.0 * GRID.cell_volume * np.sum(stats.drift_effective * RHO * MODE.profile(GRID))
         assert abs((eff - pap) - gap) < 1e-12
         with pytest.raises(ValueError):
-            limit_generator(GRID, opacity, 1.0, stats, RHO, MODE, drift="ito")
+            stats.drift("ito")
 
 
 class TestMartingaleResidual:
     def test_constant_data_without_noise_has_zero_residual(self):
         grid = TorusGrid(16)
         quad = build_velocity_space("two-speed")
-        opacity = make_opacity("constant", value=1.0)
+        opacity = ConstantOpacity(1.0)
         config = KineticConfig(grid, quad, opacity, epsilon=0.25, t_final=0.2, dt=0.02)
         rho0 = np.full(grid.n_x, 1.3)
         check = martingale_residual(config, None, FourierMode(1), rho0, 0.0, 0.2,
@@ -337,7 +340,7 @@ class TestMartingaleResidual:
     def test_window_validation(self):
         grid = TorusGrid(16)
         quad = build_velocity_space("two-speed")
-        opacity = make_opacity("constant", value=1.0)
+        opacity = ConstantOpacity(1.0)
         config = KineticConfig(grid, quad, opacity, epsilon=0.25, t_final=0.2, dt=0.02)
         rho0 = np.ones(grid.n_x)
         with pytest.raises(ValueError):
@@ -351,7 +354,7 @@ class TestMartingaleResidual:
         # would make the sigma tests meaningless
         grid = TorusGrid(16)
         quad = build_velocity_space("two-speed")
-        opacity = make_opacity("constant", value=1.0)
+        opacity = ConstantOpacity(1.0)
         config = KineticConfig(grid, quad, opacity, epsilon=0.25, t_final=0.2, dt=0.02)
         rho0 = np.ones(grid.n_x)
         with pytest.raises(ValueError, match="n_samples"):
@@ -364,7 +367,7 @@ class TestMartingaleResidual:
         quad = build_velocity_space("two-speed")
         model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
         stats = noise_statistics(model)
-        opacity = make_opacity("rational", s0=1.0, s1=1.0)
+        opacity = RationalOpacity(1.0, 1.0)
         config = KineticConfig(grid, quad, opacity, epsilon=0.25, t_final=0.3,
                                dt=0.1 / 13.0, noise=model)
         check = martingale_residual(config, stats, FourierMode(1), rho0, 0.1, 0.3,
@@ -382,7 +385,7 @@ class TestMartingaleResidual:
             model = telegraph_noise(grid, cosine_profile(grid, amplitude, 1), 1.0)
         else:
             model = rotor_noise(grid, amplitude, 1, 2.0)
-        config = KineticConfig(grid, quad, make_opacity("rational", s0=1.0, s1=1.0),
+        config = KineticConfig(grid, quad, RationalOpacity(1.0, 1.0),
                                epsilon=0.25, t_final=0.1, dt=0.1 / 13.0, noise=model)
         return config, noise_statistics(model), rho0
 

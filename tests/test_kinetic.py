@@ -25,7 +25,7 @@ from rosselab.model import (
     l2_norm_sq,
     relax_exact,
     relaxation_operator,
-    weighted_norm_sq,
+    weighted_inner,
 )
 from rosselab.noise import NoisePath, cosine_profile, sample_path, telegraph_noise
 
@@ -57,8 +57,8 @@ def test_transport_preserves_mass_and_energy():
     assert GRID.integrate(density(GT, out)) == pytest.approx(
         GRID.integrate(density(GT, f)), abs=1e-13
     )
-    assert weighted_norm_sq(GRID, GT, out) == pytest.approx(
-        weighted_norm_sq(GRID, GT, f), rel=1e-13
+    assert weighted_inner(GRID, GT, out, out) == pytest.approx(
+        weighted_inner(GRID, GT, f, f), rel=1e-13
     )
 
 
@@ -66,7 +66,6 @@ def test_noise_factor_matches_hand_integral():
     model = telegraph_noise(GRID, cosine_profile(GRID, 1.0, 1), 1.0)
     path = NoisePath(
         model,
-        epsilon=0.5,
         t_final=1.0,
         jump_times=np.array([0.0, 0.3]),
         state_indices=np.array([0, 1]),
@@ -80,7 +79,6 @@ def test_noise_factor_overflow_guard():
     model = telegraph_noise(GRID, cosine_profile(GRID, 500.0, 1), 1.0)
     path = NoisePath(
         model,
-        epsilon=0.1,
         t_final=1.0,
         jump_times=np.array([0.0]),
         state_indices=np.array([0]),
@@ -213,8 +211,9 @@ def test_spectral_diagnostics_equal_physical_formulas(n_x, velocity, eps, seed):
     fields = stepped_fields(config, equilibrium_field(quad, rho0))
     for k, f in enumerate(fields):
         assert traj.mass[k] == pytest.approx(grid.integrate(density(quad, f)), rel=1e-13)
-        assert traj.energy[k] == pytest.approx(weighted_norm_sq(grid, quad, f), rel=1e-13)
-        defect = math.sqrt(weighted_norm_sq(grid, quad, relaxation_operator(quad, f))) / eps
+        assert traj.energy[k] == pytest.approx(weighted_inner(grid, quad, f, f), rel=1e-13)
+        lf = relaxation_operator(quad, f)
+        defect = math.sqrt(weighted_inner(grid, quad, lf, lf)) / eps
         # <f> F - f cancels: its rounding error scales with the field, so a
         # defect near equilibrium is held to the field's norm
         scale = math.sqrt(traj.energy[k]) / eps

@@ -66,10 +66,9 @@ def test_poisson_solve_random_chains(n_states):
     rng = np.random.default_rng(10 + n_states)
     model = random_chain(rng, n_states, GRID)
     psi = solve_poisson(model.generator, model.stationary, model.states)
-    flat = model.flat_states()
-    residual = model.generator @ psi.reshape(n_states, -1) - flat
+    residual = model.generator @ psi - model.states
     assert np.max(np.abs(residual)) <= 1e-12
-    assert np.max(np.abs(model.stationary @ psi.reshape(n_states, -1))) <= 1e-12
+    assert np.max(np.abs(model.stationary @ psi)) <= 1e-12
 
 
 def test_poisson_solve_rejects_uncentered_values():
@@ -81,7 +80,7 @@ def test_poisson_solve_rejects_uncentered_values():
 def test_make_noise_model_centers_profiles():
     rng = np.random.default_rng(4)
     model = random_chain(rng, 4, GRID)
-    mean = model.stationary @ model.flat_states()
+    mean = model.stationary @ model.states
     assert np.max(np.abs(mean)) <= 1e-12
 
 
@@ -172,7 +171,6 @@ def test_path_bookkeeping_by_hand():
     model = telegraph_noise(GRID, cosine_profile(GRID, 1.0, 1), 1.0)
     path = NoisePath(
         model,
-        epsilon=1.0,
         t_final=1.0,
         jump_times=np.array([0.0, 0.25, 0.7]),
         state_indices=np.array([0, 1, 0]),
@@ -182,7 +180,7 @@ def test_path_bookkeeping_by_hand():
     assert path.state_index_at(0.9) == 0
     assert np.allclose(path.occupations(0.0, 1.0), [0.55, 0.45], atol=1e-15)
     assert np.allclose(path.occupations(0.2, 0.8), [0.15, 0.45], atol=1e-15)
-    integ = path.occupations(0.0, 1.0) @ model.flat_states()
+    integ = path.occupations(0.0, 1.0) @ model.states
     expected = 0.55 * model.states[0] + 0.45 * model.states[1]
     assert np.allclose(integ, expected, atol=1e-14)
     with pytest.raises(ValueError):
@@ -237,7 +235,7 @@ def test_window_arrays_match_scalar_calls_and_brute_force(fixture, epsilon, t_fi
 
 def test_nan_jump_time_makes_later_windows_nan():
     model = telegraph_noise(GRID, cosine_profile(GRID, 1.0, 1), 1.0)
-    path = NoisePath(model, 0.5, 1.0, np.array([0.0, 0.4, np.nan]), np.array([0, 1, 1]))
+    path = NoisePath(model, 1.0, np.array([0.0, 0.4, np.nan]), np.array([0, 1, 1]))
     occ = path.occupations(np.array([0.0, 0.2, 0.3]), np.array([0.2, 0.3, 0.5]))
     assert np.array_equal(occ[:2], [[0.2, 0.0], [0.3 - 0.2, 0.0]])
     assert np.isnan(occ[2]).any()
@@ -247,9 +245,9 @@ def test_profile_integral_is_additive():
     model = rotor_noise(GRID, 1.0, 1, 2.0)
     rng = np.random.default_rng(9)
     path = sample_path(model, 0.5, 2.0, rng)
-    left = path.occupations(0.0, 0.8) @ model.flat_states()
-    right = path.occupations(0.8, 2.0) @ model.flat_states()
-    total = path.occupations(0.0, 2.0) @ model.flat_states()
+    left = path.occupations(0.0, 0.8) @ model.states
+    right = path.occupations(0.8, 2.0) @ model.states
+    total = path.occupations(0.0, 2.0) @ model.states
     assert np.allclose(left + right, total, atol=1e-12)
 
 
@@ -300,6 +298,6 @@ def test_time_reversal_half_kernel(builder):
     for k in range(vals.size):
         path = sample_path(model, 1.0, 8.0, rng)
         start = model.states[path.state_indices[0], iy]
-        vals[k] = start * (path.occupations(0.0, 8.0) @ model.flat_states())[ix]
+        vals[k] = start * (path.occupations(0.0, 8.0) @ model.states)[ix]
     sem = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - expected) <= 3.0 * sem
