@@ -116,17 +116,15 @@ def cmd_noise_info(setup: Setup, out: Path, args) -> int:
         + ["drift_paper", "drift_effective"]
     )
     rows = [
-        [x[j], *states[:, j], *psi[:, j], stats.drift_paper.ravel()[j],
-         stats.drift_effective.ravel()[j]]
-        for j in range(setup.grid.size)
+        [x[j], *states[:, j], *psi[:, j], stats.drift_paper[j], stats.drift_effective[j]]
+        for j in range(setup.grid.n_x)
     ]
     write_csv(out / "noise_fields.csv", header, rows)
 
-    profiles = stats.mode_profiles.reshape(stats.rank, -1)
     mode_rows = [
-        [j, stats.mode_weights[j], x[i], profiles[j, i]]
+        [j, stats.mode_weights[j], x[i], stats.mode_profiles[j, i]]
         for j in range(stats.rank)
-        for i in range(setup.grid.size)
+        for i in range(setup.grid.n_x)
     ]
     write_csv(out / "noise_modes.csv", ["mode_index", "weight", "x", "value"], mode_rows)
 

@@ -94,7 +94,7 @@ class CorrectorSet:
     """
 
     stats: NoiseStatistics
-    first_profiles: np.ndarray  # (n_states, grid.size)
+    first_profiles: np.ndarray  # (n_states, n_x)
     second_profiles: np.ndarray
 
     def first_values(self, rho: np.ndarray) -> np.ndarray:
@@ -172,7 +172,8 @@ class GeneratorEvaluator:
 
     def terms(self, fields: np.ndarray) -> dict[str, np.ndarray]:
         """All generator terms of the ``fields`` of f, each of shape
-        (..., n_states) (n_states = 1 if no noise).
+        (..., n_states); with noise off only the two singular terms, of
+        shape (..., 1), since every other term vanishes.
 
         Each term already carries its power of eps, so their sum is
         L_eps phi_eps.  transport_* are -(1/eps)(A f, D phi_eps), relax_*
@@ -186,20 +187,7 @@ class GeneratorEvaluator:
         t_sing = -self.cell * _rows(self.p[None], div_flux) / eps
         r_sing = self.cell * _rows(self.p[None], sig_relax) / eps**2
         if self.correctors is None:
-            zero = np.zeros(t_sing.shape)
-            return {
-                "transport_singular": t_sing,
-                "transport_first": zero,
-                "transport_second": zero,
-                "relax_singular": r_sing,
-                "relax_first": zero,
-                "relax_second": zero,
-                "noise_singular": zero,
-                "noise_first": zero,
-                "noise_second": zero,
-                "chain_first": zero,
-                "chain_second": zero,
-            }
+            return {"transport_singular": t_sing, "relax_singular": r_sing}
         first_vals = self.correctors.first_values(rho)
         second_vals = self.correctors.second_values(rho)
         return {

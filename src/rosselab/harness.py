@@ -12,7 +12,7 @@ in isolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import fourier
 from .correctors import FourierMode, build_correctors, generator_terms
 from .kinetic import DT_CAP, KineticConfig, _sample_chunks, _trajectories, run_kinetic
-from .limit import SpdeConfig, _integrate, rosseland_remainder, run_limit, split_rate
+from .limit import SpdeConfig, _floats_per_sample, _integrate, rosseland_remainder, run_limit, split_rate
 from .model import (
     SMOOTHING_EXPONENT,
     Opacity,
@@ -32,12 +32,10 @@ from .model import (
     relaxation_operator,
     weighted_inner,
 )
-from .noise import NoiseModel, NoiseStatistics, _entropy, noise_statistics, sample_rng
+from .noise import NoiseModel, NoiseStatistics, _entropy, noise_statistics, sample_chunks, sample_rng
 
 #: names of the sweep functionals, in report order
 FUNCTIONAL_NAMES = ("mode-mean", "mode-var", "normsq-mean")
-#: most standard normals stacked for one batch of a limit ensemble (32 MiB)
-_NORMALS_BUDGET = 2**22
 #: contour points of the ETDRK4 coefficient means (Kassam & Trefethen 2005)
 CONTOUR_POINTS = 32
 
@@ -182,22 +180,19 @@ def limit_ensemble(
 
     Sample k integrates the normals ``sample_rng(seed, k)`` draws for a lone
     ``run_limit``, so it equals that run bit for bit.  The samples run
-    together on a leading axis, in batches whose stacked normals stay
-    within ``_NORMALS_BUDGET``; only the final densities are kept.  A
-    failing sample aborts the ensemble with the error of the lowest failing
-    sample, prefixed ``sample k: ``.
+    together on a leading axis, in the chunks of ``noise.sample_chunks``,
+    and only the final densities are kept.  A failing sample aborts the
+    ensemble with the error of the lowest failing sample, prefixed
+    ``sample k: ``.
     """
     _check_samples(n_samples)
-    n_steps, rank = config.n_steps, config.noise_rank
-    batch = max(_NORMALS_BUDGET // (n_steps * max(rank, 1)), 1)
+    config = replace(config, snapshot_stride=config.n_steps)
+    shape = (config.n_steps, config.noise_rank)
     finals = []
-    for start in range(0, n_samples, batch):
-        samples = range(start, min(start + batch, n_samples))
-        normals = np.empty((n_steps, len(samples), rank))
-        for row, k in enumerate(samples):
-            normals[:, row] = sample_rng(seed, k).standard_normal((n_steps, rank))
-        _, snaps, *_ = _integrate(config, rho0, normals, first_sample=start, history=False)
-        finals.extend(snaps[-1])
+    for start, normals in sample_chunks(n_samples, _floats_per_sample(config),
+                                        lambda k: sample_rng(seed, k).standard_normal(shape)):
+        _, snaps, *_ = _integrate(config, rho0, np.stack(normals, axis=1), first_sample=start)
+        finals.extend(snaps[:, -1])
     grid = config.grid
     return LimitEnsemble(
         np.array([mode.apply(grid, rho) for rho in finals]),
@@ -542,7 +537,7 @@ def identity_residuals(
         out["poisson-residual"] = np.max(np.abs(model.generator @ psi - model.states))
         out["kernel-symmetry"] = np.max(np.abs(stats.kernel - stats.kernel.T))
         out["drift-consistency"] = np.max(np.abs(stats.drift_paper + stats.drift_effective))
-        diag = np.diag(stats.kernel).reshape(grid.shape)
+        diag = np.diag(stats.kernel)
         out["kernel-diag-drift"] = np.max(np.abs(diag - 2.0 * stats.drift_effective))
         rate = _telegraph_rate(model)
         if rate is not None:

@@ -32,7 +32,7 @@ vector-matrix product per row), so a sample's bits do not depend on the
 batch it runs in.  One loop, ``_strang``, advances such a batch and checks
 every row at every step; ``run_kinetic`` is its one-sample case, and
 ``harness.kinetic_ensemble`` and ``correctors.martingale_residual`` run their
-samples through it in chunks of bounded memory (``_sample_chunks``).
+samples through it in the chunks of ``noise.sample_chunks`` (``_sample_chunks``).
 """
 
 from __future__ import annotations
@@ -52,15 +52,12 @@ from .model import (
     equilibrium_field,
     relax_exact,
 )
-from .noise import NoiseModel, NoisePath, sample_path, sample_rng
+from .noise import NoiseModel, NoisePath, _failure, sample_chunks, sample_path, sample_rng
 
 #: dt <= DT_CAP * eps^2 keeps the stiff relaxation and noise resolved
 DT_CAP = 0.5
 #: abort if a noise exponent exceeds this (exp would overflow usefulness)
 EXPONENT_LIMIT = 50.0
-#: most floats of per-sample state (see _floats_per_sample) that one chunk of
-#: an ensemble holds: 1 MiB, 101 samples of the criterion-6 martingale fixture
-_CHUNK_BUDGET = 2**17
 
 
 def transport_phases(grid: TorusGrid, quad: VelocityQuadrature, tau: float) -> np.ndarray:
@@ -175,7 +172,6 @@ class KineticTrajectory:
     mass: np.ndarray  # total mass per step
     energy: np.ndarray  # squared weighted norm per step
     defect: np.ndarray  # ||<f>F - f|| / eps per step
-    path: NoisePath | None
 
     def final_density(self) -> np.ndarray:
         return self.densities[-1]
@@ -276,10 +272,6 @@ def _strang(
         raise FloatingPointError(failure)
 
 
-def _failure(first_sample: int | None, row: int, message: str) -> str:
-    return message if first_sample is None else f"sample {first_sample + row}: {message}"
-
-
 def _trajectories(
     config: KineticConfig,
     rho0: np.ndarray,
@@ -310,7 +302,7 @@ def _trajectories(
             snaps[:live, math.ceil(k / stride)] = np.fft.irfft(rho, n=grid.n_x)
     return [
         KineticTrajectory(config, step_times[snap_steps], snaps[b], step_times,
-                          mass[b], energy[b], defect[b], paths[b])
+                          mass[b], energy[b], defect[b])
         for b in range(rows)
     ]
 
@@ -344,19 +336,14 @@ def _floats_per_sample(config: KineticConfig) -> int:
 
 
 def _sample_chunks(config: KineticConfig, n_samples: int, seed) -> Iterator[tuple[int, list]]:
-    """Yield (first sample, paths) for consecutive chunks of the samples.
+    """Yield (first sample, paths) for the chunks of ``noise.sample_chunks``.
 
     Sample k draws its path from ``sample_rng(seed, k)``, as a lone run of
-    sample k does; with noise off every path is None.  A chunk holds at
-    most ``_CHUNK_BUDGET`` floats of per-sample state.
+    sample k does; with noise off every path is None.
     """
-    size = max(_CHUNK_BUDGET // _floats_per_sample(config), 1)
-    for start in range(0, n_samples, size):
-        samples = range(start, min(start + size, n_samples))
+    def draw(k: int) -> NoisePath | None:
         if config.noise is None:
-            yield start, [None] * len(samples)
-        else:
-            yield start, [
-                sample_path(config.noise, config.epsilon, config.t_final, sample_rng(seed, k))
-                for k in samples
-            ]
+            return None
+        return sample_path(config.noise, config.epsilon, config.t_final, sample_rng(seed, k))
+
+    return sample_chunks(n_samples, _floats_per_sample(config), draw)

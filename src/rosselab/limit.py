@@ -35,13 +35,13 @@ No step is capped by the grid spacing; ``SpdeConfig`` documents the
 default step rule.  ``harness.rosseland_reference`` integrates the
 noise-free equation by ETDRK4 on the same split.
 
-Densities may carry a leading sample axis, shape (B, n_x), with normals of
-shape (B, rank): every operation of a step acts on each row alone, so a
-sample's path does not depend on the batch it is integrated in.  One loop,
-``_integrate``, advances a lone density or such a batch and checks every
-sample for finiteness and positivity at every step; ``run_limit`` is its
-one-sample case and ``harness.limit_ensemble`` runs whole ensembles
-through it.
+The loop steps a batch of samples, densities of shape (B, n_x) with one row
+of normals per sample: every operation of a step acts on each row alone, so
+a sample's path does not depend on the batch it is integrated in.  One loop,
+``_integrate``, advances such a batch and checks every sample for
+finiteness and positivity at every step; ``run_limit`` is its one-sample
+case, and ``harness.limit_ensemble`` runs its samples through it in the
+chunks of ``noise.sample_chunks``, as the kinetic ensembles do.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 
 from . import fourier
 from .model import Opacity, TorusGrid
-from .noise import NoiseStatistics
+from .noise import NoiseStatistics, _failure
 
 #: ``SpdeConfig(dt=None)`` takes at least this many steps per decay time
 #: sigma_* / (4 pi^2 K) of the first Fourier mode at the largest diffusivity
@@ -199,86 +199,77 @@ def _integrate(
     rho0: np.ndarray,
     normals: np.ndarray,
     first_sample: int | None = None,
-    history: bool = True,
 ) -> tuple[np.ndarray, ...]:
-    """Advance samples from rho0 with normals of shape (n_steps, ..., rank).
+    """Advance B samples from rho0 with normals of shape (n_steps, B, rank).
 
-    The axes between the first and the last of ``normals`` are sample axes:
-    none for a lone run, (B,) for a batch.  Returns the snapshot times, the
-    snapshots (n_snap, ..., n_x), the step times and the per-step mass and
-    norm_sq (n_steps + 1, ...).  With ``history=False`` only the initial and
-    final snapshots and the final mass and norm_sq are kept, whatever the
-    config's snapshot stride.
+    Returns the snapshot times, the snapshots (B, n_snap, n_x), the step
+    times and the per-step mass and norm_sq (B, n_steps + 1), one row per
+    sample, as ``kinetic._trajectories`` lays them out.
 
-    Every step checks each sample's squared norm for finiteness and its
-    density for positivity.  A failing sample stops itself and the samples
-    above it; the rows below run on, so the run raises for the lowest
-    failing sample at its own first failing step.  With ``first_sample``
-    set, the message names it as ``sample first_sample + row``.
+    Every step checks each row's squared norm for finiteness and its
+    density for positivity.  A failing row stops itself and the rows above
+    it; the rows below run on, so the run raises for the lowest failing row
+    at its own first failing step.  With ``first_sample`` set, the message
+    names it as ``sample first_sample + row``.
     """
-    n_steps = normals.shape[0]
-    dt = config.dt
-    cell = config.grid.cell_volume
-    stride = config.snapshot_stride if history else n_steps
+    n_steps, rows = normals.shape[:2]
+    dt, cell, stride = config.dt, config.grid.cell_volume, config.snapshot_stride
     stepper = SpdeStepper(config)
-    rho = np.array(np.broadcast_to(rho0, normals.shape[1:-1] + config.grid.shape), dtype=float)
+    rho = np.repeat(np.asarray(rho0, dtype=float)[None], rows, axis=0)
     snap_steps = np.arange(0, n_steps + 1, stride)
     if snap_steps[-1] != n_steps:
         snap_steps = np.append(snap_steps, n_steps)
-    snaps = np.empty(snap_steps.shape + rho.shape)
-    mass = np.empty((n_steps + 1 if history else 1,) + rho.shape[:-1])
-    norm_sq = np.empty_like(mass)
+    mass, norm_sq = np.empty((2, rows, n_steps + 1))
+    snaps = np.empty((rows, len(snap_steps)) + config.grid.shape)
     failure = None
-    j = 0
+    live = rows
     for k in range(n_steps + 1):
         t = k * dt
-        row = k if history else 0
-        mass[row] = cell * rho.sum(axis=-1)
-        sq = norm_sq[row] = cell * (rho * rho).sum(axis=-1)
+        sq = cell * (rho * rho).sum(axis=-1)
         if not (rho.min() > 0.0 and sq.max() < math.inf):
-            rows, row_sq = rho.reshape(-1, rho.shape[-1]), sq.reshape(-1)
-            live = int(np.argmax(~(np.isfinite(row_sq) & (rows.min(axis=-1) > 0.0))))
-            if np.isfinite(row_sq[live]):
-                failure = f"density lost positivity at t = {t:g} (min = {rows[live].min():.3e})"
+            live = int(np.argmax(~(np.isfinite(sq) & (rho.min(axis=-1) > 0.0))))
+            if np.isfinite(sq[live]):
+                message = f"density lost positivity at t = {t:g} (min = {rho[live].min():.3e})"
             else:
-                failure = f"density lost finiteness at step {k} (t = {t:g})"
-            if first_sample is not None:
-                failure = f"sample {first_sample + live}: {failure}"
+                message = f"density lost finiteness at step {k} (t = {t:g})"
+            failure = _failure(first_sample, live, message)
             if live == 0:
                 break
-            rho, normals = rho[:live], normals[:, :live]
-            snaps, mass, norm_sq = snaps[:, :live], mass[:, :live], norm_sq[:, :live]
+            rho, sq = rho[:live], sq[:live]
+        mass[:live, k] = cell * rho.sum(axis=-1)
+        norm_sq[:live, k] = sq
         if k % stride == 0 or k == n_steps:
-            snaps[j] = rho
-            j += 1
+            snaps[:live, math.ceil(k / stride)] = rho
         if k < n_steps:
-            rho = stepper.step(rho, normals[k])
+            rho = stepper.step(rho, normals[k, :live])
     if failure is not None:
         raise FloatingPointError(failure)
     return snap_steps * dt, snaps, np.arange(n_steps + 1) * dt, mass, norm_sq
+
+
+def _floats_per_sample(config: SpdeConfig) -> int:
+    """Floats one sample of a chunk holds: its normals, its density and the
+    temporaries of a step (8 densities' worth), its snapshots and its
+    per-step mass and norm_sq."""
+    n_snap = -(-config.n_steps // config.snapshot_stride) + 1
+    return config.n_steps * (config.noise_rank + 2) + (8 + n_snap) * config.grid.n_x + 2
 
 
 def run_limit(
     config: SpdeConfig,
     rho0: np.ndarray,
     rng: np.random.Generator | None = None,
-    normals: np.ndarray | None = None,
 ) -> SpdeTrajectory:
     """Run the limit equation from rho0 and record diagnostics.
 
-    Noise increments are drawn from ``rng`` unless an (n_steps, rank) array
-    of standard normals is supplied.  The run is the one-sample case of the
+    With noise on, the increments are one (n_steps, rank) array of standard
+    normals drawn from ``rng``.  The run is the one-sample case of the
     batched loop: it aborts with ``FloatingPointError`` at the first step
     whose density is not finite or not positive.
     """
-    n_steps = config.n_steps
-    rank = config.noise_rank
-    if rank > 0 and normals is None:
-        if rng is None:
-            raise ValueError("pass rng (or a normals array) when noise is on")
-        normals = rng.standard_normal((n_steps, rank))
-    if normals is None:
-        normals = np.zeros((n_steps, 0))
-    if normals.shape != (n_steps, rank):
-        raise ValueError(f"normals must have shape ({n_steps}, {rank})")
-    return SpdeTrajectory(config, *_integrate(config, rho0, normals))
+    n_steps, rank = config.n_steps, config.noise_rank
+    if rank > 0 and rng is None:
+        raise ValueError("pass rng when noise is on")
+    normals = rng.standard_normal((n_steps, rank)) if rank > 0 else np.empty((n_steps, 0))
+    times, snaps, step_times, mass, norm_sq = _integrate(config, rho0, normals[:, None])
+    return SpdeTrajectory(config, times, snaps[0], step_times, mass[0], norm_sq[0])

@@ -43,10 +43,6 @@ class TorusGrid:
     def cell_volume(self) -> float:
         return self.spacing
 
-    @property
-    def size(self) -> int:
-        return self.n_x
-
     def axis_points(self) -> np.ndarray:
         return np.arange(self.n_x) / self.n_x
 

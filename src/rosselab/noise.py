@@ -11,13 +11,15 @@ module computes the chain statistics that drive the diffusion limit:
 * the eigendecomposition of the covariance operator with kernel k.
 
 ``sample_path`` draws exact trajectories of the accelerated chain (rates
-divided by epsilon^2) with jump times stored in physical time, and
-``sample_rng`` seeds the generator of one ensemble member.
+divided by epsilon^2) with jump times stored in physical time,
+``sample_rng`` seeds the generator of one ensemble member, and
+``sample_chunks`` splits an ensemble into chunks of bounded memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -27,6 +29,9 @@ from .model import TorusGrid
 EIG_CLIP = 1e-10
 #: relative threshold for declaring the covariance kernel indefinite
 EIG_NEGATIVE = 1e-8
+#: most floats of per-sample state that one chunk of an ensemble holds:
+#: 1 MiB, 101 samples of the criterion-6 martingale fixture
+CHUNK_BUDGET = 2**17
 
 
 def _check_generator(generator: np.ndarray) -> np.ndarray:
@@ -125,11 +130,10 @@ def make_noise_model(
     nu = stationary_law(generator)
     if states.shape[0] != len(nu):
         raise ValueError("number of profiles must match the rate matrix size")
-    flat = states.reshape(states.shape[0], -1)
-    mean = nu @ flat
+    mean = nu @ states
     if center:
-        states = states - mean.reshape(grid.shape)
-    elif np.max(np.abs(mean)) > 1e-12 * max(np.max(np.abs(flat)), 1.0):
+        states = states - mean
+    elif np.max(np.abs(mean)) > 1e-12 * max(np.max(np.abs(states)), 1.0):
         raise ValueError("profiles are not centered under the stationary law")
     return NoiseModel(grid, states, np.asarray(generator, dtype=float), nu)
 
@@ -172,7 +176,7 @@ class NoiseStatistics:
     poisson_profiles: np.ndarray  # psi_i, same shape as model.states
     drift_paper: np.ndarray  # H(x) = sum_i nu_i n_i psi_i
     drift_effective: np.ndarray  # h_eff(x) = k(x, x) / 2 = -H(x)
-    kernel: np.ndarray  # (grid.size, grid.size), symmetric PSD
+    kernel: np.ndarray  # (n_x, n_x), symmetric PSD
     mode_weights: np.ndarray  # (rank,) positive eigenvalues, descending
     mode_profiles: np.ndarray  # (rank,) + grid.shape, L^2-orthonormal
 
@@ -196,7 +200,7 @@ def noise_statistics(model: NoiseModel) -> NoiseStatistics:
     drift_paper = np.einsum("i,ix,ix->x", model.stationary, states, psi)
     half = psi.T @ (model.stationary[:, None] * states)
     kernel = -(half + half.T)
-    drift_effective = (0.5 * np.diag(kernel)).reshape(grid.shape)
+    drift_effective = 0.5 * np.diag(kernel)
     eigvals, eigvecs = np.linalg.eigh(kernel * grid.cell_volume)
     top = max(eigvals[-1], 0.0)
     scale = max(np.max(np.abs(eigvals)) if eigvals.size else 0.0, 1e-300)
@@ -204,7 +208,7 @@ def noise_statistics(model: NoiseModel) -> NoiseStatistics:
         raise ValueError("covariance kernel is not positive semidefinite")
     keep = np.flatnonzero(eigvals > EIG_CLIP * top)[::-1]
     weights = eigvals[keep]
-    profiles = (eigvecs[:, keep].T / np.sqrt(grid.cell_volume)).reshape((-1,) + grid.shape)
+    profiles = eigvecs[:, keep].T / np.sqrt(grid.cell_volume)
     return NoiseStatistics(model, psi, drift_paper, drift_effective, kernel, weights, profiles)
 
 
@@ -264,6 +268,24 @@ def _entropy(seed) -> tuple[int, ...]:
 def sample_rng(seed, index: int) -> np.random.Generator:
     """Generator for one ensemble member, independent across indices."""
     return np.random.default_rng(np.random.SeedSequence((*_entropy(seed), index)))
+
+
+def sample_chunks(n_samples: int, floats_per_sample: int, draw: Callable) -> Iterator[tuple[int, list]]:
+    """Yield (first sample, [draw(k) for each sample k of the chunk]) for
+    consecutive chunks of an ensemble, drawing k = 0, 1, ... in order.
+
+    A chunk holds at most ``CHUNK_BUDGET`` floats of per-sample state, or
+    one sample if a sample needs more.
+    """
+    size = max(CHUNK_BUDGET // floats_per_sample, 1)
+    for start in range(0, n_samples, size):
+        yield start, [draw(k) for k in range(start, min(start + size, n_samples))]
+
+
+def _failure(first_sample: int | None, row: int, message: str) -> str:
+    """The error of row ``row`` of a chunk, named ``sample k: `` when the
+    chunk starts at ``first_sample``."""
+    return message if first_sample is None else f"sample {first_sample + row}: {message}"
 
 
 def sample_path(

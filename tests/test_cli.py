@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import nan_normals, nan_paths
-from rosselab import harness, kinetic
+from rosselab import harness, kinetic, noise
 from rosselab.cli import main
 
 ACCEPTANCE_INI = Path(__file__).resolve().parent.parent / "configs" / "acceptance.ini"
@@ -152,6 +152,20 @@ class TestReproducibility:
         assert main(["sweep", "--config", config, "--out", str(a)]) == 0
         assert main(["sweep", "--config", config, "--out", str(b)]) == 0
         for name in ("sweep.csv", "hs.csv", "diagnostics.csv", "checks.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_sweep_does_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch):
+        # both ensembles of the sweep chunk through noise.sample_chunks; one
+        # sample per chunk must write the bytes one chunk per ensemble does
+        config = write_ini(tmp_path, TELEGRAPH_INI)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["sweep", "--config", config, "--out", str(a), "--samples", "4"]) == 0
+        monkeypatch.setattr(noise, "CHUNK_BUDGET", 1)
+        assert main(["sweep", "--config", config, "--out", str(b), "--samples", "4"]) == 0
+        names = sorted(path.name for path in a.glob("*.csv"))
+        assert names == sorted(path.name for path in b.glob("*.csv"))
+        assert "sweep.csv" in names and "manifest.csv" in names
+        for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 

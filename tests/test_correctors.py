@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import nan_paths
-from rosselab import fourier, kinetic
+from rosselab import fourier, kinetic, noise
 from rosselab.correctors import (
     FourierMode,
     GeneratorEvaluator,
@@ -400,7 +400,7 @@ class TestMartingaleResidual:
         config, stats, rho0 = self.martingale_fixture(fixture)
         whole = martingale_residual(config, stats, MODE, rho0, 0.1 / 13.0, 0.1,
                                     n_samples, seed)
-        with mock.patch.object(kinetic, "_CHUNK_BUDGET",
+        with mock.patch.object(noise, "CHUNK_BUDGET",
                                chunk * kinetic._floats_per_sample(config)):
             chunked = martingale_residual(config, stats, MODE, rho0, 0.1 / 13.0, 0.1,
                                           n_samples, seed)

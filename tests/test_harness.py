@@ -1,5 +1,6 @@
 """Tests for ensembles, the epsilon sweep and deterministic convergence."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import loud_paths, nan_normals, nan_paths, random_chain
 from rosselab.correctors import FourierMode
-from rosselab import harness, kinetic
+from rosselab import harness, kinetic, limit, noise
 from rosselab.harness import (
     FUNCTIONAL_NAMES,
     deterministic_convergence,
@@ -35,6 +36,14 @@ from rosselab.model import (
 from rosselab.noise import cosine_profile, noise_statistics, rotor_noise, telegraph_noise
 
 MODE = FourierMode(1, "cos")
+
+
+def limit_chunk_budget(config, chunk):
+    """A ``noise.CHUNK_BUDGET`` that puts ``chunk`` samples of
+    ``limit_ensemble(config, ...)`` in each chunk; the ensemble keeps only
+    the first and the last snapshot."""
+    kept = dataclasses.replace(config, snapshot_stride=config.n_steps)
+    return chunk * limit._floats_per_sample(kept)
 
 
 def small_problem(n_x=16):
@@ -148,7 +157,7 @@ class TestEnsembles:
         model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
         config = KineticConfig(grid, quad, opacity, epsilon=0.25, t_final=0.05,
                                dt=0.00625, noise=model)
-        monkeypatch.setattr(kinetic, "_CHUNK_BUDGET",
+        monkeypatch.setattr(noise, "CHUNK_BUDGET",
                             chunk * kinetic._floats_per_sample(config))
         with pytest.raises(FloatingPointError, match="^sample 2: " + message):
             kinetic_ensemble(config, rho0, MODE, 6, seed=1)
@@ -183,11 +192,14 @@ class TestEnsembles:
         assert ensemble.mode_values[k] == MODE.apply(config.grid, rho)
         assert ensemble.norm_sq[k] == l2_norm_sq(config.grid, rho)
 
-    def test_limit_error_names_lowest_failing_sample(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [2, 6])
+    def test_limit_error_names_lowest_failing_sample(self, monkeypatch, chunk):
         # sample 4 fails first in time, sample 2 later: the ensemble names
-        # sample 2 at its own first failing step, as a serial loop would
+        # sample 2 at its own first failing step, as a serial loop would,
+        # whether the two share a chunk or each opens its own
         monkeypatch.setattr(harness, "sample_rng", nan_normals({4: 0, 2: 10}))
         _, rho0, config, _ = self.gbm_fixture()
+        monkeypatch.setattr(noise, "CHUNK_BUDGET", limit_chunk_budget(config, chunk))
         with pytest.raises(FloatingPointError,
                            match=r"^sample 2: density lost finiteness at step 11 "):
             limit_ensemble(config, rho0, MODE, 6, seed=1)
@@ -248,15 +260,16 @@ class TestLimitEnsembleProperties:
         fixture=st.sampled_from(["telegraph", "rotor"]),
         drift=st.sampled_from(["effective", "paper"]),
         include_diffusion=st.booleans(),
-        batch=st.integers(1, 13),
+        chunk=st.integers(1, 13),
     )
-    # two samples per batch: sample 3 of 5 sits in the second of three batches
+    # two samples per chunk: sample 3 of 5 sits in the second of three chunks
     @example(sizes=(5, 3), seed=4, fixture="rotor", drift="paper",
-             include_diffusion=True, batch=2)
+             include_diffusion=True, chunk=2)
     def test_sample_equals_lone_run(self, sizes, seed, fixture, drift,
-                                    include_diffusion, batch):
+                                    include_diffusion, chunk):
         """Sample k of an ensemble equals a lone run of sample k, bit for bit,
-        whatever the batch size."""
+        whatever the chunk size, and so do its per-step mass and norm_sq in
+        a batch of every sample."""
         n_samples, k = sizes
         grid = TorusGrid(8)
         x = grid.axis_points()
@@ -269,12 +282,18 @@ class TestLimitEnsembleProperties:
                             noise=noise_statistics(model), drift=drift,
                             include_diffusion=include_diffusion,
                             dt=None if include_diffusion else 0.002)
-        with mock.patch.object(harness, "_NORMALS_BUDGET",
-                               batch * config.n_steps * config.noise_rank):
+        with mock.patch.object(noise, "CHUNK_BUDGET", limit_chunk_budget(config, chunk)):
             ensemble = limit_ensemble(config, rho0, MODE, n_samples, seed)
-        rho = run_limit(config, rho0, rng=sample_rng(seed, k)).final_density()
+        alone = run_limit(config, rho0, rng=sample_rng(seed, k))
+        rho = alone.final_density()
         assert ensemble.mode_values[k] == MODE.apply(grid, rho)
         assert ensemble.norm_sq[k] == l2_norm_sq(grid, rho)
+        shape = (config.n_steps, config.noise_rank)
+        normals = np.stack([sample_rng(seed, j).standard_normal(shape)
+                            for j in range(n_samples)], axis=1)
+        *_, mass, norm_sq = limit._integrate(config, rho0, normals)
+        assert np.array_equal(mass[k], alone.mass)
+        assert np.array_equal(norm_sq[k], alone.norm_sq)
 
 
 class TestKineticEnsembleProperties:
@@ -305,7 +324,7 @@ class TestKineticEnsembleProperties:
         quad = build_velocity_space(velocity, None if velocity == "two-speed" else 4)
         config = KineticConfig(grid, quad, RationalOpacity(1.0, 1.0),
                                epsilon=0.2, t_final=0.2, noise=model, snapshot_stride=3)
-        with mock.patch.object(kinetic, "_CHUNK_BUDGET",
+        with mock.patch.object(noise, "CHUNK_BUDGET",
                                chunk * kinetic._floats_per_sample(config)):
             ensemble = kinetic_ensemble(config, rho0, MODE, n_samples, seed)
         alone = run_kinetic(config, rho0, rng=sample_rng(seed, k))
@@ -448,7 +467,7 @@ class TestHsNorm:
         zeros = np.zeros(config.n_steps + 1)
         trajectory = KineticTrajectory(
             config, np.array([0.0, 0.375, 0.75]), np.stack([rho, rho, rho]),
-            zeros, zeros, zeros, zeros, None,
+            zeros, zeros, zeros, zeros,
         )
         s = 0.45
         expected = 0.75 * 0.5 * (1.0 + 4.0 * math.pi**2) ** s

@@ -145,8 +145,8 @@ def final_densities(cfg, rho0, rng, n_samples):
     normals = np.stack(
         [rng.standard_normal((cfg.n_steps, cfg.noise_rank)) for _ in range(n_samples)], axis=1
     )
-    _, snaps, *_ = _integrate(cfg, rho0, normals, history=False)
-    return snaps[-1]
+    _, snaps, *_ = _integrate(cfg, rho0, normals)
+    return snaps[:, -1]
 
 
 def test_pointwise_mean_matches_geometric_growth():
