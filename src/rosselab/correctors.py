@@ -33,7 +33,7 @@ import numpy as np
 
 from .kinetic import KineticConfig, _sample_chunks, _strang
 from .model import TorusGrid, density, equilibrium_field, relaxation_operator
-from .noise import NoiseStatistics, _bordered_solve
+from .noise import NoiseStatistics, _bordered_solve, _locate, occupation_table
 
 
 def _rows(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -265,8 +265,11 @@ class MartingaleCheck:
 def _at_states(values: np.ndarray, paths: list, t: float) -> np.ndarray:
     """Row b of per-state values at the state of path b at time t (state 0
     with noise off)."""
-    states = [0 if path is None else path.state_index_at(t) for path in paths[:len(values)]]
-    return values[np.arange(len(states)), states]
+    rows = np.arange(len(values))
+    if paths[0] is None:
+        return values[rows, 0]
+    _, _, states, index = _locate(paths[:len(values)], np.array([t]))
+    return values[rows, states[index[:, 0]]]
 
 
 def martingale_residual(
@@ -298,6 +301,7 @@ def martingale_residual(
             raise ValueError(f"{name} = {t} is not a multiple of dt = {dt}")
     evaluator = GeneratorEvaluator(config, stats, mode)
     grid = config.grid
+    profile = mode.profile(grid)
     f0 = equilibrium_field(config.quad, np.asarray(rho0, dtype=float))
     noisy = config.noise is not None
     weighted = np.empty(n_samples)
@@ -308,7 +312,8 @@ def martingale_residual(
     for first, paths in _sample_chunks(config, n_samples, base_seed):
         rows = len(paths)
         if noisy:
-            occupations = np.stack([path.occupations(ends - dt, ends) for path in paths], axis=1)
+            # (window steps, B, n_states), contiguous
+            occupations = np.ascontiguousarray(occupation_table(paths, ends - dt, ends).swapaxes(0, 1))
         else:
             occupations = np.full((len(ends), rows, 1), dt)
         integral = np.zeros(rows)
@@ -320,7 +325,8 @@ def martingale_residual(
             fields = evaluator.spectral_fields(f)
             rho = fields[:, 0]
             if k == k_start:
-                weight = np.array([math.tanh(mode.apply(grid, rho_s)) for rho_s in rho])
+                # math.tanh, not np.tanh: the two differ in the last bit
+                weight = np.array([math.tanh(v) for v in grid.cell_volume * np.sum(rho * profile, axis=-1)])
                 start_value = _at_states(evaluator.perturbed(rho), paths, t)
             g_now = evaluator.totals(fields)
             gamma_now = evaluator.gamma(rho)

@@ -52,7 +52,7 @@ from .model import (
     equilibrium_field,
     relax_exact,
 )
-from .noise import NoiseModel, NoisePath, _failure, sample_chunks, sample_path, sample_rng
+from .noise import NoiseModel, NoisePath, _failure, occupation_table, sample_chunks, sample_path, sample_rng
 
 #: dt <= DT_CAP * eps^2 keeps the stiff relaxation and noise resolved
 DT_CAP = 0.5
@@ -184,7 +184,7 @@ class KineticStepper:
 
     It caches the transport phases of a half step and, with noise on, the
     occupation times of both half steps of every step of each sample's path,
-    taken in one call per path.
+    taken in one ``occupation_table`` call for the batch.
     """
 
     def __init__(self, config: KineticConfig, paths: Sequence[NoisePath | None]):
@@ -201,8 +201,8 @@ class KineticStepper:
         starts = np.arange(config.n_steps) * config.dt
         mids = starts + half
         windows = np.stack([starts, mids], axis=-1), np.stack([mids, mids + half], axis=-1)
-        # (n_steps, B, 2 halves, n_states)
-        self.occupations = np.stack([path.occupations(*windows) for path in paths], axis=1)
+        # (n_steps, B, 2 halves, n_states), contiguous
+        self.occupations = np.ascontiguousarray(occupation_table(paths, *windows).swapaxes(0, 1))
 
     def step(self, f: np.ndarray, k: int) -> np.ndarray:
         """One splitting step of every row from k dt to (k + 1) dt.

@@ -12,14 +12,17 @@ module computes the chain statistics that drive the diffusion limit:
 
 ``sample_path`` draws exact trajectories of the accelerated chain (rates
 divided by epsilon^2) with jump times stored in physical time,
-``sample_rng`` seeds the generator of one ensemble member, and
+``occupation_table`` integrates a batch of them over shared time windows
+(the time each path spends in each state, in one vectorized pass per
+batch), ``sample_rng`` seeds the generator of one ensemble member, and
 ``sample_chunks`` splits an ensemble into chunks of bounded memory.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -235,30 +238,65 @@ class NoisePath:
         return int(self.state_indices[max(k, 0)])
 
     def occupations(self, t0, t1) -> np.ndarray:
-        """Time spent in each state during [t0, t1], shape (..., n_states).
+        """Time spent in each state during [t0, t1], shape (..., n_states):
+        this path's row of ``occupation_table``."""
+        return occupation_table([self], t0, t1)[0]
 
-        ``t0`` and ``t1`` are one window or arrays of windows.  Each window
-        is cut into its pieces between jumps and the pieces are added in
-        time order, so a window gets the same bits alone as in an array.
-        A NaN jump time makes the occupations of the windows it bounds NaN.
-        """
-        t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
-        bad = (t0 < -1e-12) | (t1 > self.t_final + 1e-9) | (t1 < t0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"window [{t0.flat[i]}, {t1.flat[i]}] outside the sampled path")
-        times = self.jump_times
-        lo, hi = t0.ravel(), t1.ravel()
-        first = np.maximum(np.searchsorted(times, lo, side="right") - 1, 0)
-        last = np.maximum(np.searchsorted(times, hi, side="right") - 1, 0)
-        counts = last - first + 1
-        window = np.repeat(np.arange(lo.size), counts)
-        piece = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-        left = np.maximum(times[piece], lo[window])
-        right = np.minimum(np.append(times[1:], np.inf)[piece], hi[window])
-        occ = np.zeros((lo.size, self.model.n_states))
-        np.add.at(occ, (window, self.state_indices[piece]), np.maximum(right - left, 0.0))
-        return occ.reshape(t0.shape + (self.model.n_states,))
+
+def _locate(paths: Sequence[NoisePath], edges: np.ndarray):
+    """The pieces of the paths between jumps, concatenated: their start
+    times, end times (the next jump of the path; inf for its last piece) and
+    states; and the index of the piece each path is in at each edge, shape
+    (B, n_edges): its last jump at or before the edge, or its first piece.
+    A NaN jump time lies after every edge."""
+    times = np.concatenate([path.jump_times for path in paths])
+    states = np.concatenate([path.state_indices for path in paths])
+    lengths = np.array([len(path.jump_times) for path in paths])
+    ends = np.append(times[1:], np.inf)
+    ends[np.cumsum(lengths) - 1] = np.inf
+    order = np.argsort(edges)
+    # a jump is at or before the sorted edges from its slot on
+    slot = np.searchsorted(edges[order], times, side="left")
+    n = len(edges) + 1
+    hits = np.bincount(np.repeat(np.arange(len(paths)) * n, lengths) + slot, minlength=len(paths) * n)
+    hits = hits.reshape(len(paths), n)
+    # in place here and in occupation_table: these per-edge and per-piece
+    # arrays are the largest temporaries of a chunk
+    index = np.empty((len(paths), len(edges)), dtype=np.int64)
+    index[:, order] = np.cumsum(hits, axis=1, out=hits)[:, :-1]
+    index -= 1
+    np.maximum(index, 0, out=index)
+    index += (np.cumsum(lengths) - lengths)[:, None]
+    return times, ends, states, index
+
+
+def occupation_table(paths: Sequence[NoisePath], t0, t1) -> np.ndarray:
+    """Time each path spends in each state during [t0, t1], shape
+    (B,) + window shape + (n_states,).
+
+    ``t0`` and ``t1`` are one window or arrays of windows, shared by every
+    path.  Each window is cut into its pieces between jumps and the pieces
+    are added in time order, so a window gets the same bits alone as in an
+    array and in any batch of paths.  A NaN jump time makes the occupations
+    of the windows it bounds NaN.
+    """
+    t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
+    t_final = min(path.t_final for path in paths)
+    bad = (t0 < -1e-12) | (t1 > t_final + 1e-9) | (t1 < t0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"window [{t0.flat[i]}, {t1.flat[i]}] outside the sampled path")
+    lo, hi = t0.ravel(), t1.ravel()
+    times, ends, states, index = _locate(paths, np.concatenate([lo, hi]))
+    first, last = index[:, :lo.size].ravel(), index[:, lo.size:].ravel()
+    counts = last - first + 1
+    window = np.repeat(np.arange(counts.size), counts)
+    piece = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    right = np.minimum(ends[piece], np.tile(hi, len(paths))[window])
+    right -= np.maximum(times[piece], np.tile(lo, len(paths))[window])
+    occ = np.zeros((counts.size, paths[0].model.n_states))
+    np.add.at(occ, (window, states[piece]), np.maximum(right, 0.0, out=right))
+    return occ.reshape((len(paths),) + t0.shape + (paths[0].model.n_states,))
 
 
 def _entropy(seed) -> tuple[int, ...]:
@@ -288,6 +326,23 @@ def _failure(first_sample: int | None, row: int, message: str) -> str:
     return message if first_sample is None else f"sample {first_sample + row}: {message}"
 
 
+@functools.lru_cache(maxsize=16)
+def _jump_tables(model: NoiseModel, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean holding time of each state of the accelerated chain, the CDF of
+    each state's jump law and the CDF of the stationary law, normalized as
+    ``Generator.choice`` normalizes it."""
+    rates = -np.diag(model.generator) / epsilon**2
+    if np.min(rates) <= 0.0:
+        raise ValueError("every state needs a positive departure rate")
+    jump_probs = model.generator - np.diag(np.diag(model.generator))
+    jump_cdf = np.cumsum(jump_probs / jump_probs.sum(axis=1, keepdims=True), axis=1)
+    law_cdf = np.cumsum(model.stationary)
+    tables = 1.0 / rates, jump_cdf, law_cdf / law_cdf[-1]
+    for table in tables:
+        table.flags.writeable = False  # shared by every draw of the cache
+    return tables
+
+
 def sample_path(
     model: NoiseModel,
     epsilon: float,
@@ -301,18 +356,15 @@ def sample_path(
     """
     if epsilon <= 0.0 or t_final <= 0.0:
         raise ValueError("epsilon and t_final must be positive")
-    rates = -np.diag(model.generator) / epsilon**2
-    if np.min(rates) <= 0.0:
-        raise ValueError("every state needs a positive departure rate")
-    jump_probs = model.generator - np.diag(np.diag(model.generator))
-    jump_cdf = np.cumsum(jump_probs / jump_probs.sum(axis=1, keepdims=True), axis=1)
-    state = int(rng.choice(model.n_states, p=model.stationary))
+    scales, jump_cdf, law_cdf = _jump_tables(model, epsilon)
+    # rng.choice(n_states, p=stationary) draws its state this way
+    state = int(law_cdf.searchsorted(rng.random(), side="right"))
     times = [0.0]
     states = [state]
-    t = float(rng.exponential(1.0 / rates[state]))
+    t = float(rng.exponential(scales[state]))
     while t < t_final:
-        state = int(np.searchsorted(jump_cdf[state], rng.random()))
+        state = int(jump_cdf[state].searchsorted(rng.random()))
         times.append(t)
         states.append(state)
-        t += float(rng.exponential(1.0 / rates[state]))
+        t += float(rng.exponential(scales[state]))
     return NoisePath(model, t_final, np.array(times), np.array(states, dtype=np.int64))

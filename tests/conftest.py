@@ -1,14 +1,14 @@
 """Shared pytest plumbing: collect acceptance verdict lines for the summary,
 random ergodic chains, physical-space views of the kinetic solver's phases
-and steps, and ``sample_rng`` / ``sample_path`` stand-ins for ensemble
-failure tests."""
+and steps, and ``sample_rng`` / ``sample_path`` / ``occupation_table``
+stand-ins for ensemble failure tests."""
 
 import itertools
 
 import numpy as np
 
 from rosselab.kinetic import KineticStepper, transport_phases
-from rosselab.noise import NoisePath, make_noise_model, sample_path
+from rosselab.noise import NoisePath, make_noise_model, occupation_table, sample_path
 
 VERDICTS: list[str] = []
 
@@ -86,14 +86,17 @@ def nan_paths(nan_times):
 
 
 def loud_paths(loud_times, gain=1e6):
-    """Like ``nan_paths``, but sample k's occupations are multiplied by
-    ``gain`` on the windows that end after ``loud_times[k]``, so its noise
+    """Like ``nan_paths``, but sample k's path turns loud at time
+    ``loud_times[k]``: where ``loud_table`` stands in for the solver's
+    ``occupation_table``, that sample's occupations are multiplied by
+    ``gain`` on the windows that end after its loud time, so its noise
     exponent overflows from the first such half step on."""
     return _altered_draws(loud_times, lambda path, t: LoudPath(path, t, gain))
 
 
 class LoudPath:
-    """A noise path whose occupation times grow by a gain after time t."""
+    """A noise path whose occupation times grow by a gain after time t in
+    ``loud_table``."""
 
     def __init__(self, path, t, gain):
         self.path, self.t, self.gain = path, t, gain
@@ -101,9 +104,15 @@ class LoudPath:
     def __getattr__(self, name):
         return getattr(self.path, name)
 
-    def occupations(self, t0, t1):
-        occ = self.path.occupations(t0, t1)
-        return np.where(np.asarray(t1)[..., None] > self.t, self.gain * occ, occ)
+
+def loud_table(paths, t0, t1):
+    """``occupation_table`` with the gain of every loud path applied to its
+    row."""
+    occ = occupation_table(paths, t0, t1)
+    for b, path in enumerate(paths):
+        if isinstance(path, LoudPath):
+            occ[b] = np.where(np.asarray(t1)[..., None] > path.t, path.gain * occ[b], occ[b])
+    return occ
 
 
 def _altered_draws(times, alter):

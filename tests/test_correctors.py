@@ -1,5 +1,6 @@
 """Tests for the perturbed-test-function algebra and martingale residuals."""
 
+import collections
 import dataclasses
 import math
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import nan_paths
-from rosselab import fourier, kinetic, noise
+from rosselab import correctors, fourier, kinetic, noise
 from rosselab.correctors import (
     FourierMode,
     GeneratorEvaluator,
@@ -19,7 +20,7 @@ from rosselab.correctors import (
     martingale_residual,
     parse_mode,
 )
-from rosselab.harness import identity_residuals
+from rosselab.harness import identity_residuals, kinetic_ensemble
 from rosselab.kinetic import KineticConfig
 from rosselab.limit import rosseland_rhs
 from rosselab.model import (
@@ -36,6 +37,7 @@ from rosselab.noise import (
     make_noise_model,
     noise_statistics,
     rotor_noise,
+    sample_path,
     telegraph_noise,
 )
 
@@ -405,6 +407,44 @@ class TestMartingaleResidual:
             chunked = martingale_residual(config, stats, MODE, rho0, 0.1 / 13.0, 0.1,
                                           n_samples, seed)
         assert dataclasses.astuple(chunked) == dataclasses.astuple(whole)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 5), data=st.data())
+    def test_states_at_a_time_match_each_path(self, seed, n_paths, data):
+        """The batched lookup of the residual's end values reads each live
+        row at its own path's ``state_index_at``, at jump times too."""
+        model = rotor_noise(GRID, 1.0, 1, 2.0)
+        rng = np.random.default_rng(seed)
+        paths = [sample_path(model, 0.25, 0.1, rng) for _ in range(n_paths)]
+        jumps = np.concatenate([path.jump_times for path in paths]).tolist()
+        t = data.draw(st.one_of(st.floats(0.0, 0.1), st.sampled_from(jumps)))
+        values = rng.normal(size=(data.draw(st.integers(1, n_paths)), model.n_states))
+        expected = [row[path.state_index_at(t)] for row, path in zip(values, paths)]
+        assert np.array_equal(correctors._at_states(values, paths, t), expected)
+
+    def test_each_chunk_takes_one_occupation_table(self, monkeypatch):
+        """The kinetic loop and the martingale integral each take the
+        occupations of a whole chunk in one call, never path by path."""
+        config, stats, rho0 = self.martingale_fixture()
+        monkeypatch.setattr(noise, "CHUNK_BUDGET", 3 * kinetic._floats_per_sample(config))
+        calls = collections.Counter()
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for owner in (kinetic, correctors):
+            monkeypatch.setattr(owner, "occupation_table",
+                                counted(owner.__name__, owner.occupation_table))
+        monkeypatch.setattr(noise.NoisePath, "occupations",
+                            counted("NoisePath.occupations", noise.NoisePath.occupations))
+        # 7 samples in chunks of 3 are 3 chunks
+        kinetic_ensemble(config, rho0, MODE, 7, seed=1)
+        assert calls == {"rosselab.kinetic": 3}
+        martingale_residual(config, stats, MODE, rho0, 0.0, 0.1, 7, 1)
+        assert calls == {"rosselab.kinetic": 6, "rosselab.correctors": 3}
 
     def test_failure_names_lowest_failing_sample(self, monkeypatch):
         # sample 4 fails first in time, sample 2 later: the check names

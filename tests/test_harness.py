@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import loud_paths, nan_normals, nan_paths, random_chain
+from conftest import loud_paths, loud_table, nan_normals, nan_paths, random_chain
 from rosselab.correctors import FourierMode
 from rosselab import harness, kinetic, limit, noise
 from rosselab.harness import (
@@ -153,6 +153,7 @@ class TestEnsembles:
         # sample 2 with its own first error, whether or not the two share a
         # chunk
         monkeypatch.setattr(kinetic, "sample_path", stub({4: 0.0, 2: 0.03}))
+        monkeypatch.setattr(kinetic, "occupation_table", loud_table)
         grid, rho0, quad, opacity = small_problem()
         model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
         config = KineticConfig(grid, quad, opacity, epsilon=0.25, t_final=0.05,

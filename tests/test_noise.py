@@ -13,6 +13,7 @@ from rosselab.noise import (
     NoisePath,
     cosine_profile,
     noise_statistics,
+    occupation_table,
     rotor_noise,
     sample_path,
     solve_poisson,
@@ -204,41 +205,51 @@ def brute_force_occupations(path, t0, t1):
     epsilon=st.sampled_from([0.5, 0.25, 0.1]),
     t_final=st.floats(0.05, 1.0),
     seed=st.integers(0, 2**32 - 1),
+    n_paths=st.integers(1, 5),
     data=st.data(),
 )
 def test_window_arrays_match_scalar_calls_and_brute_force(fixture, epsilon, t_final,
-                                                          seed, data):
-    """Occupations over an array of windows equal one call per window and a
-    sum over every piece of the path, bit for bit, and each sums to its
-    window length."""
+                                                          seed, n_paths, data):
+    """The occupation table of a batch of paths over an array of windows
+    equals one call per path and window and a sum over every piece of the
+    path, bit for bit, and each window sums to its length."""
     if fixture == "telegraph":
         model = telegraph_noise(GRID, cosine_profile(GRID, 1.0, 1), 1.0)
     else:
         model = rotor_noise(GRID, 1.0, 1, 2.0)
-    path = sample_path(model, epsilon, t_final, np.random.default_rng(seed))
-    # window ends anywhere, at jump times and at t_final
-    point = st.one_of(st.floats(0.0, t_final),
-                      st.sampled_from([*path.jump_times.tolist(), t_final]))
+    rng = np.random.default_rng(seed)
+    paths = [sample_path(model, epsilon, t_final, rng) for _ in range(n_paths)]
+    # window ends anywhere, at jump times of any path and at t_final
+    jumps = np.concatenate([path.jump_times for path in paths]).tolist()
+    point = st.one_of(st.floats(0.0, t_final), st.sampled_from([*jumps, t_final]))
     pairs = data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=20))
     t0 = np.array([min(pair) for pair in pairs])
     t1 = np.array([max(pair) for pair in pairs])
-    occ = path.occupations(t0, t1)
-    assert occ.shape == (len(pairs), model.n_states)
-    for i in range(len(pairs)):
-        assert np.array_equal(occ[i], path.occupations(float(t0[i]), float(t1[i])))
-        assert np.array_equal(occ[i], brute_force_occupations(path, t0[i], t1[i]))
-        assert abs(occ[i].sum() - (t1[i] - t0[i])) <= 1e-15
-    stacked = path.occupations(np.stack([t0, t0]), np.stack([t1, t1]))
-    assert stacked.shape == (2, len(pairs), model.n_states)
-    assert np.array_equal(stacked[1], occ)
+    table = occupation_table(paths, t0, t1)
+    assert table.shape == (n_paths, len(pairs), model.n_states)
+    for path, occ in zip(paths, table):
+        assert np.array_equal(occ, path.occupations(t0, t1))
+        for i in range(len(pairs)):
+            assert np.array_equal(occ[i], path.occupations(float(t0[i]), float(t1[i])))
+            assert np.array_equal(occ[i], brute_force_occupations(path, t0[i], t1[i]))
+            assert abs(occ[i].sum() - (t1[i] - t0[i])) <= 1e-15
+    stacked = occupation_table(paths, np.stack([t0, t0]), np.stack([t1, t1]))
+    assert stacked.shape == (n_paths, 2, len(pairs), model.n_states)
+    assert np.array_equal(stacked[:, 1], table)
 
 
 def test_nan_jump_time_makes_later_windows_nan():
+    """A NaN jump time spoils the later windows of its own row only."""
     model = telegraph_noise(GRID, cosine_profile(GRID, 1.0, 1), 1.0)
-    path = NoisePath(model, 1.0, np.array([0.0, 0.4, np.nan]), np.array([0, 1, 1]))
-    occ = path.occupations(np.array([0.0, 0.2, 0.3]), np.array([0.2, 0.3, 0.5]))
-    assert np.array_equal(occ[:2], [[0.2, 0.0], [0.3 - 0.2, 0.0]])
-    assert np.isnan(occ[2]).any()
+    nan_path = NoisePath(model, 1.0, np.array([0.0, 0.4, np.nan]), np.array([0, 1, 1]))
+    clean = NoisePath(model, 1.0, np.array([0.0, 0.25]), np.array([1, 0]))
+    occ = occupation_table([clean, nan_path, clean],
+                           np.array([0.0, 0.2, 0.3]), np.array([0.2, 0.3, 0.5]))
+    assert np.array_equal(occ[1, :2], [[0.2, 0.0], [0.3 - 0.2, 0.0]])
+    assert np.isnan(occ[1, 2]).any()
+    expected = [[0.0, 0.2], [0.3 - 0.25, 0.25 - 0.2], [0.5 - 0.3, 0.0]]
+    assert np.array_equal(occ[0], expected)
+    assert np.array_equal(occ[2], expected)
 
 
 def test_profile_integral_is_additive():
@@ -257,6 +268,50 @@ def test_sample_path_reproducible():
     b = sample_path(model, 0.5, 3.0, np.random.default_rng(123))
     assert np.array_equal(a.jump_times, b.jump_times)
     assert np.array_equal(a.state_indices, b.state_indices)
+
+
+def reference_sample_path(model, epsilon, t_final, rng):
+    """The sampler as first written: it rebuilds the chain tables on every
+    draw and draws the initial state with ``rng.choice``."""
+    rates = -np.diag(model.generator) / epsilon**2
+    jump_probs = model.generator - np.diag(np.diag(model.generator))
+    jump_cdf = np.cumsum(jump_probs / jump_probs.sum(axis=1, keepdims=True), axis=1)
+    state = int(rng.choice(model.n_states, p=model.stationary))
+    times = [0.0]
+    states = [state]
+    t = float(rng.exponential(1.0 / rates[state]))
+    while t < t_final:
+        state = int(np.searchsorted(jump_cdf[state], rng.random()))
+        times.append(t)
+        states.append(state)
+        t += float(rng.exponential(1.0 / rates[state]))
+    return np.array(times), np.array(states, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fixture=st.sampled_from(["telegraph", "rotor", "random"]),
+    n_states=st.integers(2, 6),
+    epsilon=st.sampled_from([1.0, 0.5, 0.25, 0.1]),
+    t_final=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_path_matches_reference_sampler(fixture, n_states, epsilon, t_final, seed):
+    """Cached chain tables and the inlined stationary draw leave every path
+    and the generator's state after it bit for bit as they were."""
+    if fixture == "telegraph":
+        model = telegraph_noise(GRID, cosine_profile(GRID, 1.0, 1), 1.5)
+    elif fixture == "rotor":
+        model = rotor_noise(GRID, 1.0, 1, 2.0)
+    else:
+        model = random_chain(np.random.default_rng(seed), n_states, GRID)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        path = sample_path(model, epsilon, t_final, rng)
+        times, states = reference_sample_path(model, epsilon, t_final, reference_rng)
+        assert np.array_equal(path.jump_times, times)
+        assert np.array_equal(path.state_indices, states)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_holding_times_scale_with_epsilon():
