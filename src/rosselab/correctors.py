@@ -68,9 +68,9 @@ class FourierMode:
         wave = np.cos(angle) if self.parity == "cos" else np.sin(angle)
         return math.sqrt(2.0) * wave
 
-    def apply(self, grid: TorusGrid, rho: np.ndarray) -> float:
-        """The cylinder functional int rho p dx."""
-        return float(grid.cell_volume * np.sum(rho * self.profile(grid)))
+    def apply(self, grid: TorusGrid, rho: np.ndarray):
+        """The cylinder functional int rho p dx of each density of rho (..., n_x)."""
+        return grid.cell_volume * np.sum(rho * self.profile(grid), axis=-1)
 
     @property
     def label(self) -> str:
@@ -318,23 +318,24 @@ def martingale_residual(
             occupations = np.full((len(ends), rows, 1), dt)
         integral = np.zeros(rows)
         qv = np.zeros(rows)
-        for k, t, f, _ in _strang(config, f0, paths, k_end, first_sample=first):
-            if k < k_start:
-                continue
-            live = len(f)
-            fields = evaluator.spectral_fields(f)
-            rho = fields[:, 0]
-            if k == k_start:
-                # math.tanh, not np.tanh: the two differ in the last bit
-                weight = np.array([math.tanh(v) for v in grid.cell_volume * np.sum(rho * profile, axis=-1)])
-                start_value = _at_states(evaluator.perturbed(rho), paths, t)
-            g_now = evaluator.totals(fields)
-            gamma_now = evaluator.gamma(rho)
-            if k > k_start:
-                occ = occupations[k - k_start - 1, :live, None, :]
-                integral[:live] += _rows(occ, g_prev[:live] + g_now)[:, 0] / 2.0
-                qv[:live] += _rows(occ, gamma_prev[:live] + gamma_now)[:, 0] / 2.0
-            g_prev, gamma_prev = g_now, gamma_now
+        for start, block, _ in _strang(config, f0, paths, k_end, first_sample=first):
+            for k, f in enumerate(block, start):
+                if k < k_start:
+                    continue
+                live = len(f)
+                fields = evaluator.spectral_fields(f)
+                rho = fields[:, 0]
+                if k == k_start:
+                    # math.tanh, not np.tanh: the two differ in the last bit
+                    weight = np.array([math.tanh(v) for v in grid.cell_volume * np.sum(rho * profile, axis=-1)])
+                    start_value = _at_states(evaluator.perturbed(rho), paths, k * dt)
+                g_now = evaluator.totals(fields)
+                gamma_now = evaluator.gamma(rho)
+                if k > k_start:
+                    occ = occupations[k - k_start - 1, :live, None, :]
+                    integral[:live] += _rows(occ, g_prev[:live] + g_now)[:, 0] / 2.0
+                    qv[:live] += _rows(occ, gamma_prev[:live] + gamma_now)[:, 0] / 2.0
+                g_prev, gamma_prev = g_now, gamma_now
         residual = _at_states(evaluator.perturbed(rho), paths, t_end) - start_value - integral
         weighted[first:first + rows] = residual * weight
         squares[first:first + rows] = residual**2

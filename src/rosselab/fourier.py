@@ -48,8 +48,9 @@ def laplacian(grid: TorusGrid, rho: np.ndarray) -> np.ndarray:
     return np.fft.ifft(_laplace_symbol(grid.n_x) * rho_hat).real
 
 
-def sobolev_norm_sq(grid: TorusGrid, rho: np.ndarray, s: float) -> float:
-    """Squared H^s norm, sum_xi (1 + 4 pi^2 xi^2)^s |rho_hat(xi)|^2."""
+def sobolev_norm_sq(grid: TorusGrid, rho: np.ndarray, s: float):
+    """Squared H^s norm, sum_xi (1 + 4 pi^2 xi^2)^s |rho_hat(xi)|^2, of each
+    field of rho (..., n_x)."""
     weight = (1.0 - _laplace_symbol(grid.n_x)) ** s
     c = np.fft.fft(rho) * grid.cell_volume
-    return float(np.sum(weight * (c.real**2 + c.imag**2)))
+    return np.sum(weight * (c.real**2 + c.imag**2), axis=-1)

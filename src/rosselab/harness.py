@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fourier
 from .correctors import FourierMode, build_correctors, generator_terms
-from .kinetic import DT_CAP, KineticConfig, _sample_chunks, _trajectories, run_kinetic
+from .kinetic import DT_CAP, KineticConfig, KineticTrajectory, _sample_chunks, _trajectories, run_kinetic
 from .limit import SpdeConfig, _floats_per_sample, _integrate, rosseland_remainder, run_limit, split_rate
 from .model import (
     SMOOTHING_EXPONENT,
@@ -40,13 +40,15 @@ FUNCTIONAL_NAMES = ("mode-mean", "mode-var", "normsq-mean")
 CONTOUR_POINTS = 32
 
 
-def hs_norm(trajectory, order: float) -> float:
+def hs_norm(trajectory, order: float):
     """Time integral of the squared H^order norm over a trajectory.
 
     Uses the recorded density snapshots and the trapezoid rule in time.
-    Accepts kinetic and limit trajectories; kinetic runs additionally
-    require the order to stay below half the smoothing exponent of their
-    velocity model, which is where the uniform regularity bound lives.
+    Snapshots of several runs stacked on leading axes, (..., n_snapshots,
+    n_x), give one integral per run.  Accepts kinetic and limit
+    trajectories; kinetic runs additionally require the order to stay below
+    half the smoothing exponent of their velocity model, which is where the
+    uniform regularity bound lives.
     """
     config = trajectory.config
     if order <= 0.0:
@@ -56,11 +58,8 @@ def hs_norm(trajectory, order: float) -> float:
             f"Sobolev order {order} is not below half the smoothing exponent "
             f"{SMOOTHING_EXPONENT} of the velocity space"
         )
-    values = [
-        fourier.sobolev_norm_sq(config.grid, rho, order)
-        for rho in trajectory.densities
-    ]
-    return float(np.trapezoid(values, trajectory.times))
+    values = fourier.sobolev_norm_sq(config.grid, trajectory.densities, order)
+    return np.trapezoid(values, trajectory.times, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +93,9 @@ def functional_triple(mode_values: np.ndarray, norm_sq: np.ndarray) -> Functiona
     return FunctionalTriple(values, sems)
 
 
-def _trapezoid(values: np.ndarray, dt: float) -> float:
-    return float(dt * (values.sum() - 0.5 * (values[0] + values[-1])))
+def _trapezoid(values: np.ndarray, dt: float):
+    """Trapezoid rule along the last axis of values on a grid of step dt."""
+    return dt * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
 
 
 def _check_samples(n_samples: int) -> None:
@@ -103,21 +103,24 @@ def _check_samples(n_samples: int) -> None:
         raise ValueError("n_samples must be at least 2")
 
 
-def _final_functionals(trajectory, mode: FourierMode) -> tuple[float, float]:
-    """<rho_T, p> and ||rho_T||^2 of one trajectory."""
-    grid = trajectory.config.grid
-    rho = trajectory.final_density()
-    return mode.apply(grid, rho), l2_norm_sq(grid, rho)
-
-
-def _kinetic_reduction(trajectory, mode: FourierMode, sobolev_order: float) -> tuple:
-    """Final functionals and uniform-bound diagnostics of one kinetic run."""
-    return (
-        *_final_functionals(trajectory, mode),
-        float(trajectory.energy.max()),
-        _trapezoid(trajectory.defect**2, trajectory.config.dt),
-        hs_norm(trajectory, sobolev_order),
-    )
+def _kinetic_reduction(trajectories: Sequence[KineticTrajectory], mode: FourierMode,
+                       sobolev_order: float) -> np.ndarray:
+    """Final functionals and uniform-bound diagnostics of kinetic runs of one
+    configuration, reduced as one batch: the rows <rho_T, p>, ||rho_T||^2,
+    sup energy, defect integral and H^s integral, one column per run.  Every
+    reduction acts on each run alone, so a run's values do not depend on
+    its batch."""
+    densities, energy, defect = (np.array([getattr(t, name) for t in trajectories])
+                                 for name in ("densities", "energy", "defect"))
+    batch = replace(trajectories[0], densities=densities)
+    grid, finals = batch.config.grid, densities[:, -1]
+    return np.array([
+        mode.apply(grid, finals),
+        l2_norm_sq(grid, finals),
+        energy.max(axis=-1),
+        _trapezoid(defect**2, batch.config.dt),
+        hs_norm(batch, sobolev_order),
+    ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +154,11 @@ def kinetic_ensemble(
     prefixed ``sample k: ``.
     """
     _check_samples(n_samples)
-    rows = []
-    for start, paths in _sample_chunks(config, n_samples, seed):
-        for trajectory in _trajectories(config, rho0, paths, first_sample=start):
-            rows.append(_kinetic_reduction(trajectory, mode, sobolev_order))
-    return KineticEnsemble(*(np.array(column) for column in zip(*rows)))
+    columns = [
+        _kinetic_reduction(_trajectories(config, rho0, paths, first_sample=start), mode, sobolev_order)
+        for start, paths in _sample_chunks(config, n_samples, seed)
+    ]
+    return KineticEnsemble(*np.concatenate(columns, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,16 +191,12 @@ def limit_ensemble(
     _check_samples(n_samples)
     config = replace(config, snapshot_stride=config.n_steps)
     shape = (config.n_steps, config.noise_rank)
-    finals = []
-    for start, normals in sample_chunks(n_samples, _floats_per_sample(config),
-                                        lambda k: sample_rng(seed, k).standard_normal(shape)):
-        _, snaps, *_ = _integrate(config, rho0, np.stack(normals, axis=1), first_sample=start)
-        finals.extend(snaps[:, -1])
-    grid = config.grid
-    return LimitEnsemble(
-        np.array([mode.apply(grid, rho) for rho in finals]),
-        np.array([l2_norm_sq(grid, rho) for rho in finals]),
-    )
+    finals = np.concatenate([
+        _integrate(config, rho0, np.stack(normals, axis=1), first_sample=start)[1][:, -1]
+        for start, normals in sample_chunks(n_samples, _floats_per_sample(config),
+                                            lambda k: sample_rng(seed, k).standard_normal(shape))
+    ])
+    return LimitEnsemble(mode.apply(config.grid, finals), l2_norm_sq(config.grid, finals))
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +317,7 @@ def epsilon_sweep(
     if stats is None:
         limit_run = run_limit(limit_config("effective"), rho0)
         limit_final = limit_run.final_density()
-        limit_eff = _degenerate_triple(*_final_functionals(limit_run, mode))
+        limit_eff = _degenerate_triple(mode.apply(grid, limit_final), l2_norm_sq(grid, limit_final))
         limit_pap = limit_eff
     else:
         limit_eff = limit_ensemble(
@@ -339,8 +338,8 @@ def epsilon_sweep(
         if stats is None:
             trajectory = run_kinetic(config, rho0)
             mode_value, norm_sq, sup_energy, defect_integral, sobolev = _kinetic_reduction(
-                trajectory, mode, sobolev_order
-            )
+                [trajectory], mode, sobolev_order
+            )[:, 0]
             est = _degenerate_triple(mode_value, norm_sq)
             det_error = math.sqrt(l2_norm_sq(grid, trajectory.final_density() - limit_final))
         else:
@@ -479,11 +478,7 @@ def deterministic_convergence(
         trajectory = run_kinetic(config, rho0)
         if trajectory.densities.shape != reference.shape:
             raise RuntimeError("snapshot grids of run and reference disagree")
-        sq = np.array([
-            l2_norm_sq(grid, trajectory.densities[j] - reference[j])
-            for j in range(n_snapshots)
-        ])
-        errors[i] = math.sqrt(_trapezoid(sq, interval))
+        errors[i] = math.sqrt(_trapezoid(l2_norm_sq(grid, trajectory.densities - reference), interval))
     slope = float(np.polyfit(np.log(eps_sorted), np.log(errors), 1)[0])
     return ConvergenceReport(np.array(eps_sorted), errors, slope)
 

@@ -29,10 +29,17 @@ caller records them.
 The solver steps a batch of samples with one noise path per row.  Every
 operation of a step acts on each row alone (transforms along x, one
 vector-matrix product per row), so a sample's bits do not depend on the
-batch it runs in.  One loop, ``_strang``, advances such a batch and checks
-every row at every step; ``run_kinetic`` is its one-sample case, and
-``harness.kinetic_ensemble`` and ``correctors.martingale_residual`` run their
-samples through it in the chunks of ``noise.sample_chunks`` (``_sample_chunks``).
+batch it runs in.  One loop, ``_strang``, advances such a batch a block of
+steps at a time: each step checks every row's noise exponents, and the
+block's states land in one buffer of (K, B, n_v, n_x // 2 + 1), whose
+energies the loop takes and checks for finiteness in one call per block.
+Its consumers then take densities, mass, defect and snapshots of the whole
+block in one pass each.  Stacking steps on a leading axis keeps every
+row's bits, so the block length K, worked out by ``_block_steps`` from the
+chunk budget, changes no result.  ``run_kinetic`` is the loop's one-sample
+case, and ``harness.kinetic_ensemble`` and ``correctors.martingale_residual``
+run their samples through it in the chunks of ``noise.sample_chunks``
+(``_sample_chunks``).
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import noise
 from .model import (
     Opacity,
     TorusGrid,
@@ -226,48 +234,71 @@ class KineticStepper:
         return f
 
 
+def _block_steps(config: KineticConfig, rows: int) -> int:
+    """Steps per block of ``_strang`` for a batch of ``rows`` samples: as
+    many as keep the block's spectral states, 2 * rows * n_v * (n_x // 2 + 1)
+    floats per step, within ``noise.CHUNK_BUDGET // 16`` floats, and at
+    least one."""
+    per_step = 2 * rows * config.quad.n_v * (config.grid.n_x // 2 + 1)
+    return max(noise.CHUNK_BUDGET // 16 // per_step, 1)
+
+
 def _strang(
     config: KineticConfig,
     f0: np.ndarray,
     paths: Sequence[NoisePath | None],
     n_steps: int | None = None,
     first_sample: int | None = None,
-) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
-    """Yield (k, t, f, energy) for k = 0..n_steps (default: the run).
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (k, f, energy) for consecutive blocks of the steps k, k + 1, ...
+    of k = 0..n_steps (default: the run).
 
-    Every row of the spectral state f, shape (B, n_v, n_x // 2 + 1), starts
-    from the field f0 (n_v, n_x) and follows its own path; energy (B,) is the
-    squared weighted norm of each row.  Every step checks each row's energy
-    for finiteness and its noise exponents against EXPONENT_LIMIT.  A
-    failing row stops itself and the rows above it, so later yields carry
-    fewer rows; the rows below run on, and the loop ends by raising
-    FloatingPointError for the lowest failing row at its own first failure.
-    With ``first_sample`` set, the message names it as
-    ``sample first_sample + row``.
+    Every row starts from the field f0 (n_v, n_x) and follows its own path.
+    f, shape (K, B, n_v, n_x // 2 + 1), holds the spectral state of each row
+    at each of the block's K steps and energy (K, B) its squared weighted
+    norm; f is a view of a buffer the next block overwrites.  Each step
+    checks each row's noise exponents against EXPONENT_LIMIT, and each block
+    checks the finiteness of its energies.  A failing row stops itself and
+    the rows above it, which leave the yields from the next block on; the
+    rows below run on, and the loop ends by raising FloatingPointError for
+    the lowest failing row at its own first failure.  With ``first_sample`` set,
+    the message names it as ``sample first_sample + row``.
     """
     n_steps = config.n_steps if n_steps is None else n_steps
     stepper = KineticStepper(config, paths)
     # C order: a row's matrix-vector products must not see the batch
     f = np.repeat(np.fft.rfft(np.asarray(f0, dtype=float))[None], len(paths), axis=0)
+    # zeros: the entries a row leaves behind when it stops inside a block
+    # stay finite (zeros, or its states of an earlier block), so a block's
+    # finiteness check sees only the steps each row reached
+    buffer = np.zeros((min(_block_steps(config, len(paths)), n_steps + 1),) + f.shape, dtype=complex)
     failure = None
-    for k in range(n_steps + 1):
-        t = k * config.dt
-        while k and len(f):
-            try:
-                f = stepper.step(f, k - 1)
-                break
-            except _RowError as exc:
-                failure = _failure(first_sample, exc.row, str(exc))
-                f = f[:exc.row]
-        energy = spectral_energy(config.grid, config.quad, f)
-        finite = np.isfinite(energy)
-        if not finite.all():
-            row = int(np.argmax(~finite))
-            failure = _failure(first_sample, row, f"kinetic field lost finiteness at step {k} (t = {t:g})")
-            f, energy = f[:row], energy[:row]
+    for start in range(0, n_steps + 1, len(buffer)):
+        block = buffer[:n_steps + 1 - start, :len(f)]
+        raised = {}  # row -> its noise-exponent error
+        for j in range(len(block)):
+            while start + j and len(f):
+                try:
+                    f = stepper.step(f, start + j - 1)
+                    break
+                except _RowError as exc:
+                    raised[exc.row] = str(exc)
+                    f = f[:exc.row]
+            block[j, :len(f)] = f
+        energy = spectral_energy(config.grid, config.quad, block)
+        lost = ~np.isfinite(energy)
+        if raised or lost.any():
+            row = min([*raised, *np.flatnonzero(lost.any(axis=0))])
+            if lost[:, row].any():
+                k = start + int(np.argmax(lost[:, row]))
+                message = f"kinetic field lost finiteness at step {k} (t = {k * config.dt:g})"
+            else:
+                message = raised[row]
+            failure = _failure(first_sample, row, message)
+            f = f[:row]
+        yield start, block, energy
         if not len(f):
             break
-        yield k, t, f, energy
     if failure is not None:
         raise FloatingPointError(failure)
 
@@ -278,7 +309,8 @@ def _trajectories(
     paths: Sequence[NoisePath | None],
     first_sample: int | None = None,
 ) -> list[KineticTrajectory]:
-    """Run one sample per path from rho0(x) F(v) and record its diagnostics."""
+    """Run one sample per path from rho0(x) F(v) and record its diagnostics,
+    a block of steps at a time."""
     grid, quad = config.grid, config.quad
     n_steps = config.n_steps
     rows = len(paths)
@@ -291,15 +323,17 @@ def _trajectories(
     # one row per sample, so each sample's series is contiguous
     mass, energy, defect = np.empty((3, rows, n_steps + 1))
     snaps = np.empty((rows, len(snap_steps)) + grid.shape)
-    for k, _, f, energy_k in _strang(config, f0, paths, first_sample=first_sample):
-        live = len(f)
+    for start, f, energy_k in _strang(config, f0, paths, first_sample=first_sample):
+        steps, live = energy_k.shape
+        span = slice(start, start + steps)
         rho = density(quad, f)
-        mass[:live, k] = grid.cell_volume * rho[:, 0].real
-        energy[:live, k] = energy_k
+        mass[:live, span] = grid.cell_volume * rho[..., 0].real.T
+        energy[:live, span] = energy_k.T
         defect_sq = spectral_energy(grid, quad, equilibrium_field(quad, rho) - f)
-        defect[:live, k] = np.sqrt(np.maximum(defect_sq, 0.0)) / config.epsilon
-        if k % stride == 0 or k == n_steps:
-            snaps[:live, math.ceil(k / stride)] = np.fft.irfft(rho, n=grid.n_x)
+        defect[:live, span] = np.sqrt(np.maximum(defect_sq, 0.0)).T / config.epsilon
+        ks = np.arange(start, start + steps)
+        at = np.flatnonzero((ks % stride == 0) | (ks == n_steps))
+        snaps[:live, -(-ks[at] // stride)] = np.fft.irfft(rho[at], n=grid.n_x).swapaxes(0, 1)
     return [
         KineticTrajectory(config, step_times[snap_steps], snaps[b], step_times,
                           mass[b], energy[b], defect[b])
@@ -311,18 +345,18 @@ def run_kinetic(
     config: KineticConfig,
     rho0: np.ndarray,
     rng: np.random.Generator | None = None,
-    path: NoisePath | None = None,
 ) -> KineticTrajectory:
     """Run from the well-prepared state rho0(x) F(v) and record diagnostics.
 
-    With noise on, a path is sampled from ``rng`` unless one is supplied.
-    The run is the one-sample case of the batched loop: it aborts with
+    With noise on, a path is sampled from ``rng``.  The run is the
+    one-sample case of the batched loop: it aborts with
     ``FloatingPointError`` at the first step whose field is not finite or
     whose noise exponent exceeds EXPONENT_LIMIT.
     """
-    if config.noise is not None and path is None:
+    path = None
+    if config.noise is not None:
         if rng is None:
-            raise ValueError("pass rng (or a pre-sampled path) when noise is on")
+            raise ValueError("pass rng when noise is on")
         path = sample_path(config.noise, config.epsilon, config.t_final, rng)
     return _trajectories(config, rho0, [path])[0]
 

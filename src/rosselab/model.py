@@ -51,9 +51,9 @@ class TorusGrid:
         return self.cell_volume * np.sum(values, axis=0)
 
 
-def l2_norm_sq(grid: TorusGrid, rho: np.ndarray) -> float:
-    """Squared spatial L^2 norm of a density field."""
-    return float(grid.cell_volume * np.sum(rho * rho))
+def l2_norm_sq(grid: TorusGrid, rho: np.ndarray):
+    """Squared spatial L^2 norm of each density field of rho (..., n_x)."""
+    return grid.cell_volume * np.sum(rho * rho, axis=-1)
 
 
 #: velocity-averaging regularity exponent of the velocity models; Sobolev

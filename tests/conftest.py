@@ -1,12 +1,16 @@
 """Shared pytest plumbing: collect acceptance verdict lines for the summary,
 random ergodic chains, physical-space views of the kinetic solver's phases
-and steps, and ``sample_rng`` / ``sample_path`` / ``occupation_table``
-stand-ins for ensemble failure tests."""
+and steps, a fixed block length for the kinetic loop, and ``sample_rng`` /
+``sample_path`` / ``occupation_table`` stand-ins for ensemble failure
+tests."""
 
+import contextlib
 import itertools
 
 import numpy as np
+import pytest
 
+from rosselab import kinetic
 from rosselab.kinetic import KineticStepper, transport_phases
 from rosselab.noise import NoisePath, make_noise_model, occupation_table, sample_path
 
@@ -56,6 +60,16 @@ def stepped_fields(config, f0, path=None):
     return np.array(fields)
 
 
+@contextlib.contextmanager
+def fixed_blocks(block):
+    """Run the kinetic loop ``block`` steps per block; None keeps the block
+    length it works out."""
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(kinetic, "_block_steps", lambda config, rows: block)
+        yield
+
+
 def nan_normals(nan_steps):
     """A ``sample_rng`` stand-in whose generators draw zero normals, with a
     NaN row at step ``nan_steps[k]`` for sample k."""
@@ -80,9 +94,7 @@ def nan_paths(nan_times):
     factors and kinetic field of that sample turn NaN from the first half
     step whose window reaches that time.  An ensemble draws the path of
     sample k with its k-th call."""
-    return _altered_draws(nan_times, lambda path, t: NoisePath(
-        path.model, path.t_final, np.array([0.0, t, np.nan]),
-        np.zeros(3, dtype=np.int64)))
+    return altered_paths(nan_times, {})
 
 
 def loud_paths(loud_times, gain=1e6):
@@ -91,7 +103,31 @@ def loud_paths(loud_times, gain=1e6):
     ``occupation_table``, that sample's occupations are multiplied by
     ``gain`` on the windows that end after its loud time, so its noise
     exponent overflows from the first such half step on."""
-    return _altered_draws(loud_times, lambda path, t: LoudPath(path, t, gain))
+    return altered_paths({}, loud_times, gain)
+
+
+def altered_paths(nan_times, loud_times, gain=1e6):
+    """A ``sample_path`` stand-in that alters the path of sample k as
+    ``nan_paths`` does for k in ``nan_times`` and as ``loud_paths`` does for
+    k in ``loud_times``."""
+    calls = itertools.count()
+
+    def draw(model, epsilon, t_final, rng):
+        path = sample_path(model, epsilon, t_final, rng)
+        k = next(calls)
+        if k in nan_times:
+            return nan_path(path, nan_times[k])
+        if k in loud_times:
+            return LoudPath(path, loud_times[k], gain)
+        return path
+
+    return draw
+
+
+def nan_path(path, t):
+    """The path that stays in state 0 and whose jump times turn NaN at t."""
+    return NoisePath(path.model, path.t_final, np.array([0.0, t, np.nan]),
+                     np.zeros(3, dtype=np.int64))
 
 
 class LoudPath:
@@ -107,20 +143,10 @@ class LoudPath:
 
 def loud_table(paths, t0, t1):
     """``occupation_table`` with the gain of every loud path applied to its
-    row."""
+    row, and the gains of the loud paths it wraps."""
     occ = occupation_table(paths, t0, t1)
     for b, path in enumerate(paths):
-        if isinstance(path, LoudPath):
+        while isinstance(path, LoudPath):
             occ[b] = np.where(np.asarray(t1)[..., None] > path.t, path.gain * occ[b], occ[b])
+            path = path.path
     return occ
-
-
-def _altered_draws(times, alter):
-    calls = itertools.count()
-
-    def draw(model, epsilon, t_final, rng):
-        path = sample_path(model, epsilon, t_final, rng)
-        t = times.get(next(calls))
-        return path if t is None else alter(path, t)
-
-    return draw

@@ -1,15 +1,20 @@
 """End-to-end tests of the command line interface and its CSV reports."""
 
 import csv
+import io
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import nan_normals, nan_paths
-from rosselab import harness, kinetic, noise
-from rosselab.cli import main
+from rosselab import cli, harness, kinetic, noise
+from rosselab.cli import format_value, main
 
 ACCEPTANCE_INI = Path(__file__).resolve().parent.parent / "configs" / "acceptance.ini"
 
@@ -75,6 +80,32 @@ def column(path, name):
     header, body = read_csv(path)
     j = header.index(name)
     return [row[j] for row in body]
+
+
+def reference_csv(header, rows):
+    """The bytes csv.writer writes with every value through format_value."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_value(v) for v in row])
+    return out.getvalue().encode()
+
+
+class TestWriteCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=arrays(float, st.tuples(st.integers(0, 12), st.integers(1, 4)),
+                    elements=st.floats(allow_nan=True, allow_infinity=True)),
+        block=st.integers(1, 5),
+    )
+    def test_float_arrays_match_the_csv_writer(self, tmp_path_factory, rows, block):
+        """A float array of rows, formatted in blocks of any size, gives the
+        bytes csv.writer writes for the same rows."""
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        with mock.patch.object(cli, "CSV_BLOCK_ROWS", block):
+            cli.write_csv(path, ["a", "b"], rows)
+        assert path.read_bytes() == reference_csv(["a", "b"], list(rows))
 
 
 class TestNoiseInfo:

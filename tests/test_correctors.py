@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nan_paths
+from conftest import fixed_blocks, nan_paths
 from rosselab import correctors, fourier, kinetic, noise
 from rosselab.correctors import (
     FourierMode,
@@ -407,6 +407,25 @@ class TestMartingaleResidual:
             chunked = martingale_residual(config, stats, MODE, rho0, 0.1 / 13.0, 0.1,
                                           n_samples, seed)
         assert dataclasses.astuple(chunked) == dataclasses.astuple(whole)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n_samples=st.integers(2, 6),
+        window=st.lists(st.integers(0, 13), min_size=2, max_size=2, unique=True).map(sorted),
+        block=st.one_of(st.sampled_from([2, None]), st.integers(3, 16)),
+        fixture=st.sampled_from(["telegraph", "rotor"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_check_is_independent_of_block_length(self, n_samples, window, block, fixture, seed):
+        config, stats, rho0 = self.martingale_fixture(fixture)
+        t_start, t_end = (k * config.dt for k in window)
+
+        def check(block):
+            with fixed_blocks(block):
+                return martingale_residual(config, stats, MODE, rho0, t_start, t_end,
+                                           n_samples, seed)
+
+        assert dataclasses.astuple(check(block)) == dataclasses.astuple(check(1))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 5), data=st.data())

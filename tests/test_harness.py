@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import loud_paths, loud_table, nan_normals, nan_paths, random_chain
+from conftest import altered_paths, fixed_blocks, loud_paths, loud_table, nan_normals, nan_paths, random_chain
 from rosselab.correctors import FourierMode
 from rosselab import harness, kinetic, limit, noise
 from rosselab.harness import (
@@ -53,6 +53,11 @@ def small_problem(n_x=16):
     quad = build_velocity_space("two-speed")
     opacity = RationalOpacity(1.0, 1.0)
     return grid, rho0, quad, opacity
+
+
+def loud_and_nan_paths(times):
+    """Sample 4's path turns loud at times[4] and sample 2's NaN at times[2]."""
+    return altered_paths({2: times[2]}, {4: times[4]})
 
 
 class TestSummaries:
@@ -146,13 +151,14 @@ class TestEnsembles:
     @pytest.mark.parametrize("stub, message", [
         (nan_paths, r"kinetic field lost finiteness at step 5 "),
         (loud_paths, r"noise exponent \S+ exceeds 50\.0"),
+        (loud_and_nan_paths, r"kinetic field lost finiteness at step 5 "),
     ])
     def test_kinetic_error_names_lowest_failing_sample(self, monkeypatch, chunk, stub,
                                                       message):
-        # sample 4 fails first in time, sample 2 later: the ensemble names
-        # sample 2 with its own first error, whether or not the two share a
-        # chunk
-        monkeypatch.setattr(kinetic, "sample_path", stub({4: 0.0, 2: 0.03}))
+        # sample 4 fails first in time (step 1), sample 2 later (step 5):
+        # the ensemble names sample 2 with its own first error, whether or
+        # not the two share a chunk, and whether each step is its own block,
+        # the two fail in different blocks or one block holds all 8 steps
         monkeypatch.setattr(kinetic, "occupation_table", loud_table)
         grid, rho0, quad, opacity = small_problem()
         model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
@@ -160,8 +166,11 @@ class TestEnsembles:
                                dt=0.00625, noise=model)
         monkeypatch.setattr(noise, "CHUNK_BUDGET",
                             chunk * kinetic._floats_per_sample(config))
-        with pytest.raises(FloatingPointError, match="^sample 2: " + message):
-            kinetic_ensemble(config, rho0, MODE, 6, seed=1)
+        for block in (1, 4, 16):
+            monkeypatch.setattr(kinetic, "sample_path", stub({4: 0.0, 2: 0.03}))
+            with fixed_blocks(block), pytest.raises(FloatingPointError,
+                                                    match="^sample 2: " + message):
+                kinetic_ensemble(config, rho0, MODE, 6, seed=1)
 
     @pytest.mark.parametrize("n_samples", [0, 1])
     def test_too_few_samples_raise(self, n_samples):

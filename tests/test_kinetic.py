@@ -1,13 +1,15 @@
 """Transport, noise factor and splitting checks for the kinetic solver."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import stepped_fields, translate
+from conftest import LoudPath, fixed_blocks, loud_table, nan_path, stepped_fields, translate
+from rosselab import kinetic
 from rosselab.kinetic import (
     KineticConfig,
     KineticStepper,
@@ -159,7 +161,7 @@ def test_stepper_step_matches_run_single_step():
     # the step maps the spectrum of the field to the spectrum of the next one
     stepped_hat = KineticStepper(cfg, [path]).step(np.fft.rfft(f0)[None], 0)[0]
     stepped = np.fft.irfft(stepped_hat, n=GRID.n_x)
-    traj = run_kinetic(cfg, density(GT, f0), path=path)
+    traj = kinetic._trajectories(cfg, density(GT, f0), [path])[0]
     assert np.allclose(density(GT, stepped), traj.final_density(), atol=1e-13)
 
 
@@ -259,3 +261,66 @@ def test_noise_off_step_conserves_mass_and_never_gains_energy(n_x, velocity, opa
 
     assert mass(after) == pytest.approx(mass(before), rel=1e-13)
     assert spectral_energy(grid, quad, after)[0] <= spectral_energy(grid, quad, before)[0] * (1 + 1e-13)
+
+
+#: ways a row of the block property fails from a time on: NaN occupations,
+#: a gain that keeps the noise exponent near 40 (the field overflows a few
+#: steps later) or one that breaks EXPONENT_LIMIT at once
+ALTERATIONS = {
+    "nan": nan_path,
+    "hot": lambda path, t: LoudPath(path, t, 400.0),
+    "loud": lambda path, t: LoudPath(path, t, 1e6),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_x=st.sampled_from([7, 8, 16]),
+    velocity=st.sampled_from(["two-speed", "legendre"]),
+    rows=st.integers(1, 5),
+    n_steps=st.integers(1, 24),
+    stride=st.integers(1, 9),
+    noisy=st.booleans(),
+    block=st.one_of(st.sampled_from([2, None]), st.integers(3, 30)),
+    failures=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(sorted(ALTERATIONS)),
+                                st.floats(0.0, 1.0)), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# row 0 overflows at step 5, then breaks the exponent limit at step 6 of the
+# same block: its first failure is the overflow
+@example(n_x=8, velocity="two-speed", rows=1, n_steps=10, stride=1, noisy=True, block=None,
+         failures=[(0, "hot", 0.0), (0, "loud", 0.55)], seed=0)
+def test_blocks_keep_every_row_and_failure(n_x, velocity, rows, n_steps, stride, noisy,
+                                           block, failures, seed):
+    """Any block length records the bits and raises the error that one step
+    per block does: mass, energy, defect and snapshots of every row, and
+    with rows failing from random times on, the lowest failing row at its
+    own first failure."""
+    grid = TorusGrid(n_x)
+    quad = build_velocity_space(velocity)
+    model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0) if noisy else None
+    config = KineticConfig(grid, quad, RationalOpacity(), 0.5, n_steps * 0.1, dt=0.1,
+                           noise=model, snapshot_stride=stride)
+    rng = np.random.default_rng(seed)
+    rho0 = rng.uniform(0.5, 1.5, n_x)
+    paths = [sample_path(model, 0.5, config.t_final, rng) if noisy else None for _ in range(rows)]
+    for row, kind, when in failures:
+        if noisy and row < rows:
+            paths[row] = ALTERATIONS[kind](paths[row], when * config.t_final)
+
+    def run(block):
+        # an overflowing row warns on its way to inf and NaN
+        with fixed_blocks(block), mock.patch.object(kinetic, "occupation_table", loud_table), \
+                np.errstate(all="ignore"):
+            try:
+                return kinetic._trajectories(config, rho0, paths, first_sample=0)
+            except FloatingPointError as exc:
+                return str(exc)
+
+    single, blocked = run(1), run(block)
+    if isinstance(single, str):
+        assert blocked == single
+        return
+    for a, b in zip(single, blocked):
+        for name in ("mass", "energy", "defect", "densities"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
