@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import platform
 import sys
@@ -332,7 +333,10 @@ HELP = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse fills a
+    new namespace, so no call sees the options of another."""
     parser = argparse.ArgumentParser(
         prog="rosselab",
         description="kinetic transport with random relaxation vs its diffusion limit",

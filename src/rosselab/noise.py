@@ -8,7 +8,11 @@ module computes the chain statistics that drive the diffusion limit:
 * the drift fields  H(x) = sum_i nu_i n_i(x) psi_i(x)  and  h_eff = -H,
 * the spatial covariance kernel
       k(x, y) = -sum_i nu_i [ n_i(y) psi_i(x) + n_i(x) psi_i(y) ],
-* the eigendecomposition of the covariance operator with kernel k.
+* the eigendecomposition of the covariance operator with kernel k, from
+  its rank-2s factor k dx = A C A^T, A = [n | psi]^T over the s states: a
+  thin QR of A and a 2s x 2s symmetric eigenproblem, with each mode
+  profile signed so that its first entry of at least half its largest
+  magnitude is positive.
 
 ``sample_path`` draws exact trajectories of the accelerated chain (rates
 divided by epsilon^2) with jump times stored in physical time,
@@ -180,8 +184,8 @@ class NoiseStatistics:
     drift_paper: np.ndarray  # H(x) = sum_i nu_i n_i psi_i
     drift_effective: np.ndarray  # h_eff(x) = k(x, x) / 2 = -H(x)
     kernel: np.ndarray  # (n_x, n_x), symmetric PSD
-    mode_weights: np.ndarray  # (rank,) positive eigenvalues, descending
-    mode_profiles: np.ndarray  # (rank,) + grid.shape, L^2-orthonormal
+    mode_weights: np.ndarray  # (rank,) positive eigenvalues of k dx, descending, rank <= 2s
+    mode_profiles: np.ndarray  # (rank,) + grid.shape, L^2-orthonormal, signed by _orient
 
     @property
     def rank(self) -> int:
@@ -196,23 +200,44 @@ class NoiseStatistics:
 
 
 def noise_statistics(model: NoiseModel) -> NoiseStatistics:
-    """Poisson profiles, drift fields and covariance eigenmodes of a chain."""
+    """Poisson profiles, drift fields and covariance eigenmodes of a chain.
+
+    The kernel has rank at most 2s for s states: k dx = A C A^T with the
+    factor A = [n | psi]^T, shape (n_x, 2s), and C = -[[0, D_nu], [D_nu, 0]].
+    With the thin QR factorization A = QR, the nonzero spectrum of k dx is
+    that of the (at most) 2s x 2s matrix dx R C R^T, with eigenvectors QV;
+    the rest of the spectrum is 0.  The indefiniteness check and the clip
+    act on this full spectrum.  Each mode profile is oriented by
+    ``_orient``.
+    """
     grid = model.grid
     psi = solve_poisson(model.generator, model.stationary, model.states)
-    states = model.states
-    drift_paper = np.einsum("i,ix,ix->x", model.stationary, states, psi)
-    half = psi.T @ (model.stationary[:, None] * states)
+    states, nu = model.states, model.stationary
+    drift_paper = np.einsum("i,ix,ix->x", nu, states, psi)
+    half = psi.T @ (nu[:, None] * states)
     kernel = -(half + half.T)
     drift_effective = 0.5 * np.diag(kernel)
-    eigvals, eigvecs = np.linalg.eigh(kernel * grid.cell_volume)
-    top = max(eigvals[-1], 0.0)
-    scale = max(np.max(np.abs(eigvals)) if eigvals.size else 0.0, 1e-300)
-    if eigvals[0] < -EIG_NEGATIVE * scale:
+    s = model.n_states
+    q, r = np.linalg.qr(np.concatenate([states, psi]).T)
+    half = r[:, s:] @ (nu[:, None] * r[:, :s].T)
+    eigvals, eigvecs = np.linalg.eigh(-(half + half.T) * grid.cell_volume)
+    # 0 is in the spectrum of k dx whenever Q does not span the whole grid
+    spectrum = eigvals if len(eigvals) == grid.n_x else np.append(eigvals, 0.0)
+    top = max(spectrum.max(), 0.0)
+    if spectrum.min() < -EIG_NEGATIVE * max(np.max(np.abs(spectrum)), 1e-300):
         raise ValueError("covariance kernel is not positive semidefinite")
     keep = np.flatnonzero(eigvals > EIG_CLIP * top)[::-1]
     weights = eigvals[keep]
-    profiles = eigvecs[:, keep].T / np.sqrt(grid.cell_volume)
+    profiles = _orient((q @ eigvecs[:, keep]).T) / np.sqrt(grid.cell_volume)
     return NoiseStatistics(model, psi, drift_paper, drift_effective, kernel, weights, profiles)
+
+
+def _orient(vectors: np.ndarray) -> np.ndarray:
+    """The rows of ``vectors`` with signs chosen so that the first entry of
+    each row whose magnitude is at least half the row's largest is positive."""
+    size = np.abs(vectors)
+    lead = np.argmax(size >= 0.5 * size.max(axis=1, keepdims=True), axis=1)
+    return vectors * np.sign(vectors[np.arange(len(vectors)), lead])[:, None]
 
 
 @dataclass(frozen=True, eq=False)

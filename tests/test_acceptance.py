@@ -1,10 +1,12 @@
 """Acceptance battery: one criterion per test, one printed verdict line each.
 
 The verdict lines are echoed in the terminal summary at the end of any
-pytest run (see conftest.py).  Criteria 6 and 7 carry Monte Carlo weight;
-the whole battery takes about 10 seconds (see README.md).  The
-scaling-limit fixture and every statistical threshold come from
-configs/acceptance.ini, not from literals in this file.
+pytest run (see conftest.py), and each must equal its committed line in
+tests/verdicts.txt word for word; a change that means to move a verdict
+copies the new lines from that summary into the file.  Criteria 6 and 7
+carry Monte Carlo weight; the whole battery takes about 10 seconds (see
+README.md).  The scaling-limit fixture and every statistical threshold
+come from configs/acceptance.ini, not from literals in this file.
 """
 
 import math
@@ -44,10 +46,19 @@ MODE = FourierMode(1, "cos")
 OPACITY = RationalOpacity(1.0, 1.0)
 
 
+#: the committed verdict line of each criterion, keyed "ACCEPTANCE <n>"
+PINNED = dict(line.split(":", 1) for line in
+              (Path(__file__).resolve().parent / "verdicts.txt").read_text().splitlines())
+
+
 def verdict(criterion: int, ok: bool, detail: str) -> bool:
+    """Print the verdict line of a criterion and check that it is the
+    committed line of tests/verdicts.txt, word for word."""
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
     conftest.VERDICTS.append(line)
+    key, text = line.split(":", 1)
+    assert text == PINNED[key], f"verdict line changed:\n  {line}\n  {key}:{PINNED[key]}"
     return ok
 
 

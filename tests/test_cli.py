@@ -271,6 +271,23 @@ class TestVerifyCommand:
         }
 
 
+class TestParser:
+    def test_options_do_not_leak_between_calls(self, tmp_path):
+        seen = []
+
+        def record(setup, out, args):
+            seen.append((args.drift, args.samples))
+            return 0
+
+        config = write_ini(tmp_path, TELEGRAPH_INI)
+        with mock.patch.dict(cli.COMMANDS, {"verify": record}):
+            assert main(["verify", "--config", config, "--out", str(tmp_path / "a"),
+                         "--drift", "paper", "--samples", "5"]) == 0
+            assert main(["verify", "--config", config, "--out", str(tmp_path / "b")]) == 0
+        assert seen == [("paper", 5), (None, None)]
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestErrorPaths:
     def test_config_violations_exit_2(self, tmp_path, capsys):
         config = write_ini(tmp_path, "[model]\nsigma_min = 0.5\n")

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_chain
 from rosselab.model import TorusGrid
 from rosselab.noise import (
+    EIG_CLIP,
+    NoiseModel,
     NoisePath,
     cosine_profile,
     noise_statistics,
@@ -114,9 +116,9 @@ def test_telegraph_kernel_and_modes():
     # rank one with mode weight ||n||^2 / rate = amp^2 / (2 rate)
     assert stats.rank == 1
     assert stats.mode_weights[0] == pytest.approx(amp**2 / (2.0 * rate), abs=1e-13)
+    # the sign rule keeps the orientation of the profile
     unit = profile / np.sqrt(GRID.cell_volume * np.sum(profile**2))
-    overlap = GRID.cell_volume * np.sum(stats.mode_profiles[0] * unit)
-    assert abs(abs(overlap) - 1.0) <= 1e-12
+    assert np.max(np.abs(stats.mode_profiles[0] - unit)) <= 1e-14
 
 
 # --- rotor closed forms --------------------------------------------------
@@ -150,19 +152,48 @@ def test_kernel_structure_random_chains(n_states):
     assert np.allclose(stats.drift_effective, -stats.drift_paper, atol=1e-13)
     diag = np.diag(stats.kernel).reshape(GRID.shape)
     assert np.allclose(stats.drift_effective, 0.5 * diag, atol=1e-13)
-    # PSD and spectral reconstruction from the retained modes
-    assert np.all(stats.mode_weights > 0.0)
-    recon = np.einsum("j,jx,jy->xy", stats.mode_weights, stats.mode_profiles, stats.mode_profiles)
-    top = stats.mode_weights[0]
-    assert np.max(np.abs(recon - stats.kernel)) <= 1e-8 * top
 
 
-def test_mode_profiles_are_orthonormal():
-    rng = np.random.default_rng(77)
-    stats = noise_statistics(random_chain(rng, 4, GRID))
-    flat = stats.mode_profiles.reshape(stats.rank, -1)
-    gram = GRID.cell_volume * flat @ flat.T
-    assert np.allclose(gram, np.eye(stats.rank), atol=1e-12)
+@settings(max_examples=60, deadline=None)
+@given(n_states=st.integers(2, 5), n_x=st.integers(4, 64), seed=st.integers(0, 2**32 - 1))
+@example(n_states=2, n_x=4, seed=0)  # 2s = n_x
+@example(n_states=5, n_x=7, seed=1)  # 2s > n_x, odd n_x
+@example(n_states=3, n_x=33, seed=2)
+def test_factored_modes_match_the_dense_spectrum(n_states, n_x, seed):
+    """The eigenmodes from the rank-2s factor against a dense eigensolver of
+    the whole kernel."""
+    grid = TorusGrid(n_x)
+    stats = noise_statistics(random_chain(np.random.default_rng(seed), n_states, grid))
+    dense = np.linalg.eigvalsh(stats.kernel * grid.cell_volume)[::-1]
+    top = dense[0]
+    assert stats.rank == np.count_nonzero(dense > EIG_CLIP * top)
+    assert np.max(np.abs(stats.mode_weights - dense[:stats.rank])) <= 1e-12 * top
+    vectors = stats.mode_profiles * np.sqrt(grid.cell_volume)
+    assert np.max(np.abs(vectors @ vectors.T - np.eye(stats.rank))) <= 1e-12
+    rebuilt = (stats.mode_weights * vectors.T) @ vectors
+    assert np.max(np.abs(rebuilt - stats.kernel * grid.cell_volume)) <= 1e-12 * top
+    for profile in stats.mode_profiles:
+        # the first entry of at least half the largest magnitude is positive
+        lead = np.flatnonzero(np.abs(profile) >= 0.5 * np.max(np.abs(profile)))[0]
+        assert profile[lead] > 0.0
+
+
+def test_indefinite_kernel_is_rejected():
+    """A stationary vector that is not the chain's law makes the kernel
+    indefinite.  The flip chain on four states has the uniform law; the
+    coefficient vectors (1, -1, 0, 0) and (0, 0, 1, -1) are centered under
+    it and under the vector (1, 1, -1/2, -1/2) that replaces it."""
+    generator = np.ones((4, 4)) - 4.0 * np.eye(4)
+    wrong = np.array([1.0, 1.0, -0.5, -0.5])
+    x = GRID.axis_points()
+    states = np.outer([1.0, -1.0, 0.0, 0.0], np.cos(2.0 * np.pi * x))
+    states += np.outer([0.0, 0.0, 1.0, -1.0], np.sin(2.0 * np.pi * x))
+    psi = solve_poisson(generator, wrong, states)
+    half = psi.T @ (wrong[:, None] * states)
+    spectrum = np.linalg.eigvalsh(-(half + half.T))
+    assert spectrum[0] < -0.1 * spectrum[-1] < 0.0
+    with pytest.raises(ValueError, match="covariance kernel is not positive semidefinite"):
+        noise_statistics(NoiseModel(GRID, states, generator, wrong))
 
 
 # --- path sampling -------------------------------------------------------
