@@ -219,8 +219,8 @@ def noise_statistics(model: NoiseModel) -> NoiseStatistics:
     drift_effective = 0.5 * np.diag(kernel)
     s = model.n_states
     q, r = np.linalg.qr(np.concatenate([states, psi]).T)
-    half = r[:, s:] @ (nu[:, None] * r[:, :s].T)
-    eigvals, eigvecs = np.linalg.eigh(-(half + half.T) * grid.cell_volume)
+    reduced = r[:, s:] @ (nu[:, None] * r[:, :s].T)
+    eigvals, eigvecs = np.linalg.eigh(-(reduced + reduced.T) * grid.cell_volume)
     # 0 is in the spectrum of k dx whenever Q does not span the whole grid
     spectrum = eigvals if len(eigvals) == grid.n_x else np.append(eigvals, 0.0)
     top = max(spectrum.max(), 0.0)

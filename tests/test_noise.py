@@ -152,6 +152,19 @@ def test_kernel_structure_random_chains(n_states):
     assert np.allclose(stats.drift_effective, -stats.drift_paper, atol=1e-13)
     diag = np.diag(stats.kernel).reshape(GRID.shape)
     assert np.allclose(stats.drift_effective, 0.5 * diag, atol=1e-13)
+    # PSD and spectral reconstruction from the retained modes
+    assert np.all(stats.mode_weights > 0.0)
+    recon = np.einsum("j,jx,jy->xy", stats.mode_weights, stats.mode_profiles, stats.mode_profiles)
+    top = stats.mode_weights[0]
+    assert np.max(np.abs(recon - stats.kernel)) <= 1e-8 * top
+
+
+def test_mode_profiles_are_orthonormal():
+    rng = np.random.default_rng(77)
+    stats = noise_statistics(random_chain(rng, 4, GRID))
+    flat = stats.mode_profiles.reshape(stats.rank, -1)
+    gram = GRID.cell_volume * flat @ flat.T
+    assert np.allclose(gram, np.eye(stats.rank), atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,6 +172,10 @@ def test_kernel_structure_random_chains(n_states):
 @example(n_states=2, n_x=4, seed=0)  # 2s = n_x
 @example(n_states=5, n_x=7, seed=1)  # 2s > n_x, odd n_x
 @example(n_states=3, n_x=33, seed=2)
+@example(n_states=4, n_x=32, seed=77)  # the fixtures of the two tests above
+@example(n_states=3, n_x=32, seed=43)
+@example(n_states=4, n_x=32, seed=44)
+@example(n_states=5, n_x=32, seed=45)
 def test_factored_modes_match_the_dense_spectrum(n_states, n_x, seed):
     """The eigenmodes from the rank-2s factor against a dense eigensolver of
     the whole kernel."""
