@@ -21,7 +21,11 @@ is the limit generator plus a remainder exactly linear in eps.
 ``martingale_residual`` accumulates Delta phi_eps - int L_eps phi_eps along
 simulated trajectories; the chain dependence of the time integral is handled
 with exact per-state occupation times, so only the smooth part is subject to
-trapezoid error.
+trapezoid error.  Since the relaxation terms vanish and the correctors are
+density functionals, L_eps phi_eps and the carre du champ are linear
+functionals of f (Gamma up to its squared jumps), which ``GeneratorEvaluator``
+applies to the kinetic loop's spectral state directly: the window transforms
+back only the densities at its two ends.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fourier
 from .kinetic import KineticConfig, _sample_chunks, _strang
 from .model import TorusGrid, density, equilibrium_field, relaxation_operator
 from .noise import NoiseStatistics, _bordered_solve, _locate, occupation_table
@@ -41,6 +46,12 @@ def _rows(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     row, so a row's bits do not depend on its batch (a batched matrix
     product blocks its sums differently)."""
     return (matrix @ x[..., None])[..., 0]
+
+
+def _real_view(f_hat: np.ndarray) -> np.ndarray:
+    """Spectral states (..., n_v, n_k) as real rows (..., 2 n_v n_k), with the
+    real and imaginary part of each coefficient side by side."""
+    return f_hat.reshape(f_hat.shape[:-2] + (-1,)).view(float)
 
 
 @dataclass(frozen=True)
@@ -124,7 +135,22 @@ def build_correctors(stats: NoiseStatistics, mode: FourierMode) -> CorrectorSet:
 
 
 class GeneratorEvaluator:
-    """Fast per-state evaluation of L_eps phi_eps along one configuration."""
+    """Per-state evaluation of L_eps phi_eps and Gamma along one configuration.
+
+    ``per_state`` and ``terms`` break L_eps phi_eps into its terms on
+    physical fields, for the identity battery.  ``totals`` and ``gamma``
+    serve the martingale window on the kinetic loop's spectral state f_hat,
+    the rfft along x of f, shape (..., n_v, n_x // 2 + 1).  Both are linear
+    in f_hat, bar Gamma's squared jumps: phi_1 and phi_2 are density
+    functionals, and the only terms that are not linear in f, the 1/eps^2
+    relaxation terms (sigma(<f>) L f, D phi_eps), vanish identically, since
+    <L f> = (<F> - 1) rho and <F> = 1 (criterion 5 checks that ``per_state``
+    finds them zero).  So ``__init__`` builds real "spectral rows": for a real
+    profile a, cell sum_x a rho = sum_j Re(c_j rho_hat_j) with
+    c_j = (cell / n_x) m_j conj(a_hat_j) and the Parseval multiplicities m_j,
+    and with the velocity weights and the i kappa of the flux divergence
+    folded in, one row per chain state acts on f_hat viewed as real numbers.
+    """
 
     def __init__(self, config: KineticConfig, stats: NoiseStatistics | None, mode: FourierMode):
         if (stats is None) != (config.noise is None):
@@ -133,12 +159,15 @@ class GeneratorEvaluator:
             raise ValueError("noise statistics belong to a different model")
         self.config = config
         grid, quad = config.grid, config.quad
+        eps = config.epsilon
         self.p = mode.profile(grid)
         self.flux_weights = quad.weights * quad.speeds
         self.freq = 2j * np.pi * np.fft.rfftfreq(grid.n_x, d=grid.spacing)
         self.cell = grid.cell_volume
         if stats is None:
             self.correctors = None
+            # only the transport-singular term survives with noise off
+            self.total_rows = self._spectral_rows(np.zeros((1, grid.n_x)), -self.p[None] / eps)
             return
         self.correctors = build_correctors(stats, mode)
         self.states = stats.model.states
@@ -149,6 +178,25 @@ class GeneratorEvaluator:
         self.noise_base = self.states * self.p  # rows n_i p
         self.noise_w = self.states * w  # rows n_i W_i
         self.noise_u = self.states * u
+        # phi_eps / (eps cell) per state is the density functional of `scaled`
+        scaled = self.p / eps + w + eps * u
+        # transport: -(1/eps)(A f, D phi_eps); noise: (1/eps)(f n_i, D phi_eps);
+        # chain: (1/eps^2)(M phi_eps), whose base part M phi vanishes
+        self.total_rows = self._spectral_rows(self.states * scaled + self.generator @ (w / eps + u),
+                                              -scaled)
+        self.corrector_rows = self._spectral_rows(w + eps * u, np.zeros_like(w))
+
+    def _spectral_rows(self, rho_profiles: np.ndarray, div_profiles: np.ndarray) -> np.ndarray:
+        """Real rows R, one per profile pair (a_i, b_i), with
+        R @ ``_real_view(f_hat)`` = cell sum_x (a_i rho + b_i div <a f>)."""
+        quad, n_x = self.config.quad, self.config.grid.n_x
+        parseval = (self.cell / n_x) * fourier.rfft_multiplicities(n_x)
+        on_rho = parseval * np.conj(np.fft.rfft(rho_profiles))
+        on_div = parseval * np.conj(np.fft.rfft(div_profiles)) * self.freq
+        c = (quad.weights[:, None] * on_rho[:, None, :]
+             + self.flux_weights[:, None] * on_div[:, None, :])
+        # Re(c z) = Re c Re z - Im c Im z, on the interleaved (Re z, Im z)
+        return np.stack([c.real, -c.imag], axis=-1).reshape(len(c), -1)
 
     def fields(self, f: np.ndarray) -> np.ndarray:
         """The density, the flux divergence div <a f> and the relaxation
@@ -158,13 +206,6 @@ class GeneratorEvaluator:
         div_flux = np.fft.irfft(self.freq * np.fft.rfft(flux), n=self.config.grid.n_x)
         return np.stack([density(quad, f), div_flux,
                          density(quad, relaxation_operator(quad, f))], axis=-2)
-
-    def spectral_fields(self, f_hat: np.ndarray) -> np.ndarray:
-        """``fields`` of f from its rfft along x, by one inverse transform."""
-        quad = self.config.quad
-        spectra = np.stack([density(quad, f_hat), self.freq * (self.flux_weights @ f_hat),
-                            density(quad, relaxation_operator(quad, f_hat))], axis=-2)
-        return np.fft.irfft(spectra, n=self.config.grid.n_x)
 
     def per_state(self, f: np.ndarray) -> dict[str, np.ndarray]:
         """All generator terms for f of shape (..., n_v, n_x); see ``terms``."""
@@ -204,21 +245,22 @@ class GeneratorEvaluator:
             "chain_second": _rows(self.generator, second_vals),
         }
 
-    def totals(self, fields: np.ndarray) -> np.ndarray:
-        """L_eps phi_eps per state at the ``fields`` of f."""
-        terms = self.terms(fields)
-        return sum(terms.values())
+    def totals(self, f_hat: np.ndarray) -> np.ndarray:
+        """L_eps phi_eps per state at the spectral state f_hat (..., n_v,
+        n_x // 2 + 1): the sum of the ``terms``, without the relaxation terms,
+        which vanish identically (see the class docstring)."""
+        return _rows(self.total_rows, _real_view(f_hat))
 
-    def gamma(self, rho: np.ndarray) -> np.ndarray:
-        """Carre du champ of phi_1 + eps phi_2 under the chain, per state.
+    def gamma(self, f_hat: np.ndarray) -> np.ndarray:
+        """Carre du champ of phi_1 + eps phi_2 under the chain, per state, at
+        the spectral state f_hat (..., n_v, n_x // 2 + 1).
 
         This is the quadratic-variation density of the martingale part of
         phi_eps (the 1/eps^2 jump rates cancel the eps^2 scale of the
-        corrector jumps).  ``rho`` has shape (..., n_x)."""
+        corrector jumps)."""
         if self.correctors is None:
-            return np.zeros(rho.shape[:-1] + (1,))
-        v = self.correctors.first_values(rho)
-        v = v + self.config.epsilon * self.correctors.second_values(rho)
+            return np.zeros(f_hat.shape[:-2] + (1,))
+        v = _rows(self.corrector_rows, _real_view(f_hat))
         jumps = (v[..., None, :] - v[..., :, None]) ** 2
         return np.einsum("il,...il->...i", self.generator, jumps)
 
@@ -287,7 +329,11 @@ def martingale_residual(
     The time integral uses exact per-state occupation times of the chain and
     the trapezoid rule for the smooth field dependence.  The weight is
     Psi(rho_s) = tanh(int rho_s p dx).  Residual squares are paired with the
-    integrated carre du champ for the quadratic-variation check.
+    integrated carre du champ for the quadratic-variation check.  Each
+    window step evaluates L_eps phi_eps and Gamma on the spectral state of
+    the chunk's rows (``GeneratorEvaluator.totals`` and ``gamma``, one
+    matrix-vector product per row each); the densities are transformed back
+    only at the window's ends, for the weight and the two values of phi_eps.
     """
     dt = config.dt
     k_start = round(t_start / dt)
@@ -300,9 +346,9 @@ def martingale_residual(
         if abs(k * dt - t) > 1e-9 * max(t, dt):
             raise ValueError(f"{name} = {t} is not a multiple of dt = {dt}")
     evaluator = GeneratorEvaluator(config, stats, mode)
-    grid = config.grid
+    grid, quad = config.grid, config.quad
     profile = mode.profile(grid)
-    f0 = equilibrium_field(config.quad, np.asarray(rho0, dtype=float))
+    f0 = equilibrium_field(quad, np.asarray(rho0, dtype=float))
     noisy = config.noise is not None
     weighted = np.empty(n_samples)
     squares = np.empty(n_samples)
@@ -323,19 +369,20 @@ def martingale_residual(
                 if k < k_start:
                     continue
                 live = len(f)
-                fields = evaluator.spectral_fields(f)
-                rho = fields[:, 0]
                 if k == k_start:
+                    rho = np.fft.irfft(density(quad, f), n=grid.n_x)
                     # math.tanh, not np.tanh: the two differ in the last bit
                     weight = np.array([math.tanh(v) for v in grid.cell_volume * np.sum(rho * profile, axis=-1)])
                     start_value = _at_states(evaluator.perturbed(rho), paths, k * dt)
-                g_now = evaluator.totals(fields)
-                gamma_now = evaluator.gamma(rho)
+                g_now = evaluator.totals(f)
+                gamma_now = evaluator.gamma(f)
                 if k > k_start:
                     occ = occupations[k - k_start - 1, :live, None, :]
                     integral[:live] += _rows(occ, g_prev[:live] + g_now)[:, 0] / 2.0
                     qv[:live] += _rows(occ, gamma_prev[:live] + gamma_now)[:, 0] / 2.0
                 g_prev, gamma_prev = g_now, gamma_now
+        # f is the state at k_end, the last one the loop yields
+        rho = np.fft.irfft(density(quad, f), n=grid.n_x)
         residual = _at_states(evaluator.perturbed(rho), paths, t_end) - start_value - integral
         weighted[first:first + rows] = residual * weight
         squares[first:first + rows] = residual**2

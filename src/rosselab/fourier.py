@@ -29,6 +29,18 @@ def _laplace_symbol(n_x: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def rfft_multiplicities(n_x: int) -> np.ndarray:
+    """Parseval multiplicities m_j of the rfft modes j = 0, ..., n_x // 2:
+    sum_x a(x) b(x) = (1 / n_x) sum_j m_j Re(conj(a_hat_j) b_hat_j) for real
+    a and b.  m_j = 2 counts mode j and its mirror -j; m_j = 1 for the zero
+    mode and the Nyquist mode of even n_x.  Read-only: shared by every
+    caller of the cache."""
+    mirrors = np.where(2 * np.arange(n_x // 2 + 1) % n_x == 0, 1.0, 2.0)
+    mirrors.flags.writeable = False
+    return mirrors
+
+
+@functools.lru_cache(maxsize=None)
 def half_laplace_symbol(n_x: int) -> np.ndarray:
     """Symbol of the Laplacian in the rfft layout, xi = 0, ..., n_x // 2."""
     k = np.arange(n_x // 2 + 1, dtype=float)

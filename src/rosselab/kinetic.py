@@ -51,7 +51,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import noise
+from . import fourier, noise
 from .model import (
     Opacity,
     TorusGrid,
@@ -77,11 +77,9 @@ def transport_phases(grid: TorusGrid, quad: VelocityQuadrature, tau: float) -> n
 @functools.lru_cache(maxsize=16)
 def _energy_weights(grid: TorusGrid, quad: VelocityQuadrature) -> np.ndarray:
     """Flattened c_kj with ||f||^2 = sum_kj c_kj |f_hat_kj|^2 over the rfft
-    modes j: (w_k / F_k) (dx / n_x) m_j, where m_j = 2 counts mode j and its
-    mirror -j, and m_j = 1 for the zero mode and the Nyquist mode of even n_x."""
-    n_x = grid.n_x
-    mirrors = np.where(2 * np.arange(n_x // 2 + 1) % n_x == 0, 1.0, 2.0)
-    parseval = mirrors * (grid.cell_volume / n_x)
+    modes j: (w_k / F_k) (dx / n_x) m_j, with the Parseval multiplicities m_j
+    of ``fourier.rfft_multiplicities``."""
+    parseval = fourier.rfft_multiplicities(grid.n_x) * (grid.cell_volume / grid.n_x)
     weights = np.outer(quad.weights / quad.equilibrium, parseval).ravel()
     weights.flags.writeable = False  # shared by every caller of the cache
     return weights

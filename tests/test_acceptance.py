@@ -4,7 +4,7 @@ The verdict lines are echoed in the terminal summary at the end of any
 pytest run (see conftest.py), and each must equal its committed line in
 tests/verdicts.txt word for word; a change that means to move a verdict
 copies the new lines from that summary into the file.  Criteria 6 and 7
-carry Monte Carlo weight; the whole battery takes about 10 seconds (see
+carry Monte Carlo weight; the whole battery takes about 6 seconds (see
 README.md).  The scaling-limit fixture and every statistical threshold
 come from configs/acceptance.ini, not from literals in this file.
 """

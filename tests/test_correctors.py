@@ -1,16 +1,18 @@
 """Tests for the perturbed-test-function algebra and martingale residuals."""
 
 import collections
+import copy
 import dataclasses
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fixed_blocks, nan_paths
+from conftest import fixed_blocks, nan_paths, random_chain
 from rosselab import correctors, fourier, kinetic, noise
 from rosselab.correctors import (
     FourierMode,
@@ -201,6 +203,26 @@ class TestCorrectors:
         assert np.max(np.abs(values)) <= c_star * (1.0 + norm) ** 2
 
 
+def summand_sizes(evaluator, f):
+    """Per state, the sum over the terms of ``evaluator.per_state(f)`` of
+    their summands in absolute value: every profile, rate and field taken
+    in absolute value, and the relaxation average <F> rho - <f> replaced by
+    the size of its summands, <F> |rho| + <|f|>.  A term that cancels, such
+    as the transport term of a mode that f barely excites or a relaxation
+    term, is only accurate to rounding of this size."""
+    quad = evaluator.config.quad
+    fields = np.abs(evaluator.fields(f))
+    fields[..., 2, :] = quad.equilibrium_mass() * fields[..., 0, :] + density(quad, np.abs(f))
+    sizes = copy.copy(evaluator)
+    sizes.p = np.abs(evaluator.p)
+    if evaluator.correctors is not None:
+        for name in ("w_profiles", "u_profiles", "noise_base", "noise_w", "noise_u", "generator"):
+            setattr(sizes, name, np.abs(getattr(evaluator, name)))
+        sizes.correctors = dataclasses.replace(
+            evaluator.correctors, first_profiles=sizes.w_profiles, second_profiles=sizes.u_profiles)
+    return sum(np.abs(term) for term in sizes.terms(fields).values())
+
+
 CHAIN_CASES = [
     ("two-speed", None, "telegraph"),
     ("two-speed", None, "rotor"),
@@ -296,13 +318,89 @@ class TestGeneratorAlgebra:
         with pytest.raises(ValueError):
             GeneratorEvaluator(quiet, stats, MODE)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_x=st.integers(4, 64),
+        quad_name=st.sampled_from(["two-speed", "legendre"]),
+        chain=st.sampled_from(["telegraph", "rotor", "random", "off"]),
+        frequency=st.integers(0, 31),
+        parity=st.sampled_from(["cos", "sin"]),
+        eps=st.floats(1 / 64, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # cos1 * cos1 carries the Nyquist mode of n_x = 4
+    @example(n_x=4, quad_name="two-speed", chain="telegraph", frequency=1, parity="cos",
+             eps=0.25, seed=0)
+    # odd n_x, a sine mode and Legendre nodes
+    @example(n_x=9, quad_name="legendre", chain="rotor", frequency=2, parity="sin",
+             eps=0.1, seed=1)
+    @example(n_x=32, quad_name="two-speed", chain="off", frequency=1, parity="cos",
+             eps=0.5, seed=2)
+    # terms far below their summands: the transport terms of the constant
+    # mode, the relaxation terms at small eps, a sample whose transport term
+    # or corrector values nearly cancel
+    @example(n_x=60, quad_name="legendre", chain="off", frequency=0, parity="cos",
+             eps=1.0, seed=60)
+    @example(n_x=4, quad_name="legendre", chain="rotor", frequency=0, parity="cos",
+             eps=0.0625, seed=0)
+    @example(n_x=4, quad_name="legendre", chain="off", frequency=1, parity="cos",
+             eps=0.125, seed=28690195)
+    @example(n_x=25, quad_name="legendre", chain="random", frequency=20, parity="sin",
+             eps=0.4140625, seed=20)
+    def test_spectral_rows_match_the_physical_terms(self, n_x, quad_name, chain, frequency,
+                                                    parity, eps, seed):
+        """``totals`` and ``gamma`` on the spectral state equal the sum of the
+        physical ``per_state`` terms and the carre du champ of the physical
+        corrector values, and the relaxation terms they leave out are
+        rounding."""
+        grid = TorusGrid(n_x)
+        rng = np.random.default_rng(seed)
+        n_nodes = None if quad_name == "two-speed" else int(rng.integers(2, 9))
+        model = {
+            "telegraph": lambda: telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0),
+            "rotor": lambda: rotor_noise(grid, 0.8, 1, 1.5),
+            "random": lambda: random_chain(rng, int(rng.integers(2, 5)), grid),
+            "off": lambda: None,
+        }[chain]()
+        stats = None if model is None else noise_statistics(model)
+        frequency %= (n_x + 1) // 2
+        mode = FourierMode(frequency, parity if frequency else "cos")
+        config = kinetic_config(eps, model, quad_name, n_nodes, grid)
+        evaluator = GeneratorEvaluator(config, stats, mode)
+        f = rng.uniform(0.1, 3.0, size=(3, config.quad.n_v, n_x))
+        f_hat = np.fft.rfft(f)
+
+        terms = evaluator.per_state(f)
+        scale = summand_sizes(evaluator, f)
+        assert np.all(np.abs(evaluator.totals(f_hat) - sum(terms.values())) <= 1e-12 * scale)
+        for name in ("relax_singular", "relax_first", "relax_second"):
+            assert np.all(np.abs(terms.get(name, 0.0)) <= 1e-13 * scale)
+
+        gamma = evaluator.gamma(f_hat)
+        if stats is None:
+            assert np.array_equal(gamma, np.zeros((3, 1)))
+            return
+        corrector_set = evaluator.correctors
+        rho = density(config.quad, f)
+        v = corrector_set.first_values(rho) + eps * corrector_set.second_values(rho)
+        # the size of the summands of each corrector value
+        size = grid.cell_volume * np.abs(rho) @ (np.abs(corrector_set.first_profiles)
+                                                 + eps * np.abs(corrector_set.second_profiles)).T
+        rates = stats.model.generator
+        states = range(model.n_states)
+        expected = np.stack([sum(rates[i, l] * (v[:, l] - v[:, i]) ** 2 for l in states)
+                             for i in states], axis=-1)
+        gamma_scale = np.stack([sum(abs(rates[i, l]) * (size[:, l] + size[:, i]) ** 2
+                                    for l in states) for i in states], axis=-1)
+        assert np.all(np.abs(gamma - expected) <= 1e-12 * gamma_scale)
+
     def test_gamma_telegraph_closed_form(self):
         # phi_1 jumps between +/- sqrt(2)/4, so Gamma = rate (2 phi_1)^2 = 1/2.
         stats = telegraph_stats()
         config = kinetic_config(0.25, stats.model)
         evaluator = GeneratorEvaluator(config, stats, MODE)
         rho = 1.0 + 0.4 * np.cos(2.0 * np.pi * X)
-        gamma = evaluator.gamma(rho)
+        gamma = evaluator.gamma(np.fft.rfft(equilibrium_field(config.quad, rho)))
         assert np.allclose(gamma, 0.5, atol=1e-12)
 
 
@@ -464,6 +562,31 @@ class TestMartingaleResidual:
         assert calls == {"rosselab.kinetic": 3}
         martingale_residual(config, stats, MODE, rho0, 0.0, 0.1, 7, 1)
         assert calls == {"rosselab.kinetic": 6, "rosselab.correctors": 3}
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        window=st.lists(st.integers(0, 13), min_size=2, max_size=2, unique=True).map(sorted),
+        fixture=st.sampled_from(["telegraph", "rotor", "off"]),
+    )
+    def test_window_takes_two_inverse_transforms_per_chunk(self, window, fixture):
+        """L_eps phi_eps and Gamma act on the spectral state: the window's
+        only inverse transforms are the densities at its two ends."""
+        config, stats, rho0 = self.martingale_fixture("telegraph" if fixture == "off" else fixture)
+        if fixture == "off":
+            config, stats = dataclasses.replace(config, noise=None), None
+        t_start, t_end = (k * config.dt for k in window)
+        calls = collections.Counter()
+        irfft = np.fft.irfft
+
+        def counted(*args, **kwargs):
+            calls[sys._getframe(1).f_globals["__name__"]] += 1
+            return irfft(*args, **kwargs)
+
+        with mock.patch.object(np.fft, "irfft", counted), \
+                mock.patch.object(noise, "CHUNK_BUDGET", 3 * kinetic._floats_per_sample(config)):
+            martingale_residual(config, stats, MODE, rho0, t_start, t_end, 7, 1)
+        # 7 samples in chunks of 3 are 3 chunks
+        assert calls["rosselab.correctors"] == 2 * 3
 
     def test_failure_names_lowest_failing_sample(self, monkeypatch):
         # sample 4 fails first in time, sample 2 later: the check names
