@@ -149,9 +149,15 @@ def cmd_noise_info(setup: Setup, out: Path, args) -> int:
     return 0
 
 
-def _density_rows(times: np.ndarray, densities: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows (t, x, density) of every snapshot, x fastest."""
-    return np.column_stack((np.repeat(times, len(x)), np.tile(x, len(times)), densities.ravel()))
+def _write_run(out: Path, name: str, trajectory, columns: list[str]) -> None:
+    """Write ``<name>_density.csv``, rows (t, x, density) of every snapshot
+    with x fastest, and ``<name>_series.csv``, the step times, the mass and
+    the trajectory's series ``columns`` per step."""
+    x, times = trajectory.config.grid.axis_points(), trajectory.times
+    write_csv(out / f"{name}_density.csv", ["time", "x", "density"], np.column_stack(
+        (np.repeat(times, len(x)), np.tile(x, len(times)), trajectory.densities.ravel())))
+    series = [trajectory.step_times, trajectory.mass, *(getattr(trajectory, c) for c in columns)]
+    write_csv(out / f"{name}_series.csv", ["time", "mass", *columns], np.column_stack(series))
 
 
 def cmd_run_kinetic(setup: Setup, out: Path, args) -> int:
@@ -164,14 +170,7 @@ def cmd_run_kinetic(setup: Setup, out: Path, args) -> int:
     )
     rng = sample_rng(seed, 0) if setup.noise is not None else None
     trajectory = run_kinetic(config, setup.rho0, rng=rng)
-    x = setup.grid.axis_points()
-    write_csv(out / "kinetic_density.csv", ["time", "x", "density"],
-              _density_rows(trajectory.times, trajectory.densities, x))
-    write_csv(
-        out / "kinetic_series.csv",
-        ["time", "mass", "energy", "defect"],
-        np.column_stack((trajectory.step_times, trajectory.mass, trajectory.energy, trajectory.defect)),
-    )
+    _write_run(out, "kinetic", trajectory, ["energy", "defect"])
     write_manifest(out, "run-kinetic", args.config, seed,
                    [("epsilon", run.epsilon), ("dt", config.dt)])
     print(f"run-kinetic: {config.n_steps} steps at epsilon = {run.epsilon:g}, "
@@ -190,14 +189,7 @@ def cmd_run_spde(setup: Setup, out: Path, args) -> int:
     )
     rng = sample_rng(seed, 1) if setup.stats is not None else None
     trajectory = run_limit(config, setup.rho0, rng=rng)
-    x = setup.grid.axis_points()
-    write_csv(out / "spde_density.csv", ["time", "x", "density"],
-              _density_rows(trajectory.times, trajectory.densities, x))
-    write_csv(
-        out / "spde_series.csv",
-        ["time", "mass", "norm_sq"],
-        np.column_stack((trajectory.step_times, trajectory.mass, trajectory.norm_sq)),
-    )
+    _write_run(out, "spde", trajectory, ["norm_sq"])
     write_manifest(out, "run-spde", args.config, seed,
                    [("drift", drift), ("dt", config.dt)])
     print(f"run-spde: {config.n_steps} steps with {drift} drift, "

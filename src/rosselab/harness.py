@@ -103,22 +103,18 @@ def _check_samples(n_samples: int) -> None:
         raise ValueError("n_samples must be at least 2")
 
 
-def _kinetic_reduction(trajectories: Sequence[KineticTrajectory], mode: FourierMode,
-                       sobolev_order: float) -> np.ndarray:
-    """Final functionals and uniform-bound diagnostics of kinetic runs of one
-    configuration, reduced as one batch: the rows <rho_T, p>, ||rho_T||^2,
-    sup energy, defect integral and H^s integral, one column per run.  Every
-    reduction acts on each run alone, so a run's values do not depend on
-    its batch."""
-    densities, energy, defect = (np.array([getattr(t, name) for t in trajectories])
-                                 for name in ("densities", "energy", "defect"))
-    batch = replace(trajectories[0], densities=densities)
-    grid, finals = batch.config.grid, densities[:, -1]
+def _kinetic_reduction(batch: KineticTrajectory, mode: FourierMode, sobolev_order: float) -> np.ndarray:
+    """Final functionals and uniform-bound diagnostics of a batch of kinetic
+    runs of one configuration, stacked on a leading axis: the rows
+    <rho_T, p>, ||rho_T||^2, sup energy, defect integral and H^s integral,
+    one column per run.  Every reduction acts on each run alone, so a run's
+    values do not depend on its batch."""
+    grid, finals = batch.config.grid, batch.densities[:, -1]
     return np.array([
         mode.apply(grid, finals),
         l2_norm_sq(grid, finals),
-        energy.max(axis=-1),
-        _trapezoid(defect**2, batch.config.dt),
+        batch.energy.max(axis=-1),
+        _trapezoid(batch.defect**2, batch.config.dt),
         hs_norm(batch, sobolev_order),
     ])
 
@@ -155,7 +151,8 @@ def kinetic_ensemble(
     """
     _check_samples(n_samples)
     columns = [
-        _kinetic_reduction(_trajectories(config, rho0, paths, first_sample=start), mode, sobolev_order)
+        _kinetic_reduction(KineticTrajectory(config, *_trajectories(config, rho0, paths, first_sample=start)),
+                           mode, sobolev_order)
         for start, paths in _sample_chunks(config, n_samples, seed)
     ]
     return KineticEnsemble(*np.concatenate(columns, axis=1))
@@ -336,12 +333,12 @@ def epsilon_sweep(
         )
         det_error = None
         if stats is None:
-            trajectory = run_kinetic(config, rho0)
+            batch = KineticTrajectory(config, *_trajectories(config, rho0, [None]))
             mode_value, norm_sq, sup_energy, defect_integral, sobolev = _kinetic_reduction(
-                [trajectory], mode, sobolev_order
+                batch, mode, sobolev_order
             )[:, 0]
             est = _degenerate_triple(mode_value, norm_sq)
-            det_error = math.sqrt(l2_norm_sq(grid, trajectory.final_density() - limit_final))
+            det_error = math.sqrt(l2_norm_sq(grid, batch.densities[0, -1] - limit_final))
         else:
             ensemble = kinetic_ensemble(config, rho0, mode, n_kinetic,
                                         (*entropy, 10 + i), sobolev_order)

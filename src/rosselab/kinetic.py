@@ -29,16 +29,11 @@ caller records them.
 The solver steps a batch of samples with one noise path per row.  Every
 operation of a step acts on each row alone (transforms along x, one
 vector-matrix product per row), so a sample's bits do not depend on the
-batch it runs in.  One loop, ``_strang``, advances such a batch a block of
-steps at a time: each step checks every row's noise exponents, and the
-block's states land in one buffer of (K, B, n_v, n_x // 2 + 1), whose
-energies the loop takes and checks for finiteness in one call per block.
-Its consumers then take densities, mass, defect and snapshots of the whole
-block in one pass each.  Stacking steps on a leading axis keeps every
-row's bits, so the block length K, worked out by ``_block_steps`` from the
-chunk budget, changes no result.  ``run_kinetic`` is the loop's one-sample
-case, and ``harness.kinetic_ensemble`` and ``correctors.martingale_residual``
-run their samples through it in the chunks of ``noise.sample_chunks``
+batch it runs in.  ``_strang`` runs the step on the block loop both solvers
+share, ``noise.step_blocks``, whose docstring states the block rule and the
+failure rule.  ``run_kinetic`` is its one-sample case, and
+``harness.kinetic_ensemble`` and ``correctors.martingale_residual`` run
+their samples through it in the chunks of ``noise.sample_chunks``
 (``_sample_chunks``).
 """
 
@@ -51,7 +46,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import fourier, noise
+from . import fourier
 from .model import (
     Opacity,
     TorusGrid,
@@ -60,7 +55,8 @@ from .model import (
     equilibrium_field,
     relax_exact,
 )
-from .noise import NoiseModel, NoisePath, _failure, occupation_table, sample_chunks, sample_path, sample_rng
+from .noise import (NoiseModel, NoisePath, _RowError, occupation_table, record_blocks, sample_chunks,
+                    sample_path, sample_rng, step_blocks)
 
 #: dt <= DT_CAP * eps^2 keeps the stiff relaxation and noise resolved
 DT_CAP = 0.5
@@ -93,14 +89,6 @@ def spectral_energy(grid: TorusGrid, quad: VelocityQuadrature, f_hat: np.ndarray
     power = f_hat.real**2 + f_hat.imag**2
     # one dot product per row: a product over the sample axis blocks sums by batch
     return (power.reshape(power.shape[:-2] + (1, weights.size)) @ weights)[..., 0]
-
-
-class _RowError(FloatingPointError):
-    """A solver failure of one row of a batch of samples."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
 
 
 def noise_factor(model: NoiseModel, occupations: np.ndarray, epsilon: float) -> np.ndarray:
@@ -232,15 +220,6 @@ class KineticStepper:
         return f
 
 
-def _block_steps(config: KineticConfig, rows: int) -> int:
-    """Steps per block of ``_strang`` for a batch of ``rows`` samples: as
-    many as keep the block's spectral states, 2 * rows * n_v * (n_x // 2 + 1)
-    floats per step, within ``noise.CHUNK_BUDGET // 16`` floats, and at
-    least one."""
-    per_step = 2 * rows * config.quad.n_v * (config.grid.n_x // 2 + 1)
-    return max(noise.CHUNK_BUDGET // 16 // per_step, 1)
-
-
 def _strang(
     config: KineticConfig,
     f0: np.ndarray,
@@ -248,57 +227,27 @@ def _strang(
     n_steps: int | None = None,
     first_sample: int | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (k, f, energy) for consecutive blocks of the steps k, k + 1, ...
-    of k = 0..n_steps (default: the run).
-
-    Every row starts from the field f0 (n_v, n_x) and follows its own path.
-    f, shape (K, B, n_v, n_x // 2 + 1), holds the spectral state of each row
-    at each of the block's K steps and energy (K, B) its squared weighted
-    norm; f is a view of a buffer the next block overwrites.  Each step
-    checks each row's noise exponents against EXPONENT_LIMIT, and each block
-    checks the finiteness of its energies.  A failing row stops itself and
-    the rows above it, which leave the yields from the next block on; the
-    rows below run on, and the loop ends by raising FloatingPointError for
-    the lowest failing row at its own first failure.  With ``first_sample`` set,
-    the message names it as ``sample first_sample + row``.
+    """``noise.step_blocks`` of the steps k = 0..n_steps (default: the run),
+    yielding (k, f, energy) per block: the spectral states (K, B, n_v,
+    n_x // 2 + 1) of rows that start from the field f0 (n_v, n_x) and follow
+    one path each, and their squared weighted norms (K, B).  A row fails at
+    a noise exponent above EXPONENT_LIMIT or a non-finite energy.
     """
     n_steps = config.n_steps if n_steps is None else n_steps
     stepper = KineticStepper(config, paths)
     # C order: a row's matrix-vector products must not see the batch
     f = np.repeat(np.fft.rfft(np.asarray(f0, dtype=float))[None], len(paths), axis=0)
-    # zeros: the entries a row leaves behind when it stops inside a block
-    # stay finite (zeros, or its states of an earlier block), so a block's
-    # finiteness check sees only the steps each row reached
-    buffer = np.zeros((min(_block_steps(config, len(paths)), n_steps + 1),) + f.shape, dtype=complex)
-    failure = None
-    for start in range(0, n_steps + 1, len(buffer)):
-        block = buffer[:n_steps + 1 - start, :len(f)]
-        raised = {}  # row -> its noise-exponent error
-        for j in range(len(block)):
-            while start + j and len(f):
-                try:
-                    f = stepper.step(f, start + j - 1)
-                    break
-                except _RowError as exc:
-                    raised[exc.row] = str(exc)
-                    f = f[:exc.row]
-            block[j, :len(f)] = f
-        energy = spectral_energy(config.grid, config.quad, block)
+
+    def check(start: int, f: np.ndarray):
+        energy = spectral_energy(config.grid, config.quad, f)
         lost = ~np.isfinite(energy)
-        if raised or lost.any():
-            row = min([*raised, *np.flatnonzero(lost.any(axis=0))])
-            if lost[:, row].any():
-                k = start + int(np.argmax(lost[:, row]))
-                message = f"kinetic field lost finiteness at step {k} (t = {k * config.dt:g})"
-            else:
-                message = raised[row]
-            failure = _failure(first_sample, row, message)
-            f = f[:row]
-        yield start, block, energy
-        if not len(f):
-            break
-    if failure is not None:
-        raise FloatingPointError(failure)
+        if not lost.any():
+            return energy, {}
+        row = int(np.argmax(lost.any(axis=0)))
+        k = start + int(np.argmax(lost[:, row]))
+        return energy, {row: f"kinetic field lost finiteness at step {k} (t = {k * config.dt:g})"}
+
+    return step_blocks(stepper.step, f, n_steps, first_sample, check)
 
 
 def _trajectories(
@@ -306,37 +255,20 @@ def _trajectories(
     rho0: np.ndarray,
     paths: Sequence[NoisePath | None],
     first_sample: int | None = None,
-) -> list[KineticTrajectory]:
-    """Run one sample per path from rho0(x) F(v) and record its diagnostics,
-    a block of steps at a time."""
+) -> tuple[np.ndarray, ...]:
+    """Run one sample per path from rho0(x) F(v): ``noise.record_blocks``
+    with the series mass, energy and defect, one pass per block each."""
     grid, quad = config.grid, config.quad
-    n_steps = config.n_steps
-    rows = len(paths)
     f0 = equilibrium_field(quad, np.asarray(rho0, dtype=float))
-    stride = config.snapshot_stride
-    step_times = np.arange(n_steps + 1) * config.dt
-    snap_steps = np.arange(0, n_steps + 1, stride)
-    if snap_steps[-1] != n_steps:
-        snap_steps = np.append(snap_steps, n_steps)
-    # one row per sample, so each sample's series is contiguous
-    mass, energy, defect = np.empty((3, rows, n_steps + 1))
-    snaps = np.empty((rows, len(snap_steps)) + grid.shape)
-    for start, f, energy_k in _strang(config, f0, paths, first_sample=first_sample):
-        steps, live = energy_k.shape
-        span = slice(start, start + steps)
+
+    def measure(f: np.ndarray, at: np.ndarray):
         rho = density(quad, f)
-        mass[:live, span] = grid.cell_volume * rho[..., 0].real.T
-        energy[:live, span] = energy_k.T
         defect_sq = spectral_energy(grid, quad, equilibrium_field(quad, rho) - f)
-        defect[:live, span] = np.sqrt(np.maximum(defect_sq, 0.0)).T / config.epsilon
-        ks = np.arange(start, start + steps)
-        at = np.flatnonzero((ks % stride == 0) | (ks == n_steps))
-        snaps[:live, -(-ks[at] // stride)] = np.fft.irfft(rho[at], n=grid.n_x).swapaxes(0, 1)
-    return [
-        KineticTrajectory(config, step_times[snap_steps], snaps[b], step_times,
-                          mass[b], energy[b], defect[b])
-        for b in range(rows)
-    ]
+        return (np.fft.irfft(rho[at], n=grid.n_x), grid.cell_volume * rho[..., 0].real,
+                np.sqrt(np.maximum(defect_sq, 0.0)) / config.epsilon)
+
+    blocks = _strang(config, f0, paths, first_sample=first_sample)
+    return record_blocks(blocks, config.n_steps, config.snapshot_stride, config.dt, measure)
 
 
 def run_kinetic(
@@ -356,7 +288,8 @@ def run_kinetic(
         if rng is None:
             raise ValueError("pass rng when noise is on")
         path = sample_path(config.noise, config.epsilon, config.t_final, rng)
-    return _trajectories(config, rho0, [path])[0]
+    times, snaps, step_times, *series = _trajectories(config, rho0, [path])
+    return KineticTrajectory(config, times, snaps[0], step_times, *(values[0] for values in series))
 
 
 def _floats_per_sample(config: KineticConfig) -> int:

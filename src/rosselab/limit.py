@@ -37,11 +37,12 @@ noise-free equation by ETDRK4 on the same split.
 
 The loop steps a batch of samples, densities of shape (B, n_x) with one row
 of normals per sample: every operation of a step acts on each row alone, so
-a sample's path does not depend on the batch it is integrated in.  One loop,
-``_integrate``, advances such a batch and checks every sample for
-finiteness and positivity at every step; ``run_limit`` is its one-sample
-case, and ``harness.limit_ensemble`` runs its samples through it in the
-chunks of ``noise.sample_chunks``, as the kinetic ensembles do.
+a sample's path does not depend on the batch it is integrated in.
+``_integrate`` runs the step on the block loop both solvers share,
+``noise.step_blocks``, whose docstring states the block rule and the
+failure rule.  ``run_limit`` is its one-sample case, and
+``harness.limit_ensemble`` runs its samples through it in the chunks of
+``noise.sample_chunks``, as the kinetic ensembles do.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import fourier
 from .model import Opacity, TorusGrid
-from .noise import NoiseStatistics, _failure
+from .noise import NoiseStatistics, record_blocks, step_blocks
 
 #: ``SpdeConfig(dt=None)`` takes at least this many steps per decay time
 #: sigma_* / (4 pi^2 K) of the first Fourier mode at the largest diffusivity
@@ -200,51 +201,36 @@ def _integrate(
     normals: np.ndarray,
     first_sample: int | None = None,
 ) -> tuple[np.ndarray, ...]:
-    """Advance B samples from rho0 with normals of shape (n_steps, B, rank).
-
-    Returns the snapshot times, the snapshots (B, n_snap, n_x), the step
-    times and the per-step mass and norm_sq (B, n_steps + 1), one row per
-    sample, as ``kinetic._trajectories`` lays them out.
-
-    Every step checks each row's squared norm for finiteness and its
-    density for positivity.  A failing row stops itself and the rows above
-    it; the rows below run on, so the run raises for the lowest failing row
-    at its own first failing step.  With ``first_sample`` set, the message
-    names it as ``sample first_sample + row``.
+    """Advance B samples from rho0 with normals (n_steps, B, rank):
+    ``noise.record_blocks`` with the series mass and norm_sq.  A row fails
+    at a non-finite norm_sq or a density that is not positive.
     """
     n_steps, rows = normals.shape[:2]
-    dt, cell, stride = config.dt, config.grid.cell_volume, config.snapshot_stride
+    dt, cell = config.dt, config.grid.cell_volume
     stepper = SpdeStepper(config)
-    rho = np.repeat(np.asarray(rho0, dtype=float)[None], rows, axis=0)
-    snap_steps = np.arange(0, n_steps + 1, stride)
-    if snap_steps[-1] != n_steps:
-        snap_steps = np.append(snap_steps, n_steps)
-    mass, norm_sq = np.empty((2, rows, n_steps + 1))
-    snaps = np.empty((rows, len(snap_steps)) + config.grid.shape)
-    failure = None
-    live = rows
-    for k in range(n_steps + 1):
-        t = k * dt
+
+    def step(rho: np.ndarray, k: int) -> np.ndarray:
+        return stepper.step(rho, normals[k, :len(rho)])
+
+    def check(start: int, rho: np.ndarray):
         sq = cell * (rho * rho).sum(axis=-1)
-        if not (rho.min() > 0.0 and sq.max() < math.inf):
-            live = int(np.argmax(~(np.isfinite(sq) & (rho.min(axis=-1) > 0.0))))
-            if np.isfinite(sq[live]):
-                message = f"density lost positivity at t = {t:g} (min = {rho[live].min():.3e})"
-            else:
-                message = f"density lost finiteness at step {k} (t = {t:g})"
-            failure = _failure(first_sample, live, message)
-            if live == 0:
-                break
-            rho, sq = rho[:live], sq[:live]
-        mass[:live, k] = cell * rho.sum(axis=-1)
-        norm_sq[:live, k] = sq
-        if k % stride == 0 or k == n_steps:
-            snaps[:live, math.ceil(k / stride)] = rho
-        if k < n_steps:
-            rho = stepper.step(rho, normals[k, :live])
-    if failure is not None:
-        raise FloatingPointError(failure)
-    return snap_steps * dt, snaps, np.arange(n_steps + 1) * dt, mass, norm_sq
+        if rho.min() > 0.0 and sq.max() < math.inf:
+            return sq, {}
+        low = rho.min(axis=-1)
+        lost = ~(np.isfinite(sq) & (low > 0.0))
+        row = int(np.argmax(lost.any(axis=0)))
+        j = int(np.argmax(lost[:, row]))
+        k = start + j
+        if np.isfinite(sq[j, row]):
+            return sq, {row: f"density lost positivity at t = {k * dt:g} (min = {low[j, row]:.3e})"}
+        return sq, {row: f"density lost finiteness at step {k} (t = {k * dt:g})"}
+
+    def measure(rho: np.ndarray, at: np.ndarray):
+        return rho[at], cell * rho.sum(axis=-1)
+
+    rho = np.repeat(np.asarray(rho0, dtype=float)[None], rows, axis=0)
+    blocks = step_blocks(step, rho, n_steps, first_sample, check)
+    return record_blocks(blocks, n_steps, config.snapshot_stride, dt, measure)
 
 
 def _floats_per_sample(config: SpdeConfig) -> int:

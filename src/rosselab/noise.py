@@ -19,7 +19,9 @@ divided by epsilon^2) with jump times stored in physical time,
 ``occupation_table`` integrates a batch of them over shared time windows
 (the time each path spends in each state, in one vectorized pass per
 batch), ``sample_rng`` seeds the generator of one ensemble member, and
-``sample_chunks`` splits an ensemble into chunks of bounded memory.
+``sample_chunks`` splits an ensemble into chunks of bounded memory.  Both
+solvers advance a chunk on the block loop ``step_blocks`` and lay its run
+out by ``record_blocks``.
 """
 
 from __future__ import annotations
@@ -345,10 +347,99 @@ def sample_chunks(n_samples: int, floats_per_sample: int, draw: Callable) -> Ite
         yield start, [draw(k) for k in range(start, min(start + size, n_samples))]
 
 
-def _failure(first_sample: int | None, row: int, message: str) -> str:
-    """The error of row ``row`` of a chunk, named ``sample k: `` when the
-    chunk starts at ``first_sample``."""
-    return message if first_sample is None else f"sample {first_sample + row}: {message}"
+class _RowError(FloatingPointError):
+    """A solver failure of one row of a batch of samples."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _block_steps(state: np.ndarray) -> int:
+    """Steps per block of ``step_blocks``: as many as keep the block's states
+    (state.nbytes / 8 floats a step) within ``CHUNK_BUDGET // 16`` floats, at least one."""
+    return max(CHUNK_BUDGET // 16 // (state.nbytes // 8), 1)
+
+
+def step_blocks(
+    step: Callable, state: np.ndarray, n_steps: int, first_sample: int | None, check: Callable
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Advance a batch of samples, one row of ``state`` (the batch at step
+    0) each, and yield (k, states, norms) for consecutive blocks of the
+    steps k, k + 1, ... of k = 0..n_steps; both solvers run on this loop.
+
+    ``step(state, k)`` takes the rows from step k to k + 1.  states,
+    (K,) + state.shape, is a buffer the next block overwrites.
+    ``check(k, states)`` returns the norms (K, B) and {row: message} for the
+    lowest row that fails it, at its first failing step, or {}.
+
+    Block rule: K is as many steps as fit ``CHUNK_BUDGET // 16`` floats, at
+    least one (``_block_steps``); every operation acts on each row and step
+    alone, so K changes no bit.
+
+    Failure rule: a step may raise ``_RowError``, which stops that row and
+    the rows above it at once.  After each block the lowest row that raised
+    or failed the check stops with the rows above it, and the rows below
+    run on; the loop ends by raising FloatingPointError for the lowest
+    failing row at its own first failure, named ``sample first_sample +
+    row`` when ``first_sample`` is set.  Rows step on past a failure to the
+    end of their block, so steps and check run with overflow and
+    invalid-value warnings off.  A row a raise stops leaves its entries as
+    they were (zeros, or earlier states), which must pass the check.
+    """
+    buffer = np.zeros((min(_block_steps(state), n_steps + 1),) + state.shape, dtype=state.dtype)
+    failure = None
+    for start in range(0, n_steps + 1, len(buffer)):
+        states = buffer[:n_steps + 1 - start, :len(state)]
+        failed = {}  # row -> its error
+        # closed before the yield, which would hand the error state to the caller
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(len(states)):
+                while start + j and len(state):
+                    try:
+                        state = step(state, start + j - 1)
+                        break
+                    except _RowError as exc:
+                        failed[exc.row] = str(exc)
+                        state = state[:exc.row]
+                states[j, :len(state)] = state
+            norms, lost = check(start, states)
+        # a raise stops a row, so the states it fails the check at come first
+        failed.update(lost)
+        if failed:
+            row = min(failed)
+            failure = failed[row] if first_sample is None else f"sample {first_sample + row}: {failed[row]}"
+            state = state[:row]
+        yield start, states, norms
+        if not len(state):
+            break
+    if failure is not None:
+        raise FloatingPointError(failure)
+
+
+def record_blocks(blocks: Iterator, n_steps: int, stride: int, dt: float, measure: Callable) -> tuple:
+    """A run of ``step_blocks`` in the layout both solvers return: snapshot
+    times, snapshots (B, n_snap, n_x) at the steps 0, stride, 2 stride, ...
+    and n_steps, step times and per-step series (B, n_steps + 1): the mass,
+    the loop's norms and the further series of ``measure(states, at)``,
+    which returns a block's densities at its steps ``at`` (len(at), B, n_x),
+    its mass and further series (K, B).
+    """
+    snap_steps = np.append(np.arange(0, n_steps, stride), n_steps)
+    # step_blocks' error state, since a block holds rows stepped past a failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, states, norms in blocks:
+            steps, live = norms.shape
+            cols = slice(*snap_steps.searchsorted([start, start + steps]))
+            densities, mass, *more = measure(states, snap_steps[cols] - start)
+            if not start:  # every row runs the first block
+                snaps = np.empty((live, len(snap_steps), densities.shape[-1]))
+                # one row per sample, so each sample's series is contiguous
+                series = np.empty((2 + len(more), live, n_steps + 1))
+            snaps[:live, cols] = densities.swapaxes(0, 1)
+            for out, values in zip(series, (mass, norms, *more)):
+                out[:live, start:start + steps] = values.T
+    return (snap_steps * dt, snaps, np.arange(n_steps + 1) * dt, *series)
 
 
 @functools.lru_cache(maxsize=16)

@@ -1,8 +1,8 @@
 """Shared pytest plumbing: collect acceptance verdict lines for the summary,
 random ergodic chains, physical-space views of the kinetic solver's phases
-and steps, a fixed block length for the kinetic loop, and ``sample_rng`` /
-``sample_path`` / ``occupation_table`` stand-ins for ensemble failure
-tests."""
+and steps, a fixed block length for the solvers' block loop, and
+``sample_rng`` / ``sample_path`` / ``occupation_table`` stand-ins for
+ensemble failure tests."""
 
 import contextlib
 import itertools
@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rosselab import kinetic
+from rosselab import noise
 from rosselab.kinetic import KineticStepper, transport_phases
 from rosselab.noise import NoisePath, make_noise_model, occupation_table, sample_path
 
@@ -62,11 +62,11 @@ def stepped_fields(config, f0, path=None):
 
 @contextlib.contextmanager
 def fixed_blocks(block):
-    """Run the kinetic loop ``block`` steps per block; None keeps the block
-    length it works out."""
+    """Run the solvers' block loop ``noise.step_blocks`` ``block`` steps per
+    block; None keeps the block length it works out."""
     with pytest.MonkeyPatch.context() as patch:
         if block is not None:
-            patch.setattr(kinetic, "_block_steps", lambda config, rows: block)
+            patch.setattr(noise, "_block_steps", lambda state: block)
         yield
 
 

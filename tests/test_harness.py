@@ -204,15 +204,18 @@ class TestEnsembles:
 
     @pytest.mark.parametrize("chunk", [2, 6])
     def test_limit_error_names_lowest_failing_sample(self, monkeypatch, chunk):
-        # sample 4 fails first in time, sample 2 later: the ensemble names
-        # sample 2 at its own first failing step, as a serial loop would,
-        # whether the two share a chunk or each opens its own
+        # sample 4 fails first in time (step 1), sample 2 later (step 11):
+        # the ensemble names sample 2 at its own first failing step, as a
+        # serial loop would, whether the two share a chunk or each opens its
+        # own, and whether each step is its own block, the two fail in
+        # different blocks or one block holds both failures
         monkeypatch.setattr(harness, "sample_rng", nan_normals({4: 0, 2: 10}))
         _, rho0, config, _ = self.gbm_fixture()
         monkeypatch.setattr(noise, "CHUNK_BUDGET", limit_chunk_budget(config, chunk))
-        with pytest.raises(FloatingPointError,
-                           match=r"^sample 2: density lost finiteness at step 11 "):
-            limit_ensemble(config, rho0, MODE, 6, seed=1)
+        for block in (1, 4, 16):
+            with fixed_blocks(block), pytest.raises(
+                    FloatingPointError, match=r"^sample 2: density lost finiteness at step 11 "):
+                limit_ensemble(config, rho0, MODE, 6, seed=1)
 
     def test_second_moment_matches_geometric_sde_oracle(self):
         grid, rho0, config, stats = self.gbm_fixture()

@@ -161,8 +161,8 @@ def test_stepper_step_matches_run_single_step():
     # the step maps the spectrum of the field to the spectrum of the next one
     stepped_hat = KineticStepper(cfg, [path]).step(np.fft.rfft(f0)[None], 0)[0]
     stepped = np.fft.irfft(stepped_hat, n=GRID.n_x)
-    traj = kinetic._trajectories(cfg, density(GT, f0), [path])[0]
-    assert np.allclose(density(GT, stepped), traj.final_density(), atol=1e-13)
+    snaps = kinetic._trajectories(cfg, density(GT, f0), [path])[1]
+    assert np.allclose(density(GT, stepped), snaps[0, -1], atol=1e-13)
 
 
 def test_snapshot_stride_keeps_endpoints():
@@ -273,6 +273,7 @@ ALTERATIONS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(
     n_x=st.sampled_from([7, 8, 16]),
@@ -295,7 +296,8 @@ def test_blocks_keep_every_row_and_failure(n_x, velocity, rows, n_steps, stride,
     """Any block length records the bits and raises the error that one step
     per block does: mass, energy, defect and snapshots of every row, and
     with rows failing from random times on, the lowest failing row at its
-    own first failure."""
+    own first failure.  Rows that step past their failure inside a block
+    warn of nothing."""
     grid = TorusGrid(n_x)
     quad = build_velocity_space(velocity)
     model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0) if noisy else None
@@ -309,9 +311,7 @@ def test_blocks_keep_every_row_and_failure(n_x, velocity, rows, n_steps, stride,
             paths[row] = ALTERATIONS[kind](paths[row], when * config.t_final)
 
     def run(block):
-        # an overflowing row warns on its way to inf and NaN
-        with fixed_blocks(block), mock.patch.object(kinetic, "occupation_table", loud_table), \
-                np.errstate(all="ignore"):
+        with fixed_blocks(block), mock.patch.object(kinetic, "occupation_table", loud_table):
             try:
                 return kinetic._trajectories(config, rho0, paths, first_sample=0)
             except FloatingPointError as exc:
@@ -321,6 +321,6 @@ def test_blocks_keep_every_row_and_failure(n_x, velocity, rows, n_steps, stride,
     if isinstance(single, str):
         assert blocked == single
         return
+    # times, snapshots, step times, mass, energy and defect of every row
     for a, b in zip(single, blocked):
-        for name in ("mass", "energy", "defect", "densities"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.tobytes() == b.tobytes()

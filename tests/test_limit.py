@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import fixed_blocks
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rosselab import fourier
@@ -118,6 +119,79 @@ def test_positivity_monitor_aborts():
     cfg = SpdeConfig(GRID, ConstantOpacity(1.0), 1.0, t_final=0.01)
     with pytest.raises(FloatingPointError, match="positivity"):
         run_limit(cfg, rho0)
+
+
+#: ways a row of the block property fails from a step on: NaN normals, or
+#: normals scaled so that the noise flow breaks positivity (through the
+#: diffusion solve) or overflows
+ALTERATIONS = {
+    "nan": lambda xi: np.full_like(xi, np.nan),
+    "hot": lambda xi: 300.0 * xi,
+    "loud": lambda xi: 1e5 * xi,
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    n_x=st.sampled_from([7, 8, 16]),
+    rows=st.integers(1, 5),
+    n_steps=st.integers(1, 24),
+    stride=st.integers(1, 9),
+    fixture=st.sampled_from(["telegraph", "rotor"]),
+    block=st.one_of(st.sampled_from([1, None]), st.integers(2, 30)),
+    failures=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(sorted(ALTERATIONS)),
+                                st.floats(0.0, 1.0)), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# row 1 turns NaN from step 1 and row 0 loses positivity at step 8 of the
+# same block: the run names row 0 at step 8
+@example(n_x=8, rows=2, n_steps=10, stride=1, fixture="telegraph", block=None,
+         failures=[(1, "nan", 0.0), (0, "hot", 0.6)], seed=0)
+def test_blocks_keep_every_row_and_failure(n_x, rows, n_steps, stride, fixture, block,
+                                           failures, seed):
+    """Any block length records the bits and raises the error that each row
+    run alone does: mass, norm_sq and snapshots of every row, and with rows
+    failing from random steps on, the error of the lowest row that fails
+    alone.  Rows that step past their failure inside a block warn of
+    nothing."""
+    grid = TorusGrid(n_x)
+    if fixture == "telegraph":
+        model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
+    else:
+        model = rotor_noise(grid, 1.0, 1, 2.0)
+    stats = noise_statistics(model)
+    config = SpdeConfig(grid, RationalOpacity(), 0.5, n_steps * 0.01, dt=0.01, noise=stats,
+                        snapshot_stride=stride)
+    rng = np.random.default_rng(seed)
+    rho0 = rng.uniform(0.5, 1.5, n_x)
+    normals = rng.standard_normal((n_steps, rows, stats.rank))
+    for row, kind, when in failures:
+        if row < rows:
+            k = min(int(when * n_steps), n_steps - 1)
+            normals[k:, row] = ALTERATIONS[kind](normals[k:, row])
+
+    def run(block, row=None):
+        # a lone row is sample ``row`` of a chunk, as in the batch
+        lone = slice(None) if row is None else slice(row, row + 1)
+        with fixed_blocks(block):
+            try:
+                return _integrate(config, rho0, normals[:, lone], first_sample=row or 0)
+            except FloatingPointError as exc:
+                return str(exc)
+
+    single, blocked = run(1), run(block)
+    alone = [run(1, row) for row in range(rows)]
+    raised = [result for result in alone if isinstance(result, str)]
+    if raised:
+        assert single == blocked == raised[0]
+        return
+    # times, snapshots, step times, mass and norm_sq of every row
+    for a, b in zip(single, blocked):
+        assert a.tobytes() == b.tobytes()
+    for row, lone in enumerate(alone):
+        for i in (1, 3, 4):
+            assert single[i][row].tobytes() == lone[i][0].tobytes()
 
 
 # --- multiplicative noise in test mode (diffusion off) -------------------

@@ -94,3 +94,24 @@ def test_martingale_evaluates_the_generator_per_window_step():
     window = k_end - k_start + 1
     assert calls[("correctors.totals", "correctors.martingale")] == window
     assert calls[("correctors.gamma", "correctors.martingale")] == window
+
+
+def test_limit_runs_call_the_traced_step_per_step():
+    """The limit loop runs on the solvers' shared block loop; folding the
+    step into it would zero ``limit.step_calls``, and here it fails."""
+    n_steps, n_samples = 7, 3
+
+    def run(pkg):
+        grid = pkg.model.TorusGrid(8)
+        noise = pkg.noise.telegraph_noise(grid, pkg.noise.cosine_profile(grid, 1.0, 1), 1.0)
+        config = pkg.limit.SpdeConfig(
+            grid, pkg.model.RationalOpacity(), 0.5, n_steps * 0.01, dt=0.01,
+            noise=pkg.noise.noise_statistics(noise))
+        rho0 = np.ones(8)
+        pkg.limit.run_limit(config, rho0, rng=np.random.default_rng(1))
+        pkg.harness.limit_ensemble(config, rho0, pkg.correctors.FourierMode(1), n_samples, 1)
+
+    calls = traced_calls(run)
+    assert calls[("limit.step", "limit.run")] == n_steps
+    # the three samples run as one chunk
+    assert calls[("limit.step", "harness.limit_ensemble")] == n_steps
