@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correctors import FourierMode, parse_mode
-from .model import (
-    ConstantOpacity,
-    Opacity,
-    RationalOpacity,
-    TorusGrid,
-    VelocityQuadrature,
-    build_velocity_space,
-)
+from .model import Opacity, TorusGrid, VelocityQuadrature, build_velocity_space
 from .noise import NoiseModel, cosine_profile, rotor_noise, telegraph_noise
 
 
@@ -84,9 +77,10 @@ class RunConfig:
         return build_velocity_space(self.velocity, self.velocity_nodes)
 
     def build_opacity(self) -> Opacity:
+        """The rational law; ``opacity = constant`` is its zero spread."""
         if self.opacity_kind == "constant":
-            return ConstantOpacity(self.sigma_star)
-        return RationalOpacity(self.sigma_star, self.sigma_upper - self.sigma_star)
+            return Opacity(self.sigma_star, self.sigma_star)
+        return Opacity(self.sigma_star, self.sigma_upper)
 
     def build_noise(self, grid: TorusGrid) -> NoiseModel | None:
         if self.fixture == "off":
@@ -303,6 +297,10 @@ def parse_config(path: str) -> RunConfig:
         )
     if run.samples_kinetic < 2 or run.samples_limit < 2:
         violations.append("[harness] sample counts must be at least 2")
+    for where, modes in (("[simulation] rho0_modes", [mode for mode, _ in run.rho0_modes]),
+                         ("[harness] modes", run.modes)):
+        violations.extend(f"{where}: mode {mode.label} is not resolved on n_x = {run.n_x}"
+                          for mode in modes if not mode.resolved(run.n_x))
 
     if violations:
         raise ConfigError(violations)

@@ -70,8 +70,12 @@ class FourierMode:
         if self.frequency < 0 or (self.parity == "sin" and self.frequency == 0):
             raise ValueError("invalid mode index")
 
+    def resolved(self, n_x: int) -> bool:
+        """Whether n_x grid points resolve the mode without aliasing."""
+        return self.frequency < n_x / 2
+
     def profile(self, grid: TorusGrid) -> np.ndarray:
-        if self.frequency >= grid.n_x / 2:
+        if not self.resolved(grid.n_x):
             raise ValueError(f"mode {self.frequency} is not resolved on n_x = {grid.n_x}")
         if self.frequency == 0:
             return np.ones(grid.shape)

@@ -216,6 +216,12 @@ class SweepRow:
     sobolev_mean: float
     det_error: float | None = None  # L^2 distance to the limit run, noise off only
 
+    def drift_gaps(self, drift: str) -> tuple[np.ndarray, np.ndarray]:
+        """The gaps and their sems against the limit ensemble of ``drift``."""
+        if drift == "paper":
+            return self.gaps_paper, self.gap_paper_sems
+        return self.gaps, self.gap_sems
+
 
 @dataclass(frozen=True, eq=False)
 class SweepReport:
@@ -229,16 +235,17 @@ class SweepReport:
     def _ordered(self) -> list[SweepRow]:
         return sorted(self.rows, key=lambda r: -r.epsilon)
 
-    def gaps_nonincreasing(self, slack_sigma: float = 1.0) -> bool:
-        """Every functional's gap column shrinks as epsilon does.
+    def gaps_nonincreasing(self, slack_sigma: float = 1.0, drift: str = "effective") -> bool:
+        """Every functional's gap column against the ``drift`` limit
+        ensemble shrinks as epsilon does.
 
         Consecutive epsilons may violate monotonicity by at most
         ``slack_sigma`` combined standard errors."""
-        ordered = self._ordered()
+        ordered = [row.drift_gaps(drift) for row in self._ordered()]
         for j in range(len(FUNCTIONAL_NAMES)):
-            for a, b in zip(ordered, ordered[1:]):
-                slack = slack_sigma * math.hypot(a.gap_sems[j], b.gap_sems[j])
-                if b.gaps[j] > a.gaps[j] + slack:
+            for (gaps_a, sems_a), (gaps_b, sems_b) in zip(ordered, ordered[1:]):
+                slack = slack_sigma * math.hypot(sems_a[j], sems_b[j])
+                if gaps_b[j] > gaps_a[j] + slack:
                     return False
         return True
 
@@ -476,6 +483,10 @@ def deterministic_convergence(
         if trajectory.densities.shape != reference.shape:
             raise RuntimeError("snapshot grids of run and reference disagree")
         errors[i] = math.sqrt(_trapezoid(l2_norm_sq(grid, trajectory.densities - reference), interval))
+    bad = [f"eps = {eps:g}: {err:g}" for eps, err in zip(eps_sorted, errors) if not err > 0.0]
+    if bad:
+        raise ValueError(f"non-positive errors against the limit solution ({', '.join(bad)}); "
+                         "a log-log slope needs positive errors")
     slope = float(np.polyfit(np.log(eps_sorted), np.log(errors), 1)[0])
     return ConvergenceReport(np.array(eps_sorted), errors, slope)
 

@@ -1,4 +1,4 @@
-"""Model ingredients: periodic grid, velocity quadrature, opacity laws.
+"""Model ingredients: periodic grid, velocity quadrature, opacity law.
 
 The kinetic unknown f(x, v) lives on the periodic unit torus in x and on a
 finite velocity quadrature in v.  The macroscopic density is the velocity
@@ -159,59 +159,33 @@ def relaxation_operator(quad: VelocityQuadrature, f: np.ndarray) -> np.ndarray:
 
 
 class Opacity:
-    """Density-dependent relaxation rate sigma(u) with uniform bounds
-    sigma_star <= sigma(u) <= sigma_upper; the limit solvers split their
-    diffusion at the midpoint of the diffusivities these bound.
+    """Density-dependent relaxation rate
 
-    Subclasses implement ``__call__`` (the rate) and ``primitive`` (the
-    function G with G'(u) = 1/sigma(u), G(0) = 0, used by the nonlinear
-    diffusion flux of the limit equation).
+        sigma(u) = sigma_star + (sigma_upper - sigma_star) / (1 + u^2),
+
+    decreasing in |u| from sigma_upper at u = 0 toward sigma_star, so that
+    sigma_star <= sigma(u) <= sigma_upper; sigma_upper = sigma_star is the
+    constant rate.  The limit solvers split their diffusion at the midpoint
+    of the diffusivities these bound.
     """
 
     def __init__(self, sigma_star: float, sigma_upper: float):
         if not 0.0 < sigma_star <= sigma_upper:
             raise ValueError("need 0 < sigma_star <= sigma_upper")
         self.sigma_star = sigma_star
-        self.sigma_upper = sigma_upper
+        self.spread = sigma_upper - sigma_star
+        # the rate at u = 0, bit for bit
+        self.sigma_upper = sigma_star + self.spread
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        u = np.asarray(u, dtype=float)
+        return self.sigma_star + self.spread / (1.0 + u * u)
 
     def primitive(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class ConstantOpacity(Opacity):
-    """sigma(u) = c."""
-
-    def __init__(self, value: float = 1.0):
-        super().__init__(value, value)
-        self.value = value
-
-    def __call__(self, u):
-        return np.full_like(np.asarray(u, dtype=float), self.value)
-
-    def primitive(self, u):
-        return np.asarray(u, dtype=float) / self.value
-
-
-class RationalOpacity(Opacity):
-    """sigma(u) = s0 + s1 / (1 + u^2), decreasing in |u|, bounded in [s0, s0+s1]."""
-
-    def __init__(self, s0: float = 1.0, s1: float = 1.0):
-        if s0 <= 0.0 or s1 < 0.0:
-            raise ValueError("need s0 > 0 and s1 >= 0")
-        super().__init__(s0, s0 + s1)
-        self.s0 = s0
-        self.s1 = s1
-
-    def __call__(self, u):
+        """G with G'(u) = 1/sigma(u) and G(0) = 0, the nonlinear diffusion
+        flux of the limit equation."""
         u = np.asarray(u, dtype=float)
-        return self.s0 + self.s1 / (1.0 + u * u)
-
-    def primitive(self, u):
-        u = np.asarray(u, dtype=float)
-        s0, s1 = self.s0, self.s1
+        s0, s1 = self.sigma_star, self.spread
         scale = math.sqrt(s0 / (s0 + s1))
         return u / s0 - (s1 / s0) / math.sqrt(s0 * (s0 + s1)) * np.arctan(scale * u)
 

@@ -28,8 +28,7 @@ from rosselab.harness import (
 )
 from rosselab.kinetic import KineticConfig, run_kinetic
 from rosselab.model import (
-    ConstantOpacity,
-    RationalOpacity,
+    Opacity,
     TorusGrid,
     build_velocity_space,
     equilibrium_field,
@@ -43,7 +42,7 @@ RUN = parse_config(str(CONFIG_PATH))
 #: the fixture's solver objects, built once as the command line builds them
 SETUP = Setup(RUN)
 MODE = FourierMode(1, "cos")
-OPACITY = RationalOpacity(1.0, 1.0)
+OPACITY = Opacity(1.0, 2.0)
 
 
 #: the committed verdict line of each criterion, keyed "ACCEPTANCE <n>"
@@ -138,13 +137,13 @@ def test_criterion_3_solver_oracles():
     heat_grid = TorusGrid(64)
     xh = heat_grid.axis_points()
     rho0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * xh)
-    config = KineticConfig(heat_grid, quad, ConstantOpacity(1.0),
+    config = KineticConfig(heat_grid, quad, Opacity(1.0, 1.0),
                            epsilon=0.009, t_final=0.1, dt=1e-5)
     trajectory = run_kinetic(config, rho0)
     exact = 1.0 + 0.5 * math.exp(-4.0 * math.pi**2 * 0.1) * np.cos(2.0 * np.pi * xh)
     heat_err = math.sqrt(l2_norm_sq(heat_grid, trajectory.final_density() - exact))
 
-    opacity = RationalOpacity(1.0, 1.0)
+    opacity = Opacity(1.0, 2.0)
     rho = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
 
     def final_state(dt):

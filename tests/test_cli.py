@@ -224,6 +224,28 @@ class TestSweepCommand:
         assert manifest["samples_kinetic"] == "5"
         assert manifest["samples_limit"] == "5"
 
+    @pytest.mark.parametrize("drift,status", [("effective", "pass"), ("paper", "FAIL")])
+    def test_gap_monotone_judges_the_written_gaps(self, tmp_path, monkeypatch, drift, status):
+        # effective-drift gaps shrink with epsilon while paper-drift gaps grow
+        def row(eps, gap, gap_paper):
+            return harness.SweepRow(
+                eps, harness.FunctionalTriple(np.ones(3), np.zeros(3)),
+                np.full(3, gap), np.full(3, 0.01), np.full(3, gap_paper), np.full(3, 0.01),
+                sup_energy_mean=1.0, defect_integral_mean=1.0, sobolev_mean=1.0)
+
+        limit = harness.FunctionalTriple(np.ones(3), np.zeros(3))
+        report = harness.SweepReport((row(0.5, 0.3, 0.1), row(0.35, 0.1, 0.3)), limit, limit, 0.4)
+        assert report.gaps_nonincreasing(1.0, drift) == (status == "pass")
+        monkeypatch.setattr(cli, "epsilon_sweep", lambda *args, **kwargs: report)
+        config = write_ini(tmp_path, TELEGRAPH_INI)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out),
+                     "--drift", drift]) == (0 if status == "pass" else 1)
+        written = {"effective": [0.3] * 3 + [0.1] * 3, "paper": [0.1] * 3 + [0.3] * 3}
+        assert [float(v) for v in column(out / "sweep.csv", "gap")] == written[drift]
+        _, body = read_csv(out / "checks.csv")
+        assert ["gap-monotone", status] in [[r[0], r[3]] for r in body]
+
     def test_noise_off_sweep_records_det_errors(self, tmp_path):
         config = write_ini(tmp_path, HEAT_INI)
         out = tmp_path / "out"
@@ -245,6 +267,16 @@ class TestRatesCommand:
         assert slopes.pop() >= 0.8
         errors = [float(v) for v in column(out / "rates.csv", "error")]
         assert errors[0] > errors[1] > errors[2]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_constant_density_exits_2(self, tmp_path, capsys):
+        # a constant density is a steady state of both equations, so every
+        # error is 0 and no slope exists
+        config = write_ini(tmp_path, HEAT_INI.replace("cos1:0.4", "cos0:0.3"))
+        assert main(["rates", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "rates: non-positive errors against the limit solution (eps = 0.4: 0, "
+            "eps = 0.2: 0, eps = 0.1: 0); a log-log slope needs positive errors\n")
 
 
 class TestVerifyCommand:
@@ -280,12 +312,27 @@ class TestParser:
             return 0
 
         config = write_ini(tmp_path, TELEGRAPH_INI)
-        with mock.patch.dict(cli.COMMANDS, {"verify": record}):
-            assert main(["verify", "--config", config, "--out", str(tmp_path / "a"),
+        with mock.patch.dict(cli.COMMANDS, {"sweep": record}):
+            assert main(["sweep", "--config", config, "--out", str(tmp_path / "a"),
                          "--drift", "paper", "--samples", "5"]) == 0
-            assert main(["verify", "--config", config, "--out", str(tmp_path / "b")]) == 0
+            assert main(["sweep", "--config", config, "--out", str(tmp_path / "b")]) == 0
         assert seen == [("paper", 5), (None, None)]
         assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_each_command_takes_only_the_flags_it_reads(self, tmp_path, command):
+        values = {"--seed": "7", "--drift": "paper", "--samples": "5"}
+        own = {"run-spde": ["--seed", "--drift"],
+               "sweep": ["--seed", "--drift", "--samples"]}.get(command, ["--seed"])
+        argv = [command, "--config", "run.ini", "--out", "out"]
+        args = cli.build_parser().parse_args(argv + [t for f in own for t in (f, values[f])])
+        assert sorted(vars(args)) == sorted(["command", "config", "out"]
+                                            + [f[2:] for f in own])
+        config = write_ini(tmp_path, TELEGRAPH_INI)
+        for flag in sorted(set(values) - set(own)):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", config, flag, values[flag]])
+            assert exc.value.code == 2
 
 
 class TestErrorPaths:
@@ -311,7 +358,7 @@ class TestErrorPaths:
 
     def test_solver_errors_exit_2(self, tmp_path, capsys):
         # a grid too coarse for the spatial discretization
-        config = write_ini(tmp_path, "[model]\nn_x = 2\n")
+        config = write_ini(tmp_path, "[model]\nn_x = 3\n")
         assert main(["verify", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
         assert "n_x" in capsys.readouterr().err

@@ -289,6 +289,12 @@ CROSS_FIELD = {
     "sample-counts": (
         "[harness]\nsamples_limit = 1\n",
         ["[harness] sample counts must be at least 2"]),
+    "rho0-modes-resolved": (
+        "[model]\nn_x = 16\n[simulation]\nrho0_modes = cos1:0.5, cos8:0.3\n",
+        ["[simulation] rho0_modes: mode cos8 is not resolved on n_x = 16"]),
+    "harness-mode-resolved": (
+        "[model]\nn_x = 16\n[harness]\nmodes = sin8\n",
+        ["[harness] modes: mode sin8 is not resolved on n_x = 16"]),
 }
 
 _SECTION_OF = {key: section for section, key, *_ in KEYS}
@@ -343,9 +349,13 @@ class TestBuilders:
         assert abs(float(opacity(np.array(0.0))) - 2.0) < 1e-12
         assert float(opacity(np.array(100.0))) < 1.001
 
-    def test_constant_opacity_value(self):
-        opacity = RunConfig(opacity_kind="constant", sigma_star=0.8).build_opacity()
-        assert abs(float(opacity(np.array(3.0))) - 0.8) < 1e-15
+    def test_constant_opacity_value(self, tmp_path):
+        run = parse_config(write_config(tmp_path, "[model]\nopacity = constant\n"
+                                                  "sigma_star = 0.8\n"))
+        opacity = run.build_opacity()
+        assert opacity.sigma_star == opacity.sigma_upper == 0.8
+        assert opacity.spread == 0.0
+        assert float(opacity(np.array(3.0))) == 0.8
 
     def test_noise_builders(self):
         run = RunConfig(fixture="off")

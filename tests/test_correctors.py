@@ -26,8 +26,7 @@ from rosselab.harness import identity_residuals, kinetic_ensemble
 from rosselab.kinetic import KineticConfig
 from rosselab.limit import rosseland_rhs
 from rosselab.model import (
-    ConstantOpacity,
-    RationalOpacity,
+    Opacity,
     TorusGrid,
     build_velocity_space,
     density,
@@ -77,7 +76,7 @@ def random_chain_stats(seed, n_states=4, grid=GRID):
 
 def kinetic_config(eps, noise, quad_name="two-speed", n_nodes=None, grid=GRID):
     quad = build_velocity_space(quad_name, n_nodes)
-    opacity = RationalOpacity(1.0, 0.5)
+    opacity = Opacity(1.0, 1.5)
     return KineticConfig(grid, quad, opacity, epsilon=eps, t_final=0.001, noise=noise)
 
 
@@ -197,7 +196,7 @@ class TestCorrectors:
             + np.max(np.abs(correctors.second_profiles))
         )
         norm = math.sqrt(weighted_inner(GRID, quad, f, f))
-        config = KineticConfig(GRID, quad, RationalOpacity(1.0, 0.5),
+        config = KineticConfig(GRID, quad, Opacity(1.0, 1.5),
                                epsilon=0.5, t_final=0.001, noise=stats.model)
         values = GeneratorEvaluator(config, stats, MODE).perturbed(density(quad, f))
         assert np.max(np.abs(values)) <= c_star * (1.0 + norm) ** 2
@@ -267,7 +266,7 @@ class TestGeneratorAlgebra:
         # s eps + c eps^2; fitting three epsilons predicts a fourth.
         stats = rotor_stats()
         quad = build_velocity_space("legendre", 8)
-        opacity = RationalOpacity(1.0, 0.5)
+        opacity = Opacity(1.0, 1.5)
         diffusion = quad.diffusion_coefficient()
         grad_rho = fourier.gradient(GRID, RHO)
         limit_value = MODE.apply(
@@ -407,7 +406,7 @@ class TestGeneratorAlgebra:
 class TestLimitGenerator:
     def test_constant_opacity_closed_form(self):
         sigma0, alpha, freq, diffusion = 2.0, 0.3, 1, 0.5
-        opacity = ConstantOpacity(sigma0)
+        opacity = Opacity(sigma0, sigma0)
         rho = 1.0 + alpha * np.cos(2.0 * np.pi * freq * X)
         value = FourierMode(freq).apply(GRID, rosseland_rhs(GRID, opacity, diffusion, rho))
         expected = -diffusion * 4.0 * math.pi**2 * freq**2 * alpha / sigma0 * math.sqrt(2.0) / 2.0
@@ -415,7 +414,7 @@ class TestLimitGenerator:
 
     def test_drift_conventions_differ_by_twice_effective(self):
         stats = telegraph_stats()
-        opacity = ConstantOpacity(1.0)
+        opacity = Opacity(1.0, 1.0)
         rhs = rosseland_rhs(GRID, opacity, 1.0, RHO)
         eff = MODE.apply(GRID, rhs + stats.drift("effective") * RHO)
         pap = MODE.apply(GRID, rhs + stats.drift("paper") * RHO)
@@ -429,7 +428,7 @@ class TestMartingaleResidual:
     def test_constant_data_without_noise_has_zero_residual(self):
         grid = TorusGrid(16)
         quad = build_velocity_space("two-speed")
-        opacity = ConstantOpacity(1.0)
+        opacity = Opacity(1.0, 1.0)
         config = KineticConfig(grid, quad, opacity, epsilon=0.25, t_final=0.2, dt=0.02)
         rho0 = np.full(grid.n_x, 1.3)
         check = martingale_residual(config, None, FourierMode(1), rho0, 0.0, 0.2,
@@ -440,7 +439,7 @@ class TestMartingaleResidual:
     def test_window_validation(self):
         grid = TorusGrid(16)
         quad = build_velocity_space("two-speed")
-        opacity = ConstantOpacity(1.0)
+        opacity = Opacity(1.0, 1.0)
         config = KineticConfig(grid, quad, opacity, epsilon=0.25, t_final=0.2, dt=0.02)
         rho0 = np.ones(grid.n_x)
         with pytest.raises(ValueError):
@@ -454,7 +453,7 @@ class TestMartingaleResidual:
         # would make the sigma tests meaningless
         grid = TorusGrid(16)
         quad = build_velocity_space("two-speed")
-        opacity = ConstantOpacity(1.0)
+        opacity = Opacity(1.0, 1.0)
         config = KineticConfig(grid, quad, opacity, epsilon=0.25, t_final=0.2, dt=0.02)
         rho0 = np.ones(grid.n_x)
         with pytest.raises(ValueError, match="n_samples"):
@@ -467,7 +466,7 @@ class TestMartingaleResidual:
         quad = build_velocity_space("two-speed")
         model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
         stats = noise_statistics(model)
-        opacity = RationalOpacity(1.0, 1.0)
+        opacity = Opacity(1.0, 2.0)
         config = KineticConfig(grid, quad, opacity, epsilon=0.25, t_final=0.3,
                                dt=0.1 / 13.0, noise=model)
         check = martingale_residual(config, stats, FourierMode(1), rho0, 0.1, 0.3,
@@ -485,7 +484,7 @@ class TestMartingaleResidual:
             model = telegraph_noise(grid, cosine_profile(grid, amplitude, 1), 1.0)
         else:
             model = rotor_noise(grid, amplitude, 1, 2.0)
-        config = KineticConfig(grid, quad, RationalOpacity(1.0, 1.0),
+        config = KineticConfig(grid, quad, Opacity(1.0, 2.0),
                                epsilon=0.25, t_final=0.1, dt=0.1 / 13.0, noise=model)
         return config, noise_statistics(model), rho0
 

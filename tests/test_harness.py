@@ -27,8 +27,7 @@ from rosselab.harness import (
 from rosselab.kinetic import KineticConfig, KineticTrajectory, run_kinetic
 from rosselab.limit import SpdeConfig, run_limit
 from rosselab.model import (
-    ConstantOpacity,
-    RationalOpacity,
+    Opacity,
     TorusGrid,
     build_velocity_space,
     l2_norm_sq,
@@ -51,7 +50,7 @@ def small_problem(n_x=16):
     x = grid.axis_points()
     rho0 = 1.0 + 0.4 * np.cos(2.0 * np.pi * x)
     quad = build_velocity_space("two-speed")
-    opacity = RationalOpacity(1.0, 1.0)
+    opacity = Opacity(1.0, 2.0)
     return grid, rho0, quad, opacity
 
 
@@ -119,7 +118,7 @@ class TestEnsembles:
         grid = TorusGrid(8)
         x = grid.axis_points()
         rho0 = 1.0 + 0.4 * np.cos(2.0 * np.pi * x)
-        opacity = ConstantOpacity(1.0)
+        opacity = Opacity(1.0, 1.0)
         stats = noise_statistics(telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0))
         config = SpdeConfig(grid, opacity, 1.0, 0.2, dt=0.01, noise=stats,
                             include_diffusion=False)
@@ -291,7 +290,7 @@ class TestLimitEnsembleProperties:
             model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
         else:
             model = rotor_noise(grid, 1.0, 1, 2.0)
-        config = SpdeConfig(grid, RationalOpacity(1.0, 1.0), 0.5, 0.02,
+        config = SpdeConfig(grid, Opacity(1.0, 2.0), 0.5, 0.02,
                             noise=noise_statistics(model), drift=drift,
                             include_diffusion=include_diffusion,
                             dt=None if include_diffusion else 0.002)
@@ -335,7 +334,7 @@ class TestKineticEnsembleProperties:
             "off": None,
         }[fixture]
         quad = build_velocity_space(velocity, None if velocity == "two-speed" else 4)
-        config = KineticConfig(grid, quad, RationalOpacity(1.0, 1.0),
+        config = KineticConfig(grid, quad, Opacity(1.0, 2.0),
                                epsilon=0.2, t_final=0.2, noise=model, snapshot_stride=3)
         with mock.patch.object(noise, "CHUNK_BUDGET",
                                chunk * kinetic._floats_per_sample(config)):
@@ -356,7 +355,7 @@ class TestRosselandReference:
         x = grid.axis_points()
         alpha, t_final = 0.4, 0.05
         rho0 = 1.0 + alpha * np.cos(2.0 * np.pi * x)
-        opacity = ConstantOpacity(1.0)
+        opacity = Opacity(1.0, 1.0)
         times, densities = rosseland_reference(grid, opacity, 1.0, rho0, t_final, 6)
         for t, rho in zip(times, densities):
             exact = 1.0 + alpha * math.exp(-4.0 * math.pi**2 * t) * np.cos(2.0 * np.pi * x)
@@ -445,7 +444,7 @@ class TestEpsilonSweep:
         # Constant opacity with the two-speed model (K = 1) is the heat
         # fixture; gaps and errors must shrink deterministically.
         grid, rho0, quad, _ = small_problem()
-        opacity = ConstantOpacity(1.0)
+        opacity = Opacity(1.0, 1.0)
         report = epsilon_sweep(grid, quad, opacity, None, rho0, 0.15,
                                [0.2, 0.1, 0.05], n_kinetic=2, n_limit=2,
                                base_seed=0)
@@ -515,7 +514,7 @@ class TestIdentityBattery:
         grid = stats.model.grid
         quad = build_velocity_space(quad_name)
         f = 1.0 + 0.3 * rng.standard_normal((quad.n_v,) + grid.shape)
-        config = KineticConfig(grid, quad, RationalOpacity(1.0, 1.0),
+        config = KineticConfig(grid, quad, Opacity(1.0, 2.0),
                                epsilon=eps, t_final=0.01, noise=stats.model)
         return identity_residuals(config, stats, mode, f)
 

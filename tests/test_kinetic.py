@@ -18,8 +18,7 @@ from rosselab.kinetic import (
     spectral_energy,
 )
 from rosselab.model import (
-    ConstantOpacity,
-    RationalOpacity,
+    Opacity,
     TorusGrid,
     build_velocity_space,
     density,
@@ -91,16 +90,16 @@ def test_noise_factor_overflow_guard():
 
 def test_config_validation():
     with pytest.raises(ValueError, match="cap"):
-        KineticConfig(GRID, GT, ConstantOpacity(), epsilon=0.1, t_final=1.0, dt=0.01)
+        KineticConfig(GRID, GT, Opacity(1.0, 1.0), epsilon=0.1, t_final=1.0, dt=0.01)
     with pytest.raises(ValueError, match="multiple"):
-        KineticConfig(GRID, GT, ConstantOpacity(), epsilon=0.5, t_final=1.0, dt=0.0301)
-    cfg = KineticConfig(GRID, GT, ConstantOpacity(), epsilon=0.2, t_final=1.0)
+        KineticConfig(GRID, GT, Opacity(1.0, 1.0), epsilon=0.5, t_final=1.0, dt=0.0301)
+    cfg = KineticConfig(GRID, GT, Opacity(1.0, 1.0), epsilon=0.2, t_final=1.0)
     assert cfg.dt <= 0.5 * 0.2**2 + 1e-15
     assert cfg.n_steps * cfg.dt == pytest.approx(1.0, rel=1e-12)
 
 
 def test_equilibrium_constant_state_is_steady():
-    cfg = KineticConfig(GRID, GT, RationalOpacity(), epsilon=0.2, t_final=0.5)
+    cfg = KineticConfig(GRID, GT, Opacity(1.0, 2.0), epsilon=0.2, t_final=0.5)
     traj = run_kinetic(cfg, np.full(GRID.shape, 1.3))
     assert np.max(np.abs(traj.final_density() - 1.3)) <= 1e-12
 
@@ -108,7 +107,7 @@ def test_equilibrium_constant_state_is_steady():
 def test_deterministic_run_conserves_mass_and_dissipates_energy():
     x = GRID.axis_points()
     rho0 = 1.0 + 0.4 * np.cos(2.0 * np.pi * x)
-    cfg = KineticConfig(GRID, GT, RationalOpacity(), epsilon=0.2, t_final=0.5)
+    cfg = KineticConfig(GRID, GT, Opacity(1.0, 2.0), epsilon=0.2, t_final=0.5)
     traj = run_kinetic(cfg, rho0)
     assert np.max(np.abs(traj.mass - traj.mass[0])) <= 1e-12
     assert np.all(np.diff(traj.energy) <= 1e-12 * traj.energy[0])
@@ -119,7 +118,7 @@ def test_strang_self_convergence_is_second_order():
     rho0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * x) + 0.2 * np.sin(4.0 * np.pi * x)
     outs = {}
     for dt in (4e-3, 2e-3, 1e-3):
-        cfg = KineticConfig(GRID, GT, RationalOpacity(), 0.1, 0.1, dt=dt, snapshot_stride=10**6)
+        cfg = KineticConfig(GRID, GT, Opacity(1.0, 2.0), 0.1, 0.1, dt=dt, snapshot_stride=10**6)
         outs[dt] = run_kinetic(cfg, rho0).final_density()
     coarse = np.sqrt(l2_norm_sq(GRID, outs[4e-3] - outs[2e-3]))
     fine = np.sqrt(l2_norm_sq(GRID, outs[2e-3] - outs[1e-3]))
@@ -133,7 +132,7 @@ def test_small_eps_run_approaches_heat_decay():
     x = grid.axis_points()
     rho0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
     t_final = 0.05
-    cfg = KineticConfig(grid, GT, ConstantOpacity(1.0), 0.0285, t_final, dt=1e-4, snapshot_stride=10**6)
+    cfg = KineticConfig(grid, GT, Opacity(1.0, 1.0), 0.0285, t_final, dt=1e-4, snapshot_stride=10**6)
     traj = run_kinetic(cfg, rho0)
     exact = 1.0 + 0.5 * np.exp(-4.0 * np.pi**2 * t_final) * np.cos(2.0 * np.pi * x)
     assert np.sqrt(l2_norm_sq(grid, traj.final_density() - exact)) <= 2e-3
@@ -143,7 +142,7 @@ def test_run_with_noise_is_reproducible():
     model = telegraph_noise(GRID, cosine_profile(GRID, 1.0, 1), 1.0)
     x = GRID.axis_points()
     rho0 = 1.0 + 0.3 * np.cos(2.0 * np.pi * x)
-    cfg = KineticConfig(GRID, GT, RationalOpacity(), 0.25, 0.25, noise=model)
+    cfg = KineticConfig(GRID, GT, Opacity(1.0, 2.0), 0.25, 0.25, noise=model)
     a = run_kinetic(cfg, rho0, rng=np.random.default_rng(42))
     b = run_kinetic(cfg, rho0, rng=np.random.default_rng(42))
     assert np.array_equal(a.densities, b.densities)
@@ -154,7 +153,7 @@ def test_run_with_noise_is_reproducible():
 
 def test_stepper_step_matches_run_single_step():
     model = telegraph_noise(GRID, cosine_profile(GRID, 0.5, 1), 1.0)
-    cfg = KineticConfig(GRID, GT, RationalOpacity(), 0.25, 0.03125, dt=0.03125, noise=model)
+    cfg = KineticConfig(GRID, GT, Opacity(1.0, 2.0), 0.25, 0.03125, dt=0.03125, noise=model)
     path = sample_path(model, 0.25, cfg.t_final, np.random.default_rng(3))
     x = GRID.axis_points()
     f0 = equilibrium_field(GT, 1.0 + 0.3 * np.sin(2.0 * np.pi * x))
@@ -166,7 +165,7 @@ def test_stepper_step_matches_run_single_step():
 
 
 def test_snapshot_stride_keeps_endpoints():
-    cfg = KineticConfig(GRID, GT, RationalOpacity(), 0.3, 0.9, dt=0.009, snapshot_stride=7)
+    cfg = KineticConfig(GRID, GT, Opacity(1.0, 2.0), 0.3, 0.9, dt=0.009, snapshot_stride=7)
     traj = run_kinetic(cfg, np.ones(GRID.shape))
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.9, rel=1e-12)
@@ -197,7 +196,7 @@ def rough_case(n_x, velocity, eps, n_steps=3):
     """A configuration of a few steps at the dt cap on a grid of n_x cells."""
     grid = TorusGrid(n_x)
     quad = build_velocity_space(velocity)
-    return KineticConfig(grid, quad, RationalOpacity(), eps, n_steps * 0.5 * eps**2)
+    return KineticConfig(grid, quad, Opacity(1.0, 2.0), eps, n_steps * 0.5 * eps**2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -239,8 +238,8 @@ def test_fused_steps_equal_the_unfused_composition(n_x, velocity, eps, seed):
     n_x=st.integers(4, 64),
     velocity=st.sampled_from(["two-speed", "legendre"]),
     opacity=st.one_of(
-        st.builds(RationalOpacity, st.floats(0.1, 5.0), st.floats(0.0, 5.0)),
-        st.builds(ConstantOpacity, st.floats(0.1, 5.0)),
+        st.builds(lambda s0, s1: Opacity(s0, s0 + s1), st.floats(0.1, 5.0), st.floats(0.0, 5.0)),
+        st.floats(0.1, 5.0).map(lambda s0: Opacity(s0, s0)),
     ),
     eps=st.floats(0.05, 1.0),
     dt_fraction=st.floats(0.01, 1.0),
@@ -301,7 +300,7 @@ def test_blocks_keep_every_row_and_failure(n_x, velocity, rows, n_steps, stride,
     grid = TorusGrid(n_x)
     quad = build_velocity_space(velocity)
     model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0) if noisy else None
-    config = KineticConfig(grid, quad, RationalOpacity(), 0.5, n_steps * 0.1, dt=0.1,
+    config = KineticConfig(grid, quad, Opacity(1.0, 2.0), 0.5, n_steps * 0.1, dt=0.1,
                            noise=model, snapshot_stride=stride)
     rng = np.random.default_rng(seed)
     rho0 = rng.uniform(0.5, 1.5, n_x)

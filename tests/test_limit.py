@@ -20,12 +20,7 @@ from rosselab.limit import (
     run_limit,
     split_rate,
 )
-from rosselab.model import (
-    ConstantOpacity,
-    RationalOpacity,
-    TorusGrid,
-    l2_norm_sq,
-)
+from rosselab.model import Opacity, TorusGrid, l2_norm_sq
 from rosselab.noise import cosine_profile, noise_statistics, rotor_noise, telegraph_noise
 
 GRID = TorusGrid(32)
@@ -42,27 +37,27 @@ def test_default_step_rule_does_not_depend_on_the_grid():
     # STEPS_PER_DECAY steps per decay time sigma_* / (4 pi^2 K): 79 steps on
     # the acceptance fixture at any n_x, one step with diffusion off
     for n_x in (16, 32, 128):
-        cfg = SpdeConfig(TorusGrid(n_x), RationalOpacity(), 1.0, t_final=0.25)
+        cfg = SpdeConfig(TorusGrid(n_x), Opacity(1.0, 2.0), 1.0, t_final=0.25)
         assert cfg.n_steps == 79
-    cfg = SpdeConfig(GRID, RationalOpacity(2.0, 1.0), 0.5, t_final=0.25)
+    cfg = SpdeConfig(GRID, Opacity(2.0, 3.0), 0.5, t_final=0.25)
     decay = 2.0 / (4.0 * np.pi**2 * 0.5)
     assert cfg.dt <= decay / STEPS_PER_DECAY
     assert cfg.n_steps == math.ceil(STEPS_PER_DECAY * 0.25 / decay)
-    off = SpdeConfig(GRID, RationalOpacity(), 1.0, t_final=0.25, include_diffusion=False)
+    off = SpdeConfig(GRID, Opacity(1.0, 2.0), 1.0, t_final=0.25, include_diffusion=False)
     assert off.n_steps == 1
 
 
 def test_rosseland_rhs_constant_opacity_is_scaled_laplacian():
     x = GRID.axis_points()
     rho = 1.0 + 0.25 * np.cos(2.0 * np.pi * x)
-    out = rosseland_rhs(GRID, ConstantOpacity(2.0), 3.0, rho)
+    out = rosseland_rhs(GRID, Opacity(2.0, 2.0), 3.0, rho)
     expected = -(3.0 / 2.0) * 0.25 * 4.0 * np.pi**2 * np.cos(2.0 * np.pi * x)
     assert np.max(np.abs(out - expected)) <= 1e-11
 
 
 def test_rosseland_rhs_chain_rule_route():
     # independent route: Lap G(rho) = G''(rho) |grad rho|^2 + G'(rho) Lap rho
-    sigma = RationalOpacity()
+    sigma = Opacity(1.0, 2.0)
     x = GRID.axis_points()
     rho = 1.0 + 0.3 * np.cos(2.0 * np.pi * x)
     grad = -0.3 * 2.0 * np.pi * np.sin(2.0 * np.pi * x)
@@ -77,12 +72,12 @@ def test_rosseland_rhs_chain_rule_route():
 
 def test_config_validation():
     # any dt dividing t_final is accepted, far above the explicit dx^2 bound
-    assert SpdeConfig(GRID, ConstantOpacity(1.0), 1.0, t_final=0.1, dt=0.05).n_steps == 2
+    assert SpdeConfig(GRID, Opacity(1.0, 1.0), 1.0, t_final=0.1, dt=0.05).n_steps == 2
     with pytest.raises(ValueError, match="multiple"):
-        SpdeConfig(GRID, ConstantOpacity(1.0), 1.0, t_final=0.1, dt=1.7e-4)
+        SpdeConfig(GRID, Opacity(1.0, 1.0), 1.0, t_final=0.1, dt=1.7e-4)
     with pytest.raises(ValueError, match="drift"):
-        SpdeConfig(GRID, ConstantOpacity(1.0), 1.0, t_final=0.1, drift="stratonovich")
-    cfg = SpdeConfig(GRID, ConstantOpacity(1.0), 1.0, t_final=0.1)
+        SpdeConfig(GRID, Opacity(1.0, 1.0), 1.0, t_final=0.1, drift="stratonovich")
+    cfg = SpdeConfig(GRID, Opacity(1.0, 1.0), 1.0, t_final=0.1)
     assert cfg.dt <= 1.0 / (4.0 * np.pi**2 * STEPS_PER_DECAY)
     assert cfg.n_steps * cfg.dt == pytest.approx(0.1, rel=1e-12)
 
@@ -92,14 +87,14 @@ def test_heat_decay_light_fixture():
     x = grid.axis_points()
     rho0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
     t_final = 0.05
-    cfg = SpdeConfig(grid, ConstantOpacity(1.0), 1.0, t_final, dt=1e-4, snapshot_stride=10**6)
+    cfg = SpdeConfig(grid, Opacity(1.0, 1.0), 1.0, t_final, dt=1e-4, snapshot_stride=10**6)
     traj = run_limit(cfg, rho0)
     exact = 1.0 + 0.5 * np.exp(-4.0 * np.pi**2 * t_final) * np.cos(2.0 * np.pi * x)
     assert np.sqrt(l2_norm_sq(grid, traj.final_density() - exact)) <= 5e-4
 
 
 def test_constant_density_is_steady_without_noise():
-    cfg = SpdeConfig(GRID, RationalOpacity(), 1.0, t_final=0.02)
+    cfg = SpdeConfig(GRID, Opacity(1.0, 2.0), 1.0, t_final=0.02)
     traj = run_limit(cfg, np.full(GRID.shape, 1.7))
     assert np.max(np.abs(traj.final_density() - 1.7)) <= 1e-13
     assert np.max(np.abs(traj.mass - traj.mass[0])) <= 1e-13
@@ -108,7 +103,7 @@ def test_constant_density_is_steady_without_noise():
 def test_deterministic_run_conserves_mass():
     x = GRID.axis_points()
     rho0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
-    cfg = SpdeConfig(GRID, RationalOpacity(), 1.0, t_final=0.05)
+    cfg = SpdeConfig(GRID, Opacity(1.0, 2.0), 1.0, t_final=0.05)
     traj = run_limit(cfg, rho0)
     assert np.max(np.abs(traj.mass - traj.mass[0])) <= 1e-12
 
@@ -116,7 +111,7 @@ def test_deterministic_run_conserves_mass():
 def test_positivity_monitor_aborts():
     x = GRID.axis_points()
     rho0 = 0.05 + np.cos(2.0 * np.pi * x)  # dips below zero
-    cfg = SpdeConfig(GRID, ConstantOpacity(1.0), 1.0, t_final=0.01)
+    cfg = SpdeConfig(GRID, Opacity(1.0, 1.0), 1.0, t_final=0.01)
     with pytest.raises(FloatingPointError, match="positivity"):
         run_limit(cfg, rho0)
 
@@ -161,7 +156,7 @@ def test_blocks_keep_every_row_and_failure(n_x, rows, n_steps, stride, fixture, 
     else:
         model = rotor_noise(grid, 1.0, 1, 2.0)
     stats = noise_statistics(model)
-    config = SpdeConfig(grid, RationalOpacity(), 0.5, n_steps * 0.01, dt=0.01, noise=stats,
+    config = SpdeConfig(grid, Opacity(1.0, 2.0), 0.5, n_steps * 0.01, dt=0.01, noise=stats,
                         snapshot_stride=stride)
     rng = np.random.default_rng(seed)
     rho0 = rng.uniform(0.5, 1.5, n_x)
@@ -200,7 +195,7 @@ def test_blocks_keep_every_row_and_failure(n_x, rows, n_steps, stride, fixture, 
 def gbm_config(stats, t_final=0.25, dt=1e-3, drift="effective"):
     return SpdeConfig(
         GRID,
-        ConstantOpacity(1.0),
+        Opacity(1.0, 1.0),
         1.0,
         t_final,
         dt=dt,
@@ -245,7 +240,7 @@ def test_error_halves_with_dt():
     rho0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * x) + 0.2 * np.sin(4.0 * np.pi * x)
 
     def final(n):
-        cfg = SpdeConfig(GRID, RationalOpacity(), 1.0, 0.1, dt=0.1 / n)
+        cfg = SpdeConfig(GRID, Opacity(1.0, 2.0), 1.0, 0.1, dt=0.1 / n)
         return run_limit(cfg, rho0).final_density()
 
     errors = [math.sqrt(l2_norm_sq(GRID, final(n) - final(4 * n))) for n in (10, 20, 40)]
@@ -317,7 +312,7 @@ def test_noise_off_step_conserves_mass_and_never_gains_energy(data, n_x, s0, s1,
     # bound of an explicit step
     rho = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n_x, max_size=n_x)))
     grid = TorusGrid(n_x)
-    opacity = RationalOpacity(s0, s1)
+    opacity = Opacity(s0, s0 + s1)
     stepper = SpdeStepper(SpdeConfig(grid, opacity, diffusion, t_final=dt, dt=dt))
     out = stepper.step(rho, np.zeros(0))
     remainder = np.fft.irfft(rosseland_remainder(grid, opacity, diffusion, np.fft.rfft(rho)), n_x)
@@ -341,7 +336,7 @@ def test_etdrk4_reference_is_fourth_order(s0, ratio, diffusion, amp, phase):
     grid = TorusGrid(32)
     x = grid.axis_points()
     rho0 = 1.0 + amp * np.cos(2.0 * np.pi * x + phase) + 0.5 * amp * np.sin(4.0 * np.pi * x)
-    opacity = RationalOpacity(s0, ratio * s0)
+    opacity = Opacity(s0, s0 + ratio * s0)
     interval = 0.05
 
     def final(steps):
@@ -360,7 +355,7 @@ def test_etdrk4_reference_is_fourth_order(s0, ratio, diffusion, amp, phase):
 
 def test_run_reproducible_and_needs_rng():
     stats = telegraph_stats()
-    cfg = SpdeConfig(GRID, RationalOpacity(), 1.0, 0.01, noise=stats)
+    cfg = SpdeConfig(GRID, Opacity(1.0, 2.0), 1.0, 0.01, noise=stats)
     x = GRID.axis_points()
     rho0 = 1.0 + 0.3 * np.cos(2.0 * np.pi * x)
     a = run_limit(cfg, rho0, rng=np.random.default_rng(1))
@@ -374,7 +369,7 @@ def test_limit_stepper_matches_manual_update():
     # geometric noise flow, then (rho + dt N)_hat / (1 - dt c symbol) with
     # N = K Lap G(rho) - c Lap rho, in the full FFT layout
     stats = telegraph_stats()
-    cfg = SpdeConfig(GRID, RationalOpacity(), 0.5, 0.01, dt=1e-3, noise=stats)
+    cfg = SpdeConfig(GRID, Opacity(1.0, 2.0), 0.5, 0.01, dt=1e-3, noise=stats)
     x = GRID.axis_points()
     rho = 1.0 + 0.4 * np.cos(2.0 * np.pi * x)
     xi = np.array([0.7])
@@ -393,13 +388,13 @@ def test_remainder_completes_the_linear_part():
     # K Lap G(rho) = c Lap rho + N(rho); N vanishes for a constant opacity
     x = GRID.axis_points()
     rho = 1.0 + 0.4 * np.cos(2.0 * np.pi * x) + 0.3 * np.sin(6.0 * np.pi * x)
-    for opacity in (RationalOpacity(1.0, 1.0), RationalOpacity(0.5, 3.0)):
+    for opacity in (Opacity(1.0, 2.0), Opacity(0.5, 3.5)):
         c = split_rate(opacity, 0.7)
         remainder = np.fft.irfft(rosseland_remainder(GRID, opacity, 0.7, np.fft.rfft(rho)), 32)
         linear = c * fourier.laplacian(GRID, rho)
         full = rosseland_rhs(GRID, opacity, 0.7, rho)
         assert np.max(np.abs(linear + remainder - full)) <= 1e-13 * np.max(np.abs(linear))
-    remainder = rosseland_remainder(GRID, ConstantOpacity(2.0), 0.7, np.fft.rfft(rho))
+    remainder = rosseland_remainder(GRID, Opacity(2.0, 2.0), 0.7, np.fft.rfft(rho))
     assert np.max(np.abs(remainder)) <= 1e-13
 
 
@@ -409,7 +404,7 @@ def test_paper_drift_flow_is_shifted_by_the_kernel_diagonal():
     rho = np.full(GRID.shape, 1.3)
     xi = np.array([-0.4])
     steps = {
-        drift: SpdeStepper(SpdeConfig(GRID, ConstantOpacity(1.0), 1.0, 0.01, dt=1e-3,
+        drift: SpdeStepper(SpdeConfig(GRID, Opacity(1.0, 1.0), 1.0, 0.01, dt=1e-3,
                                       noise=stats, drift=drift,
                                       include_diffusion=False)).step(rho, xi)
         for drift in ("effective", "paper")

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rosselab.model import (
-    ConstantOpacity,
-    RationalOpacity,
+    Opacity,
     TorusGrid,
     build_velocity_space,
     density,
@@ -85,7 +87,7 @@ def test_velocity_space_rejects_bad_requests():
 
 
 def test_rational_opacity_bounds_and_limits():
-    sigma = RationalOpacity(1.0, 1.0)
+    sigma = Opacity(1.0, 2.0)
     assert sigma(0.0) == 2.0
     assert sigma.sigma_star == 1.0
     assert sigma.sigma_upper == 2.0
@@ -105,14 +107,14 @@ def test_rational_opacity_bounds_and_limits():
 )
 def test_rational_primitive_closed_form(u, expected):
     # frozen values of u - arctan(u/sqrt(2))/sqrt(2)
-    sigma = RationalOpacity(1.0, 1.0)
+    sigma = Opacity(1.0, 2.0)
     assert sigma.primitive(u) == pytest.approx(expected, abs=1e-14)
 
 
 @pytest.mark.parametrize("s0,s1", [(1.0, 1.0), (0.7, 2.3), (2.0, 0.0)])
 def test_primitive_matches_quadrature_of_reciprocal_rate(s0, s1):
     # independent route: G(u) = int_0^u ds / sigma(s) by composite quadrature
-    sigma = RationalOpacity(s0, s1)
+    sigma = Opacity(s0, s0 + s1)
     x, w = np.polynomial.legendre.leggauss(40)
     for u in (0.3, 1.0, 2.5):
         t = 0.5 * u * (x + 1.0)
@@ -121,7 +123,7 @@ def test_primitive_matches_quadrature_of_reciprocal_rate(s0, s1):
 
 
 def test_primitive_derivative_is_reciprocal_rate():
-    sigma = RationalOpacity(1.3, 0.8)
+    sigma = Opacity(1.3, 2.1)
     u = np.linspace(-2.0, 2.0, 41)
     h = 1e-5
     deriv = (sigma.primitive(u + h) - sigma.primitive(u - h)) / (2.0 * h)
@@ -129,14 +131,37 @@ def test_primitive_derivative_is_reciprocal_rate():
 
 
 def test_constant_opacity():
-    sigma = ConstantOpacity(2.5)
+    sigma = Opacity(2.5, 2.5)
     assert sigma(1.7) == 2.5
     assert sigma.primitive(5.0) == 2.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    sigma_star=st.floats(1e-2, 1e2),
+    spread=st.floats(0.0, 1e2),
+    u=arrays(float, st.integers(0, 8), elements=st.floats(-1e3, 1e3)),
+)
+def test_opacity_law_is_bounded_with_reciprocal_primitive(sigma_star, spread, u):
+    u = np.append(u, 0.0)
+    sigma = Opacity(sigma_star, sigma_star + spread)
+    rate = sigma(u)
+    assert np.all((sigma.sigma_star <= rate) & (rate <= sigma.sigma_upper))
+    assert sigma(0.0) == sigma.sigma_upper
+    assert sigma.primitive(0.0) == 0.0
+    h = 1e-6 * np.maximum(1.0, np.abs(u))
+    deriv = (sigma.primitive(u + h) - sigma.primitive(u - h)) / (2.0 * h)
+    assert np.allclose(deriv, 1.0 / rate, rtol=1e-5, atol=0.0)
+    # zero spread is the constant rate, bit for bit
+    flat = Opacity(sigma_star, sigma_star)
+    assert np.array_equal(flat(u), np.full(u.shape, sigma_star))
+    assert np.array_equal(flat.primitive(u), u / sigma_star)
+
+
 def test_rational_opacity_rejects_bad_coefficients():
-    with pytest.raises(ValueError):
-        RationalOpacity(-1.0, 1.0)
+    for sigma_star, sigma_upper in [(-1.0, 1.0), (0.0, 1.0), (2.0, 1.0), (math.nan, 1.0)]:
+        with pytest.raises(ValueError):
+            Opacity(sigma_star, sigma_upper)
 
 
 # --- kinetic fields and relaxation --------------------------------------
@@ -166,7 +191,7 @@ def test_dissipation_identity(name):
     # (sigma(<f>) L f, f) = -||sqrt(sigma(<f>)) L f||^2 in the weighted space
     grid = TorusGrid(16)
     quad = build_velocity_space(name)
-    sigma = RationalOpacity()
+    sigma = Opacity(1.0, 2.0)
     rng = np.random.default_rng(7)
     for _ in range(100):
         f = random_kinetic_field(grid, quad, rng, scale=2.0)
@@ -183,7 +208,7 @@ def test_relax_exact_two_speed_half_life():
     # f = (0, 2) has rho = 1 and relaxes to (1/2, 3/2)
     quad = build_velocity_space("two-speed")
     f = np.array([[0.0], [2.0]])
-    out = relax_exact(quad, ConstantOpacity(1.0), f, math.log(2.0))
+    out = relax_exact(quad, Opacity(1.0, 1.0), f, math.log(2.0))
     assert np.allclose(out, [[0.5], [1.5]], atol=1e-14)
 
 
@@ -191,7 +216,7 @@ def test_relax_exact_two_speed_half_life():
 def test_relax_exact_semigroup_law(name):
     grid = TorusGrid(8)
     quad = build_velocity_space(name)
-    sigma = RationalOpacity()
+    sigma = Opacity(1.0, 2.0)
     rng = np.random.default_rng(23)
     f = random_kinetic_field(grid, quad, rng)
     two_step = relax_exact(quad, sigma, relax_exact(quad, sigma, f, 0.3), 0.5)
@@ -203,7 +228,7 @@ def test_relax_exact_semigroup_law(name):
 def test_relax_exact_preserves_density_and_fixes_equilibrium(name):
     grid = TorusGrid(8)
     quad = build_velocity_space(name)
-    sigma = RationalOpacity()
+    sigma = Opacity(1.0, 2.0)
     rng = np.random.default_rng(5)
     f = random_kinetic_field(grid, quad, rng)
     rho = density(quad, f)
@@ -216,7 +241,7 @@ def test_relax_exact_preserves_density_and_fixes_equilibrium(name):
 def test_relax_exact_rejects_negative_time():
     quad = build_velocity_space("two-speed")
     with pytest.raises(ValueError):
-        relax_exact(quad, ConstantOpacity(), np.zeros((2, 4)), -0.1)
+        relax_exact(quad, Opacity(1.0, 1.0), np.zeros((2, 4)), -0.1)
 
 
 def test_relax_exact_converges_to_equilibrium():
@@ -224,6 +249,6 @@ def test_relax_exact_converges_to_equilibrium():
     quad = build_velocity_space("legendre")
     rng = np.random.default_rng(3)
     f = random_kinetic_field(grid, quad, rng)
-    out = relax_exact(quad, RationalOpacity(), f, 60.0)
+    out = relax_exact(quad, Opacity(1.0, 2.0), f, 60.0)
     eq = equilibrium_field(quad, density(quad, f))
     assert np.allclose(out, eq, atol=1e-12)

@@ -57,7 +57,7 @@ def small_noisy_config(pkg, n_steps):
     grid = pkg.model.TorusGrid(8)
     noise = pkg.noise.telegraph_noise(grid, pkg.noise.cosine_profile(grid, 1.0, 1), 1.0)
     return pkg.kinetic.KineticConfig(
-        grid, pkg.model.build_velocity_space("two-speed"), pkg.model.RationalOpacity(),
+        grid, pkg.model.build_velocity_space("two-speed"), pkg.model.Opacity(1.0, 2.0),
         epsilon=0.25, t_final=n_steps * 0.01, dt=0.01, noise=noise)
 
 
@@ -105,7 +105,7 @@ def test_limit_runs_call_the_traced_step_per_step():
         grid = pkg.model.TorusGrid(8)
         noise = pkg.noise.telegraph_noise(grid, pkg.noise.cosine_profile(grid, 1.0, 1), 1.0)
         config = pkg.limit.SpdeConfig(
-            grid, pkg.model.RationalOpacity(), 0.5, n_steps * 0.01, dt=0.01,
+            grid, pkg.model.Opacity(1.0, 2.0), 0.5, n_steps * 0.01, dt=0.01,
             noise=pkg.noise.noise_statistics(noise))
         rho0 = np.ones(8)
         pkg.limit.run_limit(config, rho0, rng=np.random.default_rng(1))
