@@ -10,9 +10,10 @@ Subcommands:
 * ``verify``       machine-precision identity battery on the configured fixture
 
 Every command reads one config file (see ``config.py`` for the grammar),
-writes CSV reports plus a ``manifest.csv`` into the output directory, and
-exits 0 on success, 1 when a configured threshold is breached (the breach
-list lands in ``checks.csv``), or 2 on configuration and solver errors.
+writes its CSV reports into the output directory and returns its checks,
+its seed and its extra manifest rows; ``main`` writes ``checks.csv`` and
+``manifest.csv`` and exits 0 on success, 1 when a configured threshold is
+breached, or 2 on configuration and solver errors.
 Reruns with identical manifests produce byte-identical CSV files.
 """
 
@@ -88,18 +89,17 @@ def write_manifest(out: Path, command: str, config_path: str, seed, extra=()) ->
     write_csv(out / "manifest.csv", ["key", "value"], rows)
 
 
+def check_status(value: float, threshold: float) -> str:
+    """'pass' when value <= threshold, else 'FAIL' (NaN fails)."""
+    return "pass" if value <= threshold else "FAIL"
+
+
 def write_checks(out: Path, checks: list[tuple[str, float, float]]) -> int:
-    """Write pass/fail rows (check, value, threshold) and count failures."""
-    failures = sum(1 for _, value, threshold in checks if not value <= threshold)
-    write_csv(
-        out / "checks.csv",
-        ["check", "value", "threshold", "status"],
-        [
-            (name, value, threshold, "pass" if value <= threshold else "FAIL")
-            for name, value, threshold in checks
-        ],
-    )
-    return failures
+    """Write rows (check, value, threshold, status) and count the FAIL rows."""
+    rows = [(name, value, threshold, check_status(value, threshold))
+            for name, value, threshold in checks]
+    write_csv(out / "checks.csv", ["check", "value", "threshold", "status"], rows)
+    return sum(row[3] == "FAIL" for row in rows)
 
 
 class Setup:
@@ -115,10 +115,9 @@ class Setup:
         self.stats = None if self.noise is None else noise_statistics(self.noise)
 
 
-def cmd_noise_info(setup: Setup, out: Path, args) -> int:
+def cmd_noise_info(setup: Setup, out: Path, args):
     if setup.stats is None:
-        print("noise-info: the configured noise fixture is 'off'", file=sys.stderr)
-        return 2
+        raise ValueError("the configured noise fixture is 'off'")
     stats = setup.stats
     model = stats.model
     x = setup.grid.axis_points()
@@ -145,8 +144,7 @@ def cmd_noise_info(setup: Setup, out: Path, args) -> int:
         print(f"  mode {j}: weight {weight:.6g}")
     print(f"  sup_x |drift_paper + drift_effective| = "
           f"{np.max(np.abs(stats.drift_paper + stats.drift_effective)):.3e}")
-    write_manifest(out, "noise-info", args.config, setup.run.base_seed)
-    return 0
+    return None, setup.run.base_seed, ()
 
 
 def _write_run(out: Path, name: str, trajectory, columns: list[str]) -> None:
@@ -160,7 +158,7 @@ def _write_run(out: Path, name: str, trajectory, columns: list[str]) -> None:
     write_csv(out / f"{name}_series.csv", ["time", "mass", *columns], np.column_stack(series))
 
 
-def cmd_run_kinetic(setup: Setup, out: Path, args) -> int:
+def cmd_run_kinetic(setup: Setup, out: Path, args):
     run = setup.run
     seed = run.base_seed if args.seed is None else args.seed
     config = KineticConfig(
@@ -171,14 +169,12 @@ def cmd_run_kinetic(setup: Setup, out: Path, args) -> int:
     rng = sample_rng(seed, 0) if setup.noise is not None else None
     trajectory = run_kinetic(config, setup.rho0, rng=rng)
     _write_run(out, "kinetic", trajectory, ["energy", "defect"])
-    write_manifest(out, "run-kinetic", args.config, seed,
-                   [("epsilon", run.epsilon), ("dt", config.dt)])
     print(f"run-kinetic: {config.n_steps} steps at epsilon = {run.epsilon:g}, "
           f"final mass {trajectory.mass[-1]:.12g}")
-    return 0
+    return None, seed, [("epsilon", run.epsilon), ("dt", config.dt)]
 
 
-def cmd_run_spde(setup: Setup, out: Path, args) -> int:
+def cmd_run_spde(setup: Setup, out: Path, args):
     run = setup.run
     seed = run.base_seed if args.seed is None else args.seed
     drift = run.drift if args.drift is None else args.drift
@@ -190,14 +186,12 @@ def cmd_run_spde(setup: Setup, out: Path, args) -> int:
     rng = sample_rng(seed, 1) if setup.stats is not None else None
     trajectory = run_limit(config, setup.rho0, rng=rng)
     _write_run(out, "spde", trajectory, ["norm_sq"])
-    write_manifest(out, "run-spde", args.config, seed,
-                   [("drift", drift), ("dt", config.dt)])
     print(f"run-spde: {config.n_steps} steps with {drift} drift, "
           f"final mass {trajectory.mass[-1]:.12g}")
-    return 0
+    return None, seed, [("drift", drift), ("dt", config.dt)]
 
 
-def cmd_sweep(setup: Setup, out: Path, args) -> int:
+def cmd_sweep(setup: Setup, out: Path, args):
     run = setup.run
     seed = run.base_seed if args.seed is None else args.seed
     drift = run.drift if args.drift is None else args.drift
@@ -250,21 +244,15 @@ def cmd_sweep(setup: Setup, out: Path, args) -> int:
         errors = report.det_errors()
         worst = float(np.max(np.diff(errors))) if len(errors) > 1 else -1.0
         checks.append(("det-error-decreasing", worst, 0.0))
-    failures = write_checks(out, checks)
-    write_manifest(out, "sweep", args.config, seed,
-                   [("drift", drift), ("samples_kinetic", n_kinetic),
-                    ("samples_limit", n_limit)])
     for row in report.rows:
         gaps = row.drift_gaps(drift)[0]
         print(f"sweep: eps = {row.epsilon:<8g} gaps "
               + "  ".join(f"{name} {gap:.3e}" for name, gap in zip(FUNCTIONAL_NAMES, gaps)))
-    if failures:
-        print(f"sweep: {failures} check(s) failed, see checks.csv", file=sys.stderr)
-        return 1
-    return 0
+    return checks, seed, [("drift", drift), ("samples_kinetic", n_kinetic),
+                          ("samples_limit", n_limit)]
 
 
-def cmd_rates(setup: Setup, out: Path, args) -> int:
+def cmd_rates(setup: Setup, out: Path, args):
     run = setup.run
     report = deterministic_convergence(
         setup.grid, setup.quad, setup.opacity, setup.rho0, run.t_final, run.epsilons
@@ -278,16 +266,11 @@ def cmd_rates(setup: Setup, out: Path, args) -> int:
         ("slope-shortfall", run.slope_min - report.slope, 0.0),
         ("errors-decreasing", 0.0 if report.errors_strictly_decreasing() else 1.0, 0.0),
     ]
-    failures = write_checks(out, checks)
-    write_manifest(out, "rates", args.config, run.base_seed)
     print(f"rates: slope {report.slope:.3f} over {len(report.epsilons)} epsilons")
-    if failures:
-        print(f"rates: {failures} check(s) failed, see checks.csv", file=sys.stderr)
-        return 1
-    return 0
+    return checks, run.base_seed, ()
 
 
-def cmd_verify(setup: Setup, out: Path, args) -> int:
+def cmd_verify(setup: Setup, out: Path, args):
     run = setup.run
     rng = np.random.default_rng(VERIFY_SEED)
     # kinetic fields are (n_v, n_x): the draw keeps its (n_x, n_v) order
@@ -296,16 +279,11 @@ def cmd_verify(setup: Setup, out: Path, args) -> int:
                            t_final=0.01, noise=setup.noise)
     residuals = identity_residuals(config, setup.stats, run.modes[0], f)
     checks = [(name, value, run.identity_tol) for name, value in residuals.items()]
-    failures = write_checks(out, checks)
-    write_manifest(out, "verify", args.config, run.base_seed)
     width = max(len(name) for name, _, _ in checks)
     for name, value, threshold in checks:
-        status = "pass" if value <= threshold else "FAIL"
-        print(f"verify: {name:<{width}}  {value:.3e} <= {threshold:.0e}  {status}")
-    if failures:
-        print(f"verify: {failures} identity check(s) failed", file=sys.stderr)
-        return 1
-    return 0
+        print(f"verify: {name:<{width}}  {value:.3e} <= {threshold:.0e}  "
+              f"{check_status(value, threshold)}")
+    return checks, run.base_seed, ()
 
 
 COMMANDS = {
@@ -362,10 +340,16 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         setup = Setup(run)
-        return COMMANDS[args.command](setup, out, args)
+        checks, seed, extra = COMMANDS[args.command](setup, out, args)
     except (ValueError, ArithmeticError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
+    failures = 0 if checks is None else write_checks(out, checks)
+    write_manifest(out, args.command, args.config, seed, extra)
+    if failures:
+        print(f"{args.command}: {failures} check(s) failed, see checks.csv", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correctors import FourierMode, parse_mode
+from .kinetic import DT_CAP
 from .model import Opacity, TorusGrid, VelocityQuadrature, build_velocity_space
 from .noise import NoiseModel, cosine_profile, rotor_noise, telegraph_noise
 
@@ -278,7 +279,7 @@ def parse_config(path: str) -> RunConfig:
         violations.append("[noise] amplitude must be nonzero when a fixture is on")
     if run.dt is not None:
         # products, not powers: a float power raises OverflowError
-        cap = 0.5 * run.epsilon * run.epsilon
+        cap = DT_CAP * run.epsilon * run.epsilon
         if run.dt > cap * (1.0 + 1e-9):
             violations.append(
                 f"[simulation] dt = {run.dt:g} violates the step rule dt <= eps^2/2 "
@@ -291,7 +292,7 @@ def parse_config(path: str) -> RunConfig:
                 f"[simulation] t_final = {run.t_final:g} is not an integer multiple "
                 f"of dt = {run.dt:g}"
             )
-    if run.dt_scale > 0.5 * (1.0 + 1e-9):
+    if run.dt_scale > DT_CAP * (1.0 + 1e-9):
         violations.append(
             f"[simulation] dt_scale = {run.dt_scale:g} violates the step rule dt <= eps^2/2"
         )

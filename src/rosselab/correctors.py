@@ -351,7 +351,6 @@ def martingale_residual(
             raise ValueError(f"{name} = {t} is not a multiple of dt = {dt}")
     evaluator = GeneratorEvaluator(config, stats, mode)
     grid, quad = config.grid, config.quad
-    profile = mode.profile(grid)
     f0 = equilibrium_field(quad, np.asarray(rho0, dtype=float))
     noisy = config.noise is not None
     weighted = np.empty(n_samples)
@@ -376,7 +375,7 @@ def martingale_residual(
                 if k == k_start:
                     rho = np.fft.irfft(density(quad, f), n=grid.n_x)
                     # math.tanh, not np.tanh: the two differ in the last bit
-                    weight = np.array([math.tanh(v) for v in grid.cell_volume * np.sum(rho * profile, axis=-1)])
+                    weight = np.array([math.tanh(v) for v in mode.apply(grid, rho)])
                     start_value = _at_states(evaluator.perturbed(rho), paths, k * dt)
                 g_now = evaluator.totals(f)
                 gamma_now = evaluator.gamma(f)

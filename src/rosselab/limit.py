@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .model import Opacity, TorusGrid
+from .model import Opacity, TorusGrid, l2_norm_sq
 from .noise import NoiseStatistics, record_blocks, step_blocks
 
 #: ``SpdeConfig(dt=None)`` takes at least this many steps per decay time
@@ -206,14 +206,14 @@ def _integrate(
     at a non-finite norm_sq or a density that is not positive.
     """
     n_steps, rows = normals.shape[:2]
-    dt, cell = config.dt, config.grid.cell_volume
+    dt, grid = config.dt, config.grid
     stepper = SpdeStepper(config)
 
     def step(rho: np.ndarray, k: int) -> np.ndarray:
         return stepper.step(rho, normals[k, :len(rho)])
 
     def check(start: int, rho: np.ndarray):
-        sq = cell * (rho * rho).sum(axis=-1)
+        sq = l2_norm_sq(grid, rho)
         if rho.min() > 0.0 and sq.max() < math.inf:
             return sq, {}
         low = rho.min(axis=-1)
@@ -226,7 +226,7 @@ def _integrate(
         return sq, {row: f"density lost finiteness at step {k} (t = {k * dt:g})"}
 
     def measure(rho: np.ndarray, at: np.ndarray):
-        return rho[at], cell * rho.sum(axis=-1)
+        return rho[at], grid.cell_volume * rho.sum(axis=-1)
 
     rho = np.repeat(np.asarray(rho0, dtype=float)[None], rows, axis=0)
     blocks = step_blocks(step, rho, n_steps, first_sample, check)

@@ -309,7 +309,7 @@ class TestParser:
 
         def record(setup, out, args):
             seen.append((args.drift, args.samples))
-            return 0
+            return None, setup.run.base_seed, ()
 
         config = write_ini(tmp_path, TELEGRAPH_INI)
         with mock.patch.dict(cli.COMMANDS, {"sweep": record}):
@@ -333,6 +333,44 @@ class TestParser:
             with pytest.raises(SystemExit) as exc:
                 main([command, "--config", config, flag, values[flag]])
             assert exc.value.code == 2
+
+
+class TestReporting:
+    """``main`` writes manifest.csv, writes checks.csv for the commands that
+    return checks, and turns their FAIL rows into the exit code."""
+
+    #: a config on which the command exits nonzero
+    BREACH = {"noise-info": HEAT_INI,
+              "sweep": TELEGRAPH_INI + "band_max = 0.5\n",
+              "rates": HEAT_INI + "[harness]\nslope_min = 100\n",
+              "verify": TELEGRAPH_INI + "identity_tol = 1e-30\n"}
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_main_writes_the_reports_and_sets_the_exit_code(self, tmp_path, capsys, command):
+        config = write_ini(tmp_path, HEAT_INI if command == "rates" else TELEGRAPH_INI)
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert dict(read_csv(out / "manifest.csv")[1])["command"] == command
+        assert (out / "checks.csv").exists() == (command in ("sweep", "rates", "verify"))
+        if command not in self.BREACH:
+            return
+
+        out = tmp_path / "breach"
+        code = main([command, "--config", write_ini(tmp_path, self.BREACH[command], "breach.ini"),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        if command == "noise-info":
+            assert code == 2
+            assert captured.err == "noise-info: the configured noise fixture is 'off'\n"
+            assert not (out / "manifest.csv").exists()
+            return
+        status = column(out / "checks.csv", "status")
+        assert code == 1 and "FAIL" in status
+        assert captured.err == f"{command}: {status.count('FAIL')} check(s) failed, see checks.csv\n"
+        if command == "verify":
+            printed = [line.split()[-1] for line in captured.out.splitlines()]
+            assert printed == status
 
 
 class TestErrorPaths:
