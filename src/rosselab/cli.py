@@ -10,10 +10,12 @@ Subcommands:
 * ``verify``       machine-precision identity battery on the configured fixture
 
 Every command reads one config file (see ``config.py`` for the grammar),
-writes its CSV reports into the output directory and returns its checks,
-its seed and its extra manifest rows; ``main`` writes ``checks.csv`` and
-``manifest.csv`` and exits 0 on success, 1 when a configured threshold is
-breached, or 2 on configuration and solver errors.
+prints its summary and returns its tables (``{file name: (header, rows)}``),
+its checks, its seed and its extra manifest rows; it writes nothing. Once
+the command has run, ``main`` creates the output directory, writes every
+table there with ``checks.csv`` and ``manifest.csv``, and exits 0 on
+success or 1 when a configured threshold is breached. A configuration,
+solver or usage error exits 2 and leaves no output directory.
 Reruns with identical manifests produce byte-identical CSV files.
 """
 
@@ -75,7 +77,7 @@ def write_csv(path: Path, header, rows) -> None:
             writer.writerow([format_value(v) for v in row])
 
 
-def write_manifest(out: Path, command: str, config_path: str, seed, extra=()) -> None:
+def manifest_rows(command: str, config_path: str, seed, extra=()) -> list:
     digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     rows = [
         ("command", command),
@@ -86,20 +88,12 @@ def write_manifest(out: Path, command: str, config_path: str, seed, extra=()) ->
         ("python_version", platform.python_version()),
     ]
     rows.extend(extra)
-    write_csv(out / "manifest.csv", ["key", "value"], rows)
+    return rows
 
 
 def check_status(value: float, threshold: float) -> str:
     """'pass' when value <= threshold, else 'FAIL' (NaN fails)."""
     return "pass" if value <= threshold else "FAIL"
-
-
-def write_checks(out: Path, checks: list[tuple[str, float, float]]) -> int:
-    """Write rows (check, value, threshold, status) and count the FAIL rows."""
-    rows = [(name, value, threshold, check_status(value, threshold))
-            for name, value, threshold in checks]
-    write_csv(out / "checks.csv", ["check", "value", "threshold", "status"], rows)
-    return sum(row[3] == "FAIL" for row in rows)
 
 
 class Setup:
@@ -115,7 +109,7 @@ class Setup:
         self.stats = None if self.noise is None else noise_statistics(self.noise)
 
 
-def cmd_noise_info(setup: Setup, out: Path, args):
+def cmd_noise_info(setup: Setup, args):
     if setup.stats is None:
         raise ValueError("the configured noise fixture is 'off'")
     stats = setup.stats
@@ -130,35 +124,35 @@ def cmd_noise_info(setup: Setup, out: Path, args):
         + ["drift_paper", "drift_effective"]
     )
     rows = np.column_stack((x, states.T, psi.T, stats.drift_paper, stats.drift_effective))
-    write_csv(out / "noise_fields.csv", header, rows)
-
     mode_rows = [
         [j, stats.mode_weights[j], x[i], stats.mode_profiles[j, i]]
         for j in range(stats.rank)
         for i in range(setup.grid.n_x)
     ]
-    write_csv(out / "noise_modes.csv", ["mode_index", "weight", "x", "value"], mode_rows)
+    tables = {"noise_fields.csv": (header, rows),
+              "noise_modes.csv": (["mode_index", "weight", "x", "value"], mode_rows)}
 
     print(f"fixture: {setup.run.fixture} with {model.n_states} states, rank {stats.rank}")
     for j, weight in enumerate(stats.mode_weights):
         print(f"  mode {j}: weight {weight:.6g}")
     print(f"  sup_x |drift_paper + drift_effective| = "
           f"{np.max(np.abs(stats.drift_paper + stats.drift_effective)):.3e}")
-    return None, setup.run.base_seed, ()
+    return tables, None, setup.run.base_seed, ()
 
 
-def _write_run(out: Path, name: str, trajectory, columns: list[str]) -> None:
-    """Write ``<name>_density.csv``, rows (t, x, density) of every snapshot
-    with x fastest, and ``<name>_series.csv``, the step times, the mass and
-    the trajectory's series ``columns`` per step."""
+def _run_tables(name: str, trajectory, columns: list[str]) -> dict:
+    """``<name>_density.csv``, rows (t, x, density) of every snapshot with x
+    fastest, and ``<name>_series.csv``, the step times, the mass and the
+    trajectory's series ``columns`` per step."""
     x, times = trajectory.config.grid.axis_points(), trajectory.times
-    write_csv(out / f"{name}_density.csv", ["time", "x", "density"], np.column_stack(
-        (np.repeat(times, len(x)), np.tile(x, len(times)), trajectory.densities.ravel())))
+    density = np.column_stack(
+        (np.repeat(times, len(x)), np.tile(x, len(times)), trajectory.densities.ravel()))
     series = [trajectory.step_times, trajectory.mass, *(getattr(trajectory, c) for c in columns)]
-    write_csv(out / f"{name}_series.csv", ["time", "mass", *columns], np.column_stack(series))
+    return {f"{name}_density.csv": (["time", "x", "density"], density),
+            f"{name}_series.csv": (["time", "mass", *columns], np.column_stack(series))}
 
 
-def cmd_run_kinetic(setup: Setup, out: Path, args):
+def cmd_run_kinetic(setup: Setup, args):
     run = setup.run
     seed = run.base_seed if args.seed is None else args.seed
     config = KineticConfig(
@@ -168,13 +162,13 @@ def cmd_run_kinetic(setup: Setup, out: Path, args):
     )
     rng = sample_rng(seed, 0) if setup.noise is not None else None
     trajectory = run_kinetic(config, setup.rho0, rng=rng)
-    _write_run(out, "kinetic", trajectory, ["energy", "defect"])
     print(f"run-kinetic: {config.n_steps} steps at epsilon = {run.epsilon:g}, "
           f"final mass {trajectory.mass[-1]:.12g}")
-    return None, seed, [("epsilon", run.epsilon), ("dt", config.dt)]
+    return (_run_tables("kinetic", trajectory, ["energy", "defect"]), None, seed,
+            [("epsilon", run.epsilon), ("dt", config.dt)])
 
 
-def cmd_run_spde(setup: Setup, out: Path, args):
+def cmd_run_spde(setup: Setup, args):
     run = setup.run
     seed = run.base_seed if args.seed is None else args.seed
     drift = run.drift if args.drift is None else args.drift
@@ -185,13 +179,13 @@ def cmd_run_spde(setup: Setup, out: Path, args):
     )
     rng = sample_rng(seed, 1) if setup.stats is not None else None
     trajectory = run_limit(config, setup.rho0, rng=rng)
-    _write_run(out, "spde", trajectory, ["norm_sq"])
     print(f"run-spde: {config.n_steps} steps with {drift} drift, "
           f"final mass {trajectory.mass[-1]:.12g}")
-    return None, seed, [("drift", drift), ("dt", config.dt)]
+    return (_run_tables("spde", trajectory, ["norm_sq"]), None, seed,
+            [("drift", drift), ("dt", config.dt)])
 
 
-def cmd_sweep(setup: Setup, out: Path, args):
+def cmd_sweep(setup: Setup, args):
     run = setup.run
     seed = run.base_seed if args.seed is None else args.seed
     drift = run.drift if args.drift is None else args.drift
@@ -214,26 +208,17 @@ def cmd_sweep(setup: Setup, out: Path, args):
                 row.epsilon, name, row.estimates.values[j], row.estimates.sems[j],
                 limit.values[j], limit.sems[j], gaps[j],
             ])
-    write_csv(
-        out / "sweep.csv",
-        ["epsilon", "functional", "kinetic_mean", "kinetic_sem",
-         "limit_mean", "limit_sem", "gap"],
-        rows,
-    )
-    write_csv(
-        out / "hs.csv",
-        ["epsilon", "sobolev_order", "hs_mean"],
-        [[row.epsilon, report.sobolev_order, row.sobolev_mean] for row in report.rows],
-    )
-    write_csv(
-        out / "diagnostics.csv",
-        ["epsilon", "sup_energy_mean", "defect_integral_mean", "hs_mean", "det_error"],
-        [
-            [row.epsilon, row.sup_energy_mean, row.defect_integral_mean,
-             row.sobolev_mean, row.det_error]
-            for row in report.rows
-        ],
-    )
+    tables = {
+        "sweep.csv": (["epsilon", "functional", "kinetic_mean", "kinetic_sem",
+                       "limit_mean", "limit_sem", "gap"], rows),
+        "hs.csv": (["epsilon", "sobolev_order", "hs_mean"],
+                   [[row.epsilon, report.sobolev_order, row.sobolev_mean]
+                    for row in report.rows]),
+        "diagnostics.csv": (
+            ["epsilon", "sup_energy_mean", "defect_integral_mean", "hs_mean", "det_error"],
+            [[row.epsilon, row.sup_energy_mean, row.defect_integral_mean,
+              row.sobolev_mean, row.det_error] for row in report.rows]),
+    }
     checks = [
         ("gap-monotone", 0.0 if report.gaps_nonincreasing(run.slack_sigma, drift) else 1.0, 0.0),
         ("sup-energy-band", report.diagnostic_band("sup_energy_mean"), run.band_max),
@@ -248,29 +233,27 @@ def cmd_sweep(setup: Setup, out: Path, args):
         gaps = row.drift_gaps(drift)[0]
         print(f"sweep: eps = {row.epsilon:<8g} gaps "
               + "  ".join(f"{name} {gap:.3e}" for name, gap in zip(FUNCTIONAL_NAMES, gaps)))
-    return checks, seed, [("drift", drift), ("samples_kinetic", n_kinetic),
-                          ("samples_limit", n_limit)]
+    return tables, checks, seed, [("drift", drift), ("samples_kinetic", n_kinetic),
+                                  ("samples_limit", n_limit)]
 
 
-def cmd_rates(setup: Setup, out: Path, args):
+def cmd_rates(setup: Setup, args):
     run = setup.run
     report = deterministic_convergence(
         setup.grid, setup.quad, setup.opacity, setup.rho0, run.t_final, run.epsilons
     )
-    write_csv(
-        out / "rates.csv",
+    tables = {"rates.csv": (
         ["epsilon", "error", "slope"],
-        [[eps, err, report.slope] for eps, err in zip(report.epsilons, report.errors)],
-    )
+        [[eps, err, report.slope] for eps, err in zip(report.epsilons, report.errors)])}
     checks = [
         ("slope-shortfall", run.slope_min - report.slope, 0.0),
         ("errors-decreasing", 0.0 if report.errors_strictly_decreasing() else 1.0, 0.0),
     ]
     print(f"rates: slope {report.slope:.3f} over {len(report.epsilons)} epsilons")
-    return checks, run.base_seed, ()
+    return tables, checks, run.base_seed, ()
 
 
-def cmd_verify(setup: Setup, out: Path, args):
+def cmd_verify(setup: Setup, args):
     run = setup.run
     rng = np.random.default_rng(VERIFY_SEED)
     # kinetic fields are (n_v, n_x): the draw keeps its (n_x, n_v) order
@@ -283,7 +266,7 @@ def cmd_verify(setup: Setup, out: Path, args):
     for name, value, threshold in checks:
         print(f"verify: {name:<{width}}  {value:.3e} <= {threshold:.0e}  "
               f"{check_status(value, threshold)}")
-    return checks, run.base_seed, ()
+    return {}, checks, run.base_seed, ()
 
 
 COMMANDS = {
@@ -336,16 +319,23 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    out = Path(args.out if args.out is not None else run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
-        setup = Setup(run)
-        checks, seed, extra = COMMANDS[args.command](setup, out, args)
+        tables, checks, seed, extra = COMMANDS[args.command](Setup(run), args)
     except (ValueError, ArithmeticError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
-    failures = 0 if checks is None else write_checks(out, checks)
-    write_manifest(out, args.command, args.config, seed, extra)
+    failures = 0
+    if checks is not None:
+        rows = [(name, value, threshold, check_status(value, threshold))
+                for name, value, threshold in checks]
+        tables["checks.csv"] = (["check", "value", "threshold", "status"], rows)
+        failures = sum(row[3] == "FAIL" for row in rows)
+    tables["manifest.csv"] = (["key", "value"],
+                              manifest_rows(args.command, args.config, seed, extra))
+    out = Path(args.out if args.out is not None else run.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
     if failures:
         print(f"{args.command}: {failures} check(s) failed, see checks.csv", file=sys.stderr)
         return 1

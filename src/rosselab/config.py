@@ -166,7 +166,7 @@ def _dt_rule(text: str) -> float | None:
     return _positive_float(text)
 
 
-VELOCITY_CHOICES = ("two-speed", "gt2", "legendre", "cont")
+VELOCITY_CHOICES = ("two-speed", "legendre")
 FIXTURE_CHOICES = ("off", "telegraph", "rotor3")
 DRIFT_CHOICES = ("effective", "paper")
 
@@ -266,7 +266,7 @@ def parse_config(path: str) -> RunConfig:
             violations.append(f"[{section}] {key} = {text!r}: expected {description} ({exc})")
     run = RunConfig(**values)
 
-    if run.velocity in ("two-speed", "gt2") and parser.has_option("model", "velocity_nodes"):
+    if run.velocity == "two-speed" and parser.has_option("model", "velocity_nodes"):
         violations.append("[model] velocity_nodes requires velocity = legendre")
     if run.opacity_kind == "constant" and parser.has_option("model", "sigma_upper"):
         violations.append("[model] sigma_upper applies to the rational opacity only")

@@ -116,14 +116,14 @@ def build_velocity_space(name: str, n_nodes: int | None = None) -> VelocityQuadr
     quadrature is exact for v^2 for any n_nodes >= 2 (default 8).
     """
     key = name.strip().lower()
-    if key in ("two-speed", "gt2"):
+    if key == "two-speed":
         if n_nodes not in (None, 2):
             raise ValueError("the two-speed model has exactly 2 nodes")
         nodes = np.array([-1.0, 1.0])
         weights = np.array([0.5, 0.5])
         equilibrium = np.array([1.0, 1.0])
         return VelocityQuadrature(weights, nodes, equilibrium)
-    if key in ("legendre", "cont"):
+    if key == "legendre":
         n = 8 if n_nodes is None else n_nodes
         if n < 2:
             raise ValueError(f"need at least 2 velocity nodes, got {n}")

@@ -260,10 +260,6 @@ class NoisePath:
     def n_jumps(self) -> int:
         return len(self.jump_times) - 1
 
-    def state_index_at(self, t: float) -> int:
-        k = int(np.searchsorted(self.jump_times, t, side="right")) - 1
-        return int(self.state_indices[max(k, 0)])
-
     def occupations(self, t0, t1) -> np.ndarray:
         """Time spent in each state during [t0, t1], shape (..., n_states):
         this path's row of ``occupation_table``."""

@@ -1,6 +1,6 @@
 """Shared pytest plumbing: collect acceptance verdict lines for the summary,
-random ergodic chains, physical-space views of the kinetic solver's phases
-and steps, a fixed block length for the solvers' block loop, and
+random ergodic chains, the state of a noise path at a time,
+physical-space views of the kinetic solver's phases and steps, a fixed block length for the solvers' block loop, and
 ``sample_rng`` / ``sample_path`` / ``occupation_table`` stand-ins for
 ensemble failure tests."""
 
@@ -37,6 +37,13 @@ def random_chain(rng, n_states, grid):
             states[i] += rng.normal() * np.cos(2.0 * np.pi * k * x)
             states[i] += rng.normal() * np.sin(2.0 * np.pi * k * x)
     return make_noise_model(grid, states, m)
+
+
+def state_index_at(path, t):
+    """The state a noise path is in at time t: the state it entered at its
+    last jump at or before t (its first state before its first jump)."""
+    k = int(np.searchsorted(path.jump_times, t, side="right")) - 1
+    return int(path.state_indices[max(k, 0)])
 
 
 def translate(grid, quad, f, tau):

@@ -128,12 +128,6 @@ class TestNoiseInfo:
         assert len(weights) == 1
         assert abs(weights.pop() - 0.5) < 1e-12
 
-    def test_requires_a_noise_fixture(self, tmp_path, capsys):
-        config = write_ini(tmp_path, HEAT_INI)
-        assert main(["noise-info", "--config", config,
-                     "--out", str(tmp_path / "out")]) == 2
-        assert "off" in capsys.readouterr().err
-
 
 class TestRunCommands:
     def test_run_spde_takes_the_dt_the_config_accepts(self, tmp_path, capsys):
@@ -307,9 +301,9 @@ class TestParser:
     def test_options_do_not_leak_between_calls(self, tmp_path):
         seen = []
 
-        def record(setup, out, args):
+        def record(setup, args):
             seen.append((args.drift, args.samples))
-            return None, setup.run.base_seed, ()
+            return {}, None, setup.run.base_seed, ()
 
         config = write_ini(tmp_path, TELEGRAPH_INI)
         with mock.patch.dict(cli.COMMANDS, {"sweep": record}):
@@ -336,8 +330,17 @@ class TestParser:
 
 
 class TestReporting:
-    """``main`` writes manifest.csv, writes checks.csv for the commands that
-    return checks, and turns their FAIL rows into the exit code."""
+    """``main`` writes the command's tables, manifest.csv and, for the
+    commands that return checks, checks.csv, and turns their FAIL rows into
+    the exit code; a run that exits 2 leaves no output directory."""
+
+    #: the files each command's output directory holds
+    FILES = {"noise-info": ["noise_fields.csv", "noise_modes.csv"],
+             "run-kinetic": ["kinetic_density.csv", "kinetic_series.csv"],
+             "run-spde": ["spde_density.csv", "spde_series.csv"],
+             "sweep": ["sweep.csv", "hs.csv", "diagnostics.csv", "checks.csv"],
+             "rates": ["rates.csv", "checks.csv"],
+             "verify": ["checks.csv"]}
 
     #: a config on which the command exits nonzero
     BREACH = {"noise-info": HEAT_INI,
@@ -352,7 +355,8 @@ class TestReporting:
         assert main([command, "--config", config, "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert dict(read_csv(out / "manifest.csv")[1])["command"] == command
-        assert (out / "checks.csv").exists() == (command in ("sweep", "rates", "verify"))
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.FILES[command]
+                                                               + ["manifest.csv"])
         if command not in self.BREACH:
             return
 
@@ -363,7 +367,7 @@ class TestReporting:
         if command == "noise-info":
             assert code == 2
             assert captured.err == "noise-info: the configured noise fixture is 'off'\n"
-            assert not (out / "manifest.csv").exists()
+            assert not out.exists()
             return
         status = column(out / "checks.csv", "status")
         assert code == 1 and "FAIL" in status
@@ -378,6 +382,7 @@ class TestErrorPaths:
         config = write_ini(tmp_path, "[model]\nsigma_min = 0.5\n")
         assert main(["verify", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err
         assert "sigma_star" in err
 
@@ -385,6 +390,7 @@ class TestErrorPaths:
         config = write_ini(tmp_path, "n_x = 16\n")
         assert main(["verify", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
         assert "no section headers" in capsys.readouterr().err
 
     def test_arithmetic_overflow_exits_2(self, tmp_path, capsys):
@@ -392,6 +398,7 @@ class TestErrorPaths:
         config = write_ini(tmp_path, "[simulation]\nepsilon = 1e200\n")
         assert main(["run-kinetic", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
         assert "run-kinetic: " in capsys.readouterr().err
 
     def test_solver_errors_exit_2(self, tmp_path, capsys):
@@ -399,6 +406,7 @@ class TestErrorPaths:
         config = write_ini(tmp_path, "[model]\nn_x = 3\n")
         assert main(["verify", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
         assert "n_x" in capsys.readouterr().err
 
     def test_ensemble_sample_errors_exit_2(self, tmp_path, capsys, monkeypatch):
@@ -406,6 +414,7 @@ class TestErrorPaths:
         config = write_ini(tmp_path, TELEGRAPH_INI)
         assert main(["sweep", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
         assert "sweep: sample 1: kinetic field lost finiteness at step 1 " in \
             capsys.readouterr().err
 
@@ -415,6 +424,7 @@ class TestErrorPaths:
         config = write_ini(tmp_path, TELEGRAPH_INI)
         assert main(["sweep", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
         assert "sweep: sample 2: density lost finiteness at step 11 " in \
             capsys.readouterr().err
 
@@ -423,9 +433,11 @@ class TestErrorPaths:
                                                            "amplitude = 1000.0"))
         assert main(["run-spde", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
         assert "run-spde: density lost positivity at t = " in capsys.readouterr().err
 
     def test_tiny_sample_override_rejected(self, tmp_path):
         config = write_ini(tmp_path, TELEGRAPH_INI)
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "out"),
                      "--samples", "1"]) == 2
+        assert not (tmp_path / "out").exists()

@@ -127,7 +127,7 @@ t_final = 0.1
 
     @pytest.mark.parametrize("text", [
         "n_x = 16\n",
-        "[model]\nn_x = 16\n[model]\nvelocity = gt2\n",
+        "[model]\nn_x = 16\n[model]\nvelocity = two-speed\n",
         "[model]\nn_x = 16\nn_x = 32\n",
         "[model]\nn_x = 16\ngarbage line\n",
     ], ids=["no-section-header", "duplicate-section", "duplicate-key", "garbage-line"])
@@ -191,7 +191,7 @@ BAD_VALUES = {
     "n_x": ("three", ["[model] n_x = 'three': expected a positive integer "
                       "(invalid literal for int() with base 10: 'three')"]),
     "velocity": ("four-speed", ["[model] velocity = 'four-speed': must be one of two-speed, "
-                                "gt2, legendre, cont; did you mean 'two-speed'?"]),
+                                "legendre; did you mean 'two-speed'?"]),
     "velocity_nodes": ("0", ["[model] velocity_nodes = '0': expected a positive integer "
                              "(must be a positive integer)",
                              "[model] velocity_nodes requires velocity = legendre"]),
@@ -252,8 +252,8 @@ BAD_VALUES = {
 
 #: a near miss for each choice key, so the suggestion is pinned too
 NEAR_MISSES = {
-    "velocity": ("Legendr", ["[model] velocity = 'Legendr': must be one of two-speed, gt2, "
-                             "legendre, cont; did you mean 'legendre'?"]),
+    "velocity": ("Legendr", ["[model] velocity = 'Legendr': must be one of two-speed, "
+                             "legendre; did you mean 'legendre'?"]),
     "opacity": ("constnt", ["[model] opacity = 'constnt': must be one of constant, "
                             "rational; did you mean 'constant'?"]),
     "fixture": ("telegrph", ["[noise] fixture = 'telegrph': must be one of off, telegraph, "
@@ -265,7 +265,7 @@ NEAR_MISSES = {
 #: one input per cross-field rule
 CROSS_FIELD = {
     "velocity-nodes-need-legendre": (
-        "[model]\nvelocity = gt2\nvelocity_nodes = 4\n",
+        "[model]\nvelocity = two-speed\nvelocity_nodes = 4\n",
         ["[model] velocity_nodes requires velocity = legendre"]),
     "sigma-upper-needs-rational": (
         "[model]\nopacity = constant\nsigma_upper = 3.0\n",

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fixed_blocks, nan_paths, random_chain
+from conftest import fixed_blocks, nan_paths, random_chain, state_index_at
 from rosselab import correctors, fourier, kinetic, noise
 from rosselab.correctors import (
     FourierMode,
@@ -528,14 +528,15 @@ class TestMartingaleResidual:
     @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 5), data=st.data())
     def test_states_at_a_time_match_each_path(self, seed, n_paths, data):
         """The batched lookup of the residual's end values reads each live
-        row at its own path's ``state_index_at``, at jump times too."""
+        row at its own path's state (conftest's ``state_index_at``), at jump
+        times too."""
         model = rotor_noise(GRID, 1.0, 1, 2.0)
         rng = np.random.default_rng(seed)
         paths = [sample_path(model, 0.25, 0.1, rng) for _ in range(n_paths)]
         jumps = np.concatenate([path.jump_times for path in paths]).tolist()
         t = data.draw(st.one_of(st.floats(0.0, 0.1), st.sampled_from(jumps)))
         values = rng.normal(size=(data.draw(st.integers(1, n_paths)), model.n_states))
-        expected = [row[path.state_index_at(t)] for row, path in zip(values, paths)]
+        expected = [row[state_index_at(path, t)] for row, path in zip(values, paths)]
         assert np.array_equal(correctors._at_states(values, paths, t), expected)
 
     def test_each_chunk_takes_one_occupation_table(self, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chain
+from conftest import random_chain, state_index_at
 from rosselab.model import TorusGrid
 from rosselab.noise import (
     EIG_CLIP,
@@ -224,9 +224,9 @@ def test_path_bookkeeping_by_hand():
         jump_times=np.array([0.0, 0.25, 0.7]),
         state_indices=np.array([0, 1, 0]),
     )
-    assert path.state_index_at(0.1) == 0
-    assert path.state_index_at(0.25) == 1
-    assert path.state_index_at(0.9) == 0
+    assert state_index_at(path, 0.1) == 0
+    assert state_index_at(path, 0.25) == 1
+    assert state_index_at(path, 0.9) == 0
     assert np.allclose(path.occupations(0.0, 1.0), [0.55, 0.45], atol=1e-15)
     assert np.allclose(path.occupations(0.2, 0.8), [0.15, 0.45], atol=1e-15)
     integ = path.occupations(0.0, 1.0) @ model.states
