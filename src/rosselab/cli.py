@@ -15,7 +15,8 @@ its checks, its seed and its extra manifest rows; it writes nothing. Once
 the command has run, ``main`` creates the output directory, writes every
 table there with ``checks.csv`` and ``manifest.csv``, and exits 0 on
 success or 1 when a configured threshold is breached. A configuration,
-solver or usage error exits 2 and leaves no output directory.
+solver or usage error exits 2 and leaves no output directory; an output
+directory that cannot be created or written exits 2 as well.
 Reruns with identical manifests produce byte-identical CSV files.
 """
 
@@ -333,9 +334,13 @@ def main(argv=None) -> int:
     tables["manifest.csv"] = (["key", "value"],
                               manifest_rows(args.command, args.config, seed, extra))
     out = Path(args.out if args.out is not None else run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        write_csv(out / name, header, rows)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            write_csv(out / name, header, rows)
+    except OSError as exc:
+        print(f"{args.command}: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     if failures:
         print(f"{args.command}: {failures} check(s) failed, see checks.csv", file=sys.stderr)
         return 1

@@ -26,6 +26,10 @@ density functionals, L_eps phi_eps and the carre du champ are linear
 functionals of f (Gamma up to its squared jumps), which ``GeneratorEvaluator``
 applies to the kinetic loop's spectral state directly: the window transforms
 back only the densities at its two ends.
+
+The correctors solve the chain's Poisson equations, so this layer needs a
+noise model: ``GeneratorEvaluator`` and ``martingale_residual`` raise
+ValueError without the statistics of the configuration's noise model.
 """
 
 from __future__ import annotations
@@ -100,30 +104,10 @@ def parse_mode(token: str) -> FourierMode:
     raise ValueError(f"cannot parse mode token {token!r}; use e.g. 'cos1' or 'sin2'")
 
 
-@dataclass(frozen=True, eq=False)
-class CorrectorSet:
-    """Density profiles of the first and second correctors for one mode.
-
-    phi_1(f, n_i) = int <f> first_profiles[i] dx and likewise for phi_2, so
-    both correctors are linear functionals of the density.
-    """
-
-    stats: NoiseStatistics
-    first_profiles: np.ndarray  # (n_states, n_x)
-    second_profiles: np.ndarray
-
-    def first_values(self, rho: np.ndarray) -> np.ndarray:
-        """phi_1 for every chain state, shape (..., n_states)."""
-        return self.stats.model.grid.cell_volume * _rows(self.first_profiles, rho)
-
-    def second_values(self, rho: np.ndarray) -> np.ndarray:
-        """phi_2 for every chain state, shape (..., n_states)."""
-        return self.stats.model.grid.cell_volume * _rows(self.second_profiles, rho)
-
-
-def build_correctors(stats: NoiseStatistics, mode: FourierMode) -> CorrectorSet:
-    grid = stats.model.grid
-    p = mode.profile(grid)
+def build_correctors(stats: NoiseStatistics, mode: FourierMode) -> tuple[np.ndarray, np.ndarray]:
+    """Density profiles (first, second), each (n_states, n_x), of the mode's
+    correctors: phi_1(f, n_i) = int <f> first[i] dx, and phi_2 with second."""
+    p = mode.profile(stats.model.grid)
     psi = stats.poisson_profiles
     first = -psi * p
     c = -stats.model.states * psi * p
@@ -135,7 +119,7 @@ def build_correctors(stats: NoiseStatistics, mode: FourierMode) -> CorrectorSet:
     if np.max(np.abs(nu @ centered)) > 1e-12 * scale:
         raise ValueError("second-corrector forcing is not centered under the stationary law")
     second = -_bordered_solve(stats.model.generator, nu, centered, scale)
-    return CorrectorSet(stats, first, second)
+    return first, second
 
 
 class GeneratorEvaluator:
@@ -156,11 +140,9 @@ class GeneratorEvaluator:
     folded in, one row per chain state acts on f_hat viewed as real numbers.
     """
 
-    def __init__(self, config: KineticConfig, stats: NoiseStatistics | None, mode: FourierMode):
-        if (stats is None) != (config.noise is None):
-            raise ValueError("noise statistics must match the configuration")
-        if stats is not None and stats.model is not config.noise:
-            raise ValueError("noise statistics belong to a different model")
+    def __init__(self, config: KineticConfig, stats: NoiseStatistics, mode: FourierMode):
+        if not isinstance(stats, NoiseStatistics) or stats.model is not config.noise:
+            raise ValueError("need the noise statistics of the configuration's noise model")
         self.config = config
         grid, quad = config.grid, config.quad
         eps = config.epsilon
@@ -168,25 +150,18 @@ class GeneratorEvaluator:
         self.flux_weights = quad.weights * quad.speeds
         self.freq = 2j * np.pi * np.fft.rfftfreq(grid.n_x, d=grid.spacing)
         self.cell = grid.cell_volume
-        if stats is None:
-            self.correctors = None
-            # only the transport-singular term survives with noise off
-            self.total_rows = self._spectral_rows(np.zeros((1, grid.n_x)), -self.p[None] / eps)
-            return
-        self.correctors = build_correctors(stats, mode)
-        self.states = stats.model.states
+        states = stats.model.states
         self.generator = stats.model.generator
-        w, u = self.correctors.first_profiles, self.correctors.second_profiles
-        self.w_profiles = w
-        self.u_profiles = u
-        self.noise_base = self.states * self.p  # rows n_i p
-        self.noise_w = self.states * w  # rows n_i W_i
-        self.noise_u = self.states * u
+        w, u = build_correctors(stats, mode)
+        self.w_profiles, self.u_profiles = w, u
+        self.noise_base = states * self.p  # rows n_i p
+        self.noise_w = states * w  # rows n_i W_i
+        self.noise_u = states * u
         # phi_eps / (eps cell) per state is the density functional of `scaled`
         scaled = self.p / eps + w + eps * u
         # transport: -(1/eps)(A f, D phi_eps); noise: (1/eps)(f n_i, D phi_eps);
         # chain: (1/eps^2)(M phi_eps), whose base part M phi vanishes
-        self.total_rows = self._spectral_rows(self.states * scaled + self.generator @ (w / eps + u),
+        self.total_rows = self._spectral_rows(states * scaled + self.generator @ (w / eps + u),
                                               -scaled)
         self.corrector_rows = self._spectral_rows(w + eps * u, np.zeros_like(w))
 
@@ -217,8 +192,7 @@ class GeneratorEvaluator:
 
     def terms(self, fields: np.ndarray) -> dict[str, np.ndarray]:
         """All generator terms of the ``fields`` of f, each of shape
-        (..., n_states); with noise off only the two singular terms, of
-        shape (..., 1), since every other term vanishes.
+        (..., n_states).
 
         Each term already carries its power of eps, so their sum is
         L_eps phi_eps.  transport_* are -(1/eps)(A f, D phi_eps), relax_*
@@ -231,10 +205,8 @@ class GeneratorEvaluator:
         sig_relax = cfg.opacity(rho) * relax_avg
         t_sing = -self.cell * _rows(self.p[None], div_flux) / eps
         r_sing = self.cell * _rows(self.p[None], sig_relax) / eps**2
-        if self.correctors is None:
-            return {"transport_singular": t_sing, "relax_singular": r_sing}
-        first_vals = self.correctors.first_values(rho)
-        second_vals = self.correctors.second_values(rho)
+        first_vals = self.cell * _rows(self.w_profiles, rho)
+        second_vals = self.cell * _rows(self.u_profiles, rho)
         return {
             "transport_singular": np.broadcast_to(t_sing, first_vals.shape),
             "transport_first": -self.cell * _rows(self.w_profiles, div_flux),
@@ -262,8 +234,6 @@ class GeneratorEvaluator:
         This is the quadratic-variation density of the martingale part of
         phi_eps (the 1/eps^2 jump rates cancel the eps^2 scale of the
         corrector jumps)."""
-        if self.correctors is None:
-            return np.zeros(f_hat.shape[:-2] + (1,))
         v = _rows(self.corrector_rows, _real_view(f_hat))
         jumps = (v[..., None, :] - v[..., :, None]) ** 2
         return np.einsum("il,...il->...i", self.generator, jumps)
@@ -271,17 +241,16 @@ class GeneratorEvaluator:
     def perturbed(self, rho: np.ndarray) -> np.ndarray:
         """phi + eps phi_1 + eps^2 phi_2 for every chain state at the density
         rho (..., n_x)."""
-        base = self.cell * _rows(self.p[None], rho)
-        if self.correctors is None:
-            return base
         eps = self.config.epsilon
-        return (base + eps * self.correctors.first_values(rho)
-                + eps**2 * self.correctors.second_values(rho))
+        base = self.cell * _rows(self.p[None], rho)
+        first = self.cell * _rows(self.w_profiles, rho)
+        second = self.cell * _rows(self.u_profiles, rho)
+        return base + eps * first + eps**2 * second
 
 
 def generator_terms(
     config: KineticConfig,
-    stats: NoiseStatistics | None,
+    stats: NoiseStatistics,
     mode: FourierMode,
     f: np.ndarray,
 ) -> dict[str, np.ndarray]:
@@ -309,18 +278,14 @@ class MartingaleCheck:
 
 
 def _at_states(values: np.ndarray, paths: list, t: float) -> np.ndarray:
-    """Row b of per-state values at the state of path b at time t (state 0
-    with noise off)."""
-    rows = np.arange(len(values))
-    if paths[0] is None:
-        return values[rows, 0]
+    """Row b of per-state values at the state of path b at time t."""
     _, _, states, index = _locate(paths[:len(values)], np.array([t]))
-    return values[rows, states[index[:, 0]]]
+    return values[np.arange(len(values)), states[index[:, 0]]]
 
 
 def martingale_residual(
     config: KineticConfig,
-    stats: NoiseStatistics | None,
+    stats: NoiseStatistics,
     mode: FourierMode,
     rho0: np.ndarray,
     t_start: float,
@@ -342,29 +307,24 @@ def martingale_residual(
     dt = config.dt
     k_start = round(t_start / dt)
     k_end = round(t_end / dt)
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
     if not 0 <= k_start < k_end <= config.n_steps:
         raise ValueError("window must satisfy 0 <= t_start < t_end <= t_final")
     for name, t, k in (("t_start", t_start, k_start), ("t_end", t_end, k_end)):
         if abs(k * dt - t) > 1e-9 * max(t, dt):
             raise ValueError(f"{name} = {t} is not a multiple of dt = {dt}")
     evaluator = GeneratorEvaluator(config, stats, mode)
+    chunks = _sample_chunks(config, n_samples, base_seed)
     grid, quad = config.grid, config.quad
     f0 = equilibrium_field(quad, np.asarray(rho0, dtype=float))
-    noisy = config.noise is not None
     weighted = np.empty(n_samples)
     squares = np.empty(n_samples)
     qvs = np.empty(n_samples)
     # right ends of the trapezoid intervals [t - dt, t] of the window
     ends = np.arange(k_start + 1, k_end + 1) * dt
-    for first, paths in _sample_chunks(config, n_samples, base_seed):
+    for first, paths in chunks:
         rows = len(paths)
-        if noisy:
-            # (window steps, B, n_states), contiguous
-            occupations = np.ascontiguousarray(occupation_table(paths, ends - dt, ends).swapaxes(0, 1))
-        else:
-            occupations = np.full((len(ends), rows, 1), dt)
+        # (window steps, B, n_states), contiguous
+        occupations = np.ascontiguousarray(occupation_table(paths, ends - dt, ends).swapaxes(0, 1))
         integral = np.zeros(rows)
         qv = np.zeros(rows)
         for start, block, _ in _strang(config, f0, paths, k_end, first_sample=first):

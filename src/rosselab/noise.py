@@ -332,15 +332,19 @@ def sample_rng(seed, index: int) -> np.random.Generator:
 
 
 def sample_chunks(n_samples: int, floats_per_sample: int, draw: Callable) -> Iterator[tuple[int, list]]:
-    """Yield (first sample, [draw(k) for each sample k of the chunk]) for
-    consecutive chunks of an ensemble, drawing k = 0, 1, ... in order.
+    """(first sample, [draw(k) for each sample k of the chunk]) for the
+    consecutive chunks of an ensemble, drawn lazily, k = 0, 1, ... in order.
 
     A chunk holds at most ``CHUNK_BUDGET`` floats of per-sample state, or
-    one sample if a sample needs more.
+    one sample if a sample needs more.  An ensemble needs at least two
+    samples, since one has no standard error: fewer raise ValueError at the
+    call, before any draw.
     """
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
     size = max(CHUNK_BUDGET // floats_per_sample, 1)
-    for start in range(0, n_samples, size):
-        yield start, [draw(k) for k in range(start, min(start + size, n_samples))]
+    return ((start, [draw(k) for k in range(start, min(start + size, n_samples))])
+            for start in range(0, n_samples, size))
 
 
 class _RowError(FloatingPointError):

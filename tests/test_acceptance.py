@@ -191,7 +191,7 @@ def test_criterion_5_corrector_algebra():
     rng = np.random.default_rng(5)
     for stats in fixtures:
         model = stats.model
-        first = build_correctors(stats, MODE).first_values(rho)
+        first = grid.cell_volume * (build_correctors(stats, MODE)[0] @ rho)
         p = MODE.profile(grid)
         forcing = np.array([grid.integrate(s * rho * p) for s in model.states])
         poisson = max(poisson, float(np.max(np.abs(model.generator @ first + forcing))))

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,8 @@ from conftest import nan_normals, nan_paths
 from rosselab import cli, harness, kinetic, noise
 from rosselab.cli import format_value, main
 
-ACCEPTANCE_INI = Path(__file__).resolve().parent.parent / "configs" / "acceptance.ini"
+ROOT = Path(__file__).resolve().parent.parent
+ACCEPTANCE_INI = ROOT / "configs" / "acceptance.ini"
 
 TELEGRAPH_INI = """
 [model]
@@ -313,6 +315,16 @@ class TestParser:
         assert seen == [("paper", 5), (None, None)]
         assert cli.build_parser() is cli.build_parser()
 
+    def test_readme_command_examples_parse(self):
+        """Every ``rosselab ...`` line of the README's Command line block
+        parses, and the block shows each subcommand once, in order."""
+        section = (ROOT / "README.md").read_text().split("\n## Command line\n")[1]
+        block = re.search(r"```\n(rosselab .*?)```", section, re.S).group(1)
+        argvs = [line.split()[1:] for line in block.splitlines()]
+        assert [argv[0] for argv in argvs] == list(cli.COMMANDS)
+        for argv in argvs:
+            assert cli.build_parser().parse_args(argv).command == argv[0]
+
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_each_command_takes_only_the_flags_it_reads(self, tmp_path, command):
         values = {"--seed": "7", "--drift": "paper", "--samples": "5"}
@@ -435,6 +447,15 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
         assert "run-spde: density lost positivity at t = " in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        # an existing file cannot hold a directory
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "x"
+        assert main(["rates", "--config", str(ACCEPTANCE_INI), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"rates: cannot write {out}: Not a directory\n"
 
     def test_tiny_sample_override_rejected(self, tmp_path):
         config = write_ini(tmp_path, TELEGRAPH_INI)
