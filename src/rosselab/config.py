@@ -19,7 +19,7 @@ import numpy as np
 
 from .correctors import FourierMode, parse_mode
 from .kinetic import DT_CAP
-from .model import Opacity, TorusGrid, VelocityQuadrature, build_velocity_space
+from .model import Opacity, TorusGrid, VelocityQuadrature, build_velocity_space, velocity_node_count
 from .noise import NoiseModel, cosine_profile, rotor_noise, telegraph_noise
 
 
@@ -224,7 +224,8 @@ def parse_config(path: str) -> RunConfig:
     """Parse and fully validate a run configuration file.
 
     Raises ConfigError listing every violation (unknown keys, type errors,
-    and broken cross-field rules such as the kinetic step cap).
+    the rules of the grid and velocity builders, and broken cross-field
+    rules such as the kinetic step cap).
     """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
@@ -266,8 +267,17 @@ def parse_config(path: str) -> RunConfig:
             violations.append(f"[{section}] {key} = {text!r}: expected {description} ({exc})")
     run = RunConfig(**values)
 
+    # the builders' own rules, in their words
+    builders = [lambda: TorusGrid(run.n_x)]
     if run.velocity == "two-speed" and parser.has_option("model", "velocity_nodes"):
         violations.append("[model] velocity_nodes requires velocity = legendre")
+    else:
+        builders.append(lambda: velocity_node_count(run.velocity, run.velocity_nodes))
+    for build in builders:
+        try:
+            build()
+        except ValueError as exc:
+            violations.append(f"[model] {exc}")
     if run.opacity_kind == "constant" and parser.has_option("model", "sigma_upper"):
         violations.append("[model] sigma_upper applies to the rational opacity only")
     if run.opacity_kind == "rational" and run.sigma_upper < run.sigma_star:

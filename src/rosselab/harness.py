@@ -538,7 +538,8 @@ def identity_residuals(
         if rate is not None:
             out["telegraph-poisson-closed-form"] = np.max(np.abs(psi + model.states / (2.0 * rate)))
             profile_sq = grid.integrate(model.states[0] ** 2)
-            out["telegraph-mode-weight"] = abs(stats.mode_weights[0] - profile_sq / rate)
+            # the top weight is 0 when the clip keeps no mode
+            out["telegraph-mode-weight"] = abs(stats.mode_weights.max(initial=0.0) - profile_sq / rate)
         rho = density(quad, f)
         at_rest = generator_terms(config, stats, mode, equilibrium_field(quad, rho))
         out["transport-singular"] = np.max(np.abs(at_rest["transport_singular"]))

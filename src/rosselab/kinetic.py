@@ -55,12 +55,12 @@ from .model import (
     equilibrium_field,
     relax_exact,
 )
-from .noise import (NoiseModel, NoisePath, _RowError, occupation_table, record_blocks, sample_chunks,
-                    sample_path, sample_rng, step_blocks)
+from .noise import (NoiseModel, NoisePath, occupation_table, record_blocks, sample_chunks, sample_path,
+                    sample_rng, step_blocks)
 
 #: dt <= DT_CAP * eps^2 keeps the stiff relaxation and noise resolved
 DT_CAP = 0.5
-#: abort if a noise exponent exceeds this (exp would overflow usefulness)
+#: a noise exponent above this fails its sample (exp would overflow usefulness)
 EXPONENT_LIMIT = 50.0
 
 
@@ -91,26 +91,25 @@ def spectral_energy(grid: TorusGrid, quad: VelocityQuadrature, f_hat: np.ndarray
     return (power.reshape(power.shape[:-2] + (1, weights.size)) @ weights)[..., 0]
 
 
+def _exponent(model: NoiseModel, occupations: np.ndarray, epsilon: float) -> np.ndarray:
+    """(1/eps) int m(s, x) ds, shape (..., n_x), per window of ``occupations``."""
+    # one vector-matrix product per window, so a row's bits do not depend on
+    # its batch (a batched matrix product blocks its sums differently)
+    return (occupations[..., None, :] @ model.states)[..., 0, :] / epsilon
+
+
 def noise_factor(model: NoiseModel, occupations: np.ndarray, epsilon: float) -> np.ndarray:
     """exp((1/eps) int m(s, x) ds) per window, exact for the sampled chain.
 
     ``occupations``, shape (rows, ..., n_states), holds each sample's time in
     every chain state over each of its windows; the result has shape
-    (rows, ..., n_x).  Raises FloatingPointError for the lowest row with an
-    exponent above EXPONENT_LIMIT, naming the peak of its first such window.
+    (rows, ..., n_x).  It never raises: a window with an exponent above
+    EXPONENT_LIMIT comes back all NaN, without an overflow warning.
     """
-    # one vector-matrix product per window, so a row's bits do not depend on
-    # its batch (a batched matrix product blocks its sums differently)
-    exponent = (occupations[..., None, :] @ model.states)[..., 0, :] / epsilon
-    peaks = np.abs(exponent).max(axis=-1)
-    over = peaks > EXPONENT_LIMIT
+    exponent = _exponent(model, occupations, epsilon)
+    over = np.abs(exponent).max(axis=-1) > EXPONENT_LIMIT
     if over.any():
-        peaks, over = np.atleast_1d(peaks, over)
-        first = np.unravel_index(over.argmax(), over.shape)
-        raise _RowError(int(first[0]), (
-            f"noise exponent {peaks[first]:.2f} exceeds {EXPONENT_LIMIT}; "
-            "noise amplitude / epsilon too large for this dt"
-        ))
+        exponent[over] = np.nan
     return np.exp(exponent)
 
 
@@ -201,9 +200,9 @@ class KineticStepper:
     def step(self, f: np.ndarray, k: int) -> np.ndarray:
         """One splitting step of every row from k dt to (k + 1) dt.
 
-        Takes and returns the spectral state; row b follows path b.  A row
-        whose noise exponent is too large raises a FloatingPointError with
-        its row index.
+        Takes and returns the spectral state; row b follows path b.  It
+        never raises: a row whose noise exponent exceeds EXPONENT_LIMIT in a
+        half step turns NaN.
         """
         cfg = self.config
         g = np.fft.irfft(f * self.half_phases, n=cfg.grid.n_x)
@@ -231,23 +230,27 @@ def _strang(
     yielding (k, f, energy) per block: the spectral states (K, B, n_v,
     n_x // 2 + 1) of rows that start from the field f0 (n_v, n_x) and follow
     one path each, and their squared weighted norms (K, B).  A row fails at
-    a noise exponent above EXPONENT_LIMIT or a non-finite energy.
+    a non-finite energy, named as a noise exponent when one broke the limit.
     """
     n_steps = config.n_steps if n_steps is None else n_steps
     stepper = KineticStepper(config, paths)
     # C order: a row's matrix-vector products must not see the batch
     f = np.repeat(np.fft.rfft(np.asarray(f0, dtype=float))[None], len(paths), axis=0)
 
-    def check(start: int, f: np.ndarray):
+    def check(f: np.ndarray):
         energy = spectral_energy(config.grid, config.quad, f)
-        lost = ~np.isfinite(energy)
-        if not lost.any():
-            return energy, {}
-        row = int(np.argmax(lost.any(axis=0)))
-        k = start + int(np.argmax(lost[:, row]))
-        return energy, {row: f"kinetic field lost finiteness at step {k} (t = {k * config.dt:g})"}
+        return energy, ~np.isfinite(energy)
 
-    return step_blocks(stepper.step, f, n_steps, first_sample, check)
+    def describe(k: int, row: int, f: np.ndarray) -> str:
+        if k and stepper.occupations is not None:
+            exponent = _exponent(config.noise, stepper.occupations[k - 1, row], config.epsilon)
+            over = [peak for peak in np.abs(exponent).max(axis=-1) if peak > EXPONENT_LIMIT]
+            if over:  # the step's first half window over the limit
+                return (f"noise exponent {over[0]:.2f} exceeds {EXPONENT_LIMIT}; "
+                        "noise amplitude / epsilon too large for this dt")
+        return f"kinetic field lost finiteness at step {k} (t = {k * config.dt:g})"
+
+    return step_blocks(stepper.step, f, n_steps, first_sample, check, describe)
 
 
 def _trajectories(
@@ -280,8 +283,8 @@ def run_kinetic(
 
     With noise on, a path is sampled from ``rng``.  The run is the
     one-sample case of the batched loop: it aborts with
-    ``FloatingPointError`` at the first step whose field is not finite or
-    whose noise exponent exceeds EXPONENT_LIMIT.
+    ``FloatingPointError`` at the first step whose field is not finite,
+    naming the noise exponent when one above EXPONENT_LIMIT made it so.
     """
     path = None
     if config.noise is not None:

@@ -212,24 +212,20 @@ def _integrate(
     def step(rho: np.ndarray, k: int) -> np.ndarray:
         return stepper.step(rho, normals[k, :len(rho)])
 
-    def check(start: int, rho: np.ndarray):
+    def check(rho: np.ndarray):
         sq = l2_norm_sq(grid, rho)
-        if rho.min() > 0.0 and sq.max() < math.inf:
-            return sq, {}
-        low = rho.min(axis=-1)
-        lost = ~(np.isfinite(sq) & (low > 0.0))
-        row = int(np.argmax(lost.any(axis=0)))
-        j = int(np.argmax(lost[:, row]))
-        k = start + j
-        if np.isfinite(sq[j, row]):
-            return sq, {row: f"density lost positivity at t = {k * dt:g} (min = {low[j, row]:.3e})"}
-        return sq, {row: f"density lost finiteness at step {k} (t = {k * dt:g})"}
+        return sq, ~(np.isfinite(sq) & (rho.min(axis=-1) > 0.0))
+
+    def describe(k: int, row: int, rho: np.ndarray) -> str:
+        if np.isfinite(l2_norm_sq(grid, rho)):
+            return f"density lost positivity at t = {k * dt:g} (min = {rho.min():.3e})"
+        return f"density lost finiteness at step {k} (t = {k * dt:g})"
 
     def measure(rho: np.ndarray, at: np.ndarray):
         return rho[at], grid.cell_volume * rho.sum(axis=-1)
 
     rho = np.repeat(np.asarray(rho0, dtype=float)[None], rows, axis=0)
-    blocks = step_blocks(step, rho, n_steps, first_sample, check)
+    blocks = step_blocks(step, rho, n_steps, first_sample, check, describe)
     return record_blocks(blocks, n_steps, config.snapshot_stride, dt, measure)
 
 

@@ -108,34 +108,41 @@ class VelocityQuadrature:
         return math.fsum(self.weights * self.speeds**2 * self.equilibrium)
 
 
+def velocity_node_count(name: str, n_nodes: int | None = None) -> int:
+    """Number of nodes of the named velocity model of ``build_velocity_space``:
+    2 for ``two-speed``, n_nodes (default 8) for ``legendre``.  Raises
+    ValueError for an unknown name or a node count the model cannot have."""
+    key = name.strip().lower()
+    if key == "two-speed":
+        if n_nodes not in (None, 2):
+            raise ValueError("the two-speed model has exactly 2 nodes")
+        return 2
+    if key == "legendre":
+        n = 8 if n_nodes is None else n_nodes
+        if n < 2:
+            raise ValueError(f"need at least 2 velocity nodes, got {n}")
+        return n
+    raise ValueError(f"unknown velocity model {name!r}; use 'two-speed' or 'legendre'")
+
+
 def build_velocity_space(name: str, n_nodes: int | None = None) -> VelocityQuadrature:
-    """Build a named velocity model.
+    """Build a named velocity model with ``velocity_node_count`` nodes.
 
     ``two-speed``: nodes +-1 with weights 1/2, flat equilibrium F = 1, K = 1.
     ``legendre``: Gauss-Legendre nodes on [-1, 1] with F = 1/2, K = 1/3; the
     quadrature is exact for v^2 for any n_nodes >= 2 (default 8).
     """
-    key = name.strip().lower()
-    if key == "two-speed":
-        if n_nodes not in (None, 2):
-            raise ValueError("the two-speed model has exactly 2 nodes")
-        nodes = np.array([-1.0, 1.0])
-        weights = np.array([0.5, 0.5])
-        equilibrium = np.array([1.0, 1.0])
-        return VelocityQuadrature(weights, nodes, equilibrium)
-    if key == "legendre":
-        n = 8 if n_nodes is None else n_nodes
-        if n < 2:
-            raise ValueError(f"need at least 2 velocity nodes, got {n}")
-        x, w = np.polynomial.legendre.leggauss(n)
-        # Enforce a bitwise mirror-symmetric layout so that odd moments
-        # cancel exactly.
-        x = (x - x[::-1]) / 2.0
-        w = (w + w[::-1]) / 2.0
-        equilibrium = np.full(n, 0.5)
-        w = w / math.fsum(w * equilibrium)
-        return VelocityQuadrature(w, x, equilibrium)
-    raise ValueError(f"unknown velocity model {name!r}; use 'two-speed' or 'legendre'")
+    n = velocity_node_count(name, n_nodes)
+    if name.strip().lower() == "two-speed":
+        return VelocityQuadrature(np.array([0.5, 0.5]), np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
+    x, w = np.polynomial.legendre.leggauss(n)
+    # Enforce a bitwise mirror-symmetric layout so that odd moments
+    # cancel exactly.
+    x = (x - x[::-1]) / 2.0
+    w = (w + w[::-1]) / 2.0
+    equilibrium = np.full(n, 0.5)
+    w = w / math.fsum(w * equilibrium)
+    return VelocityQuadrature(w, x, equilibrium)
 
 
 def density(quad: VelocityQuadrature, f: np.ndarray) -> np.ndarray:

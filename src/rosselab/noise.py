@@ -347,14 +347,6 @@ def sample_chunks(n_samples: int, floats_per_sample: int, draw: Callable) -> Ite
             for start in range(0, n_samples, size))
 
 
-class _RowError(FloatingPointError):
-    """A solver failure of one row of a batch of samples."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
-
-
 def _block_steps(state: np.ndarray) -> int:
     """Steps per block of ``step_blocks``: as many as keep the block's states
     (state.nbytes / 8 floats a step) within ``CHUNK_BUDGET // 16`` floats, at least one."""
@@ -362,54 +354,49 @@ def _block_steps(state: np.ndarray) -> int:
 
 
 def step_blocks(
-    step: Callable, state: np.ndarray, n_steps: int, first_sample: int | None, check: Callable
+    step: Callable, state: np.ndarray, n_steps: int, first_sample: int | None, check: Callable,
+    describe: Callable,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Advance a batch of samples, one row of ``state`` (the batch at step
     0) each, and yield (k, states, norms) for consecutive blocks of the
     steps k, k + 1, ... of k = 0..n_steps; both solvers run on this loop.
 
-    ``step(state, k)`` takes the rows from step k to k + 1.  states,
+    ``step(state, k)`` takes the rows from step k to k + 1 and never
+    raises: a row that fails carries its failure in its state.  states,
     (K,) + state.shape, is a buffer the next block overwrites.
-    ``check(k, states)`` returns the norms (K, B) and {row: message} for the
-    lowest row that fails it, at its first failing step, or {}.
+    ``check(states)`` returns the norms and the mask of failed steps, both
+    (K, B); ``describe(k, row, state)`` words the failure of row ``row`` at
+    step k, from its state there.
 
     Block rule: K is as many steps as fit ``CHUNK_BUDGET // 16`` floats, at
     least one (``_block_steps``); every operation acts on each row and step
     alone, so K changes no bit.
 
-    Failure rule: a step may raise ``_RowError``, which stops that row and
-    the rows above it at once.  After each block the lowest row that raised
-    or failed the check stops with the rows above it, and the rows below
-    run on; the loop ends by raising FloatingPointError for the lowest
-    failing row at its own first failure, named ``sample first_sample +
-    row`` when ``first_sample`` is set.  Rows step on past a failure to the
-    end of their block, so steps and check run with overflow and
-    invalid-value warnings off.  A row a raise stops leaves its entries as
-    they were (zeros, or earlier states), which must pass the check.
+    Failure rule: after each block the lowest row the check fails stops at
+    its first failing step k, with the rows above it, and the rows below
+    run on; the loop ends by raising FloatingPointError with ``describe``'s
+    words for the lowest failing row, named ``sample first_sample + row``
+    when ``first_sample`` is set.  Rows step on past a failure to the end
+    of their block, so steps, check and describe run with overflow and
+    invalid-value warnings off.
     """
     buffer = np.zeros((min(_block_steps(state), n_steps + 1),) + state.shape, dtype=state.dtype)
     failure = None
     for start in range(0, n_steps + 1, len(buffer)):
         states = buffer[:n_steps + 1 - start, :len(state)]
-        failed = {}  # row -> its error
         # closed before the yield, which would hand the error state to the caller
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(len(states)):
-                while start + j and len(state):
-                    try:
-                        state = step(state, start + j - 1)
-                        break
-                    except _RowError as exc:
-                        failed[exc.row] = str(exc)
-                        state = state[:exc.row]
-                states[j, :len(state)] = state
-            norms, lost = check(start, states)
-        # a raise stops a row, so the states it fails the check at come first
-        failed.update(lost)
-        if failed:
-            row = min(failed)
-            failure = failed[row] if first_sample is None else f"sample {first_sample + row}: {failed[row]}"
-            state = state[:row]
+                if start + j:
+                    state = step(state, start + j - 1)
+                states[j] = state
+            norms, lost = check(states)
+            if lost.any():
+                row = int(np.argmax(lost.any(axis=0)))
+                j = int(np.argmax(lost[:, row]))
+                message = describe(start + j, row, states[j, row])
+                failure = message if first_sample is None else f"sample {first_sample + row}: {message}"
+                state = state[:row]
         yield start, states, norms
         if not len(state):
             break

@@ -288,6 +288,17 @@ class TestVerifyCommand:
         assert "telegraph-second-corrector-null" in names
         assert "drift-state-independence" in names
 
+    def test_rank_zero_kernel_passes_the_full_battery(self, tmp_path):
+        # the kernel of this amplitude clips to rank 0: no mode survives
+        text = ACCEPTANCE_INI.read_text().replace("amplitude = 1.4142135623730951",
+                                                  "amplitude = 1e-170")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", write_ini(tmp_path, text), "--out", str(out)]) == 0
+        _, body = read_csv(out / "checks.csv")
+        assert len(body) == 16
+        assert all(row[3] == "pass" for row in body)
+        assert "telegraph-mode-weight" in {row[0] for row in body}
+
     def test_noise_off_battery_is_shorter_but_passes(self, tmp_path):
         config = write_ini(tmp_path, HEAT_INI)
         out = tmp_path / "out"
@@ -447,6 +458,17 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
         assert "run-spde: density lost positivity at t = " in capsys.readouterr().err
+
+    def test_noise_exponent_breach_exits_2(self, tmp_path, capsys):
+        text = ACCEPTANCE_INI.read_text().replace(
+            "amplitude = 1.4142135623730951", "amplitude = 3000").replace(
+            "[simulation]\n", "[simulation]\nepsilon = 0.25\n")
+        assert main(["run-kinetic", "--config", write_ini(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == (
+            "run-kinetic: noise exponent 187.50 exceeds 50.0; noise amplitude / epsilon "
+            "too large for this dt\n")
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         # an existing file cannot hold a directory

@@ -322,6 +322,21 @@ def test_cross_field_violations_are_pinned(tmp_path, rule):
     assert violations(tmp_path, text) == expected
 
 
+#: one input per rule of the grid and velocity builders, which the parser
+#: reports in the builders' own words
+BUILDER_RULES = {
+    "grid-size": ("[model]\nn_x = 3\n", ["[model] n_x must be at least 4, got 3"]),
+    "legendre-nodes": ("[model]\nvelocity = legendre\nvelocity_nodes = 1\n",
+                       ["[model] need at least 2 velocity nodes, got 1"]),
+}
+
+
+@pytest.mark.parametrize("rule", list(BUILDER_RULES))
+def test_builder_violations_are_pinned(tmp_path, rule):
+    text, expected = BUILDER_RULES[rule]
+    assert violations(tmp_path, text) == expected
+
+
 def test_keys_name_exactly_the_config_fields():
     named = sorted(field for _, _, field, *_ in KEYS)
     assert named == sorted(f.name for f in dataclasses.fields(RunConfig))

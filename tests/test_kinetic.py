@@ -76,7 +76,11 @@ def test_noise_factor_matches_hand_integral():
     assert np.allclose(out, np.exp(integral / 0.5), atol=1e-14)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_noise_factor_overflow_guard():
+    """A window whose exponent breaks EXPONENT_LIMIT comes back all NaN,
+    with no warning, and leaves the other windows alone; a run that meets
+    one fails with the exponent in its message."""
     model = telegraph_noise(GRID, cosine_profile(GRID, 500.0, 1), 1.0)
     path = NoisePath(
         model,
@@ -84,8 +88,36 @@ def test_noise_factor_overflow_guard():
         jump_times=np.array([0.0]),
         state_indices=np.array([0]),
     )
-    with pytest.raises(FloatingPointError, match="amplitude"):
-        noise_factor(model, path.occupations(0.0, 1.0), 0.1)
+    # peak exponents 20, 20 and 960 at eps = 0.5
+    lengths = np.array([0.02, 0.02, 0.96])
+    out = noise_factor(model, path.occupations([0.0, 0.02, 0.04], [0.02, 0.04, 1.0]), 0.5)
+    assert np.isnan(out[2]).all()
+    assert np.array_equal(out[:2], np.exp(lengths[:2, None] * model.states[0] / 0.5))
+    config = KineticConfig(GRID, GT, Opacity(1.0, 2.0), epsilon=0.5, t_final=0.25, noise=model)
+    with pytest.raises(FloatingPointError, match=r"^noise exponent \d+\.\d+ exceeds 50\.0"):
+        run_kinetic(config, np.ones(GRID.n_x), rng=np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("loud, jump", [(0.27, 0.28), (0.21, 0.22)],
+                         ids=["second-half-window", "first-half-window"])
+def test_exponent_breach_names_the_first_half_window_over_the_limit(loud, jump):
+    """A path that jumps from state 0 to state 1 inside step 2 (from t = 0.2
+    to 0.3) and turns loud, by a gain of 1e4, inside the same half window
+    fails the run at step 3.  The message names that half window's peak:
+    |0.03 - 0.02| of time in the two states, times the gain, times the
+    profile's peak 1, over eps.  Every later half window is over the limit
+    too, with the peak 0.05 * 1e4 / eps of a whole half window in one state,
+    so naming any other window shows."""
+    model = telegraph_noise(GRID, cosine_profile(GRID, 1.0, 1), 1.0)
+    config = KineticConfig(GRID, GT, Opacity(1.0, 2.0), epsilon=0.5, t_final=0.5, dt=0.1,
+                           noise=model)
+    path = NoisePath(model, 0.5, np.array([0.0, jump]), np.array([0, 1]))
+    peak = (0.03 - 0.02) * 1e4 * 1.0 / 0.5
+    with mock.patch.object(kinetic, "occupation_table", loud_table), \
+            pytest.raises(FloatingPointError) as info:
+        kinetic._trajectories(config, np.ones(GRID.n_x), [LoudPath(path, loud, 1e4)])
+    assert str(info.value) == (f"noise exponent {peak:.2f} exceeds 50.0; "
+                               "noise amplitude / epsilon too large for this dt")
 
 
 def test_config_validation():

@@ -6,11 +6,15 @@ once per step."""
 
 import importlib
 import importlib.util
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+
+from conftest import LoudPath, fixed_blocks, loud_table
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
@@ -115,3 +119,29 @@ def test_limit_runs_call_the_traced_step_per_step():
     assert calls[("limit.step", "limit.run")] == n_steps
     # the three samples run as one chunk
     assert calls[("limit.step", "harness.limit_ensemble")] == n_steps
+
+
+def test_a_run_that_breaks_the_exponent_limit_keeps_the_tracer_quiet():
+    """A row whose noise exponent breaks the limit turns NaN and stops at the
+    end of its block: up to there every step still calls the traced phases,
+    and the peak-exponent hook reads the NaN factors without raising or
+    warning, keeping the peak of the steps before."""
+    n_steps = 6
+    tracer = TRACING_MODULE.Tracer()
+    pkg = SimpleNamespace(**{layer: importlib.import_module(f"rosselab.{layer}")
+                             for layer in TRACING_MODULE.LAYERS})
+    config = small_noisy_config(pkg, n_steps)
+    # loud inside the second half window of step 2, so row 0 fails at step 3,
+    # in the block of steps 2 and 3
+    loud = LoudPath(pkg.noise.sample_path(config.noise, config.epsilon, config.t_final,
+                                          np.random.default_rng(1)), 0.025, 1e6)
+    with warnings.catch_warnings(), tracer.installed(pkg), fixed_blocks(2), \
+            mock.patch.object(pkg.kinetic, "occupation_table", loud_table), \
+            mock.patch.object(pkg.kinetic, "sample_path", lambda *args: loud), \
+            pytest.raises(FloatingPointError, match=r"^noise exponent \S+ exceeds 50\.0"):
+        warnings.simplefilter("error")
+        pkg.kinetic.run_kinetic(config, np.ones(8), rng=np.random.default_rng(1))
+    calls = {key: entry[0] for key, entry in tracer.stats.items()}
+    assert calls[("kinetic.step", "kinetic.run")] == 3
+    assert calls[("kinetic.noise_factor", "kinetic.step")] == 3
+    assert 0.0 < tracer.gauges["peak_noise_exponent"] < pkg.kinetic.EXPONENT_LIMIT
