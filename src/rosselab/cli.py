@@ -51,8 +51,6 @@ CSV_BLOCK_ROWS = 1024
 
 
 def format_value(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
@@ -111,7 +109,7 @@ class Setup:
 
 
 def cmd_noise_info(setup: Setup, args):
-    if setup.stats is None:
+    if setup.noise is None:
         raise ValueError("the configured noise fixture is 'off'")
     stats = setup.stats
     model = stats.model
@@ -216,9 +214,9 @@ def cmd_sweep(setup: Setup, args):
                    [[row.epsilon, report.sobolev_order, row.sobolev_mean]
                     for row in report.rows]),
         "diagnostics.csv": (
-            ["epsilon", "sup_energy_mean", "defect_integral_mean", "hs_mean", "det_error"],
-            [[row.epsilon, row.sup_energy_mean, row.defect_integral_mean,
-              row.sobolev_mean, row.det_error] for row in report.rows]),
+            ["epsilon", "sup_energy_mean", "defect_integral_mean", "hs_mean"],
+            [[row.epsilon, row.sup_energy_mean, row.defect_integral_mean, row.sobolev_mean]
+             for row in report.rows]),
     }
     checks = [
         ("gap-monotone", 0.0 if report.gaps_nonincreasing(run.slack_sigma, drift) else 1.0, 0.0),
@@ -226,10 +224,6 @@ def cmd_sweep(setup: Setup, args):
         ("defect-band", report.diagnostic_band("defect_integral_mean"), run.band_max),
         ("hs-band", report.diagnostic_band("sobolev_mean"), run.band_max),
     ]
-    if setup.noise is None:
-        errors = report.det_errors()
-        worst = float(np.max(np.diff(errors))) if len(errors) > 1 else -1.0
-        checks.append(("det-error-decreasing", worst, 0.0))
     for row in report.rows:
         gaps = row.drift_gaps(drift)[0]
         print(f"sweep: eps = {row.epsilon:<8g} gaps "

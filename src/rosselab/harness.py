@@ -20,7 +20,7 @@ import numpy as np
 from . import fourier
 from .correctors import FourierMode, build_correctors, generator_terms
 from .kinetic import DT_CAP, KineticConfig, KineticTrajectory, _sample_chunks, _trajectories, run_kinetic
-from .limit import SpdeConfig, _floats_per_sample, _integrate, rosseland_remainder, run_limit, split_rate
+from .limit import SpdeConfig, _floats_per_sample, _integrate, rosseland_remainder, split_rate
 from .model import (
     SMOOTHING_EXPONENT,
     Opacity,
@@ -142,8 +142,10 @@ def kinetic_ensemble(
     ``run_kinetic``, so it equals that run bit for bit.  The samples run
     together on a leading axis, in chunks of bounded memory.  A failing
     sample aborts the ensemble with the error of the lowest failing sample,
-    prefixed ``sample k: ``.
+    prefixed ``sample k: ``.  Raises ValueError without a noise model.
     """
+    if config.noise is None:
+        raise ValueError("a kinetic ensemble needs the configuration's noise model")
     columns = [
         _kinetic_reduction(KineticTrajectory(config, *_trajectories(config, rho0, paths, first_sample=start)),
                            mode, sobolev_order)
@@ -177,8 +179,10 @@ def limit_ensemble(
     together on a leading axis, in the chunks of ``noise.sample_chunks``,
     and only the final densities are kept.  A failing sample aborts the
     ensemble with the error of the lowest failing sample, prefixed
-    ``sample k: ``.
+    ``sample k: ``.  Raises ValueError without the noise statistics.
     """
+    if config.noise is None:
+        raise ValueError("a limit ensemble needs the noise statistics of the configuration's noise model")
     config = replace(config, snapshot_stride=config.n_steps)
     shape = (config.n_steps, config.noise_rank)
     finals = np.concatenate([
@@ -207,7 +211,6 @@ class SweepRow:
     sup_energy_mean: float
     defect_integral_mean: float
     sobolev_mean: float
-    det_error: float | None = None  # L^2 distance to the limit run, noise off only
 
     def drift_gaps(self, drift: str) -> tuple[np.ndarray, np.ndarray]:
         """The gaps and their sems against the limit ensemble of ``drift``."""
@@ -225,16 +228,13 @@ class SweepReport:
     limit_paper: FunctionalTriple
     sobolev_order: float
 
-    def _ordered(self) -> list[SweepRow]:
-        return sorted(self.rows, key=lambda r: -r.epsilon)
-
     def gaps_nonincreasing(self, slack_sigma: float = 1.0, drift: str = "effective") -> bool:
         """Every functional's gap column against the ``drift`` limit
         ensemble shrinks as epsilon does.
 
         Consecutive epsilons may violate monotonicity by at most
         ``slack_sigma`` combined standard errors."""
-        ordered = [row.drift_gaps(drift) for row in self._ordered()]
+        ordered = [row.drift_gaps(drift) for row in sorted(self.rows, key=lambda r: -r.epsilon)]
         for j in range(len(FUNCTIONAL_NAMES)):
             for (gaps_a, sems_a), (gaps_b, sems_b) in zip(ordered, ordered[1:]):
                 slack = slack_sigma * math.hypot(sems_a[j], sems_b[j])
@@ -246,6 +246,7 @@ class SweepReport:
         """Per functional: how many combined sigmas the paper-drift gap
         exceeds the effective-drift gap at the smallest epsilon."""
         row = min(self.rows, key=lambda r: r.epsilon)
+        # a kernel that clips to rank 0 leaves every sample alike: zero sems
         scale = np.hypot(row.gap_sems, row.gap_paper_sems)
         return (row.gaps_paper - row.gaps) / np.where(scale > 0.0, scale, np.inf)
 
@@ -257,24 +258,12 @@ class SweepReport:
             raise ValueError(f"diagnostic {name} is not positive")
         return max(values) / low
 
-    def det_errors(self) -> np.ndarray:
-        """Deterministic final-time errors by descending epsilon (noise off)."""
-        values = [row.det_error for row in self._ordered()]
-        if any(v is None for v in values):
-            raise ValueError("deterministic errors are only recorded in noise-off sweeps")
-        return np.array(values)
-
-
-def _degenerate_triple(mode_value: float, norm_sq: float) -> FunctionalTriple:
-    """Functional triple of a deterministic run (zero variance and sems)."""
-    return FunctionalTriple(np.array([mode_value, 0.0, norm_sq]), np.zeros(3))
-
 
 def epsilon_sweep(
     grid: TorusGrid,
     quad: VelocityQuadrature,
     opacity: Opacity,
-    noise_model: NoiseModel | None,
+    noise_model: NoiseModel,
     rho0: np.ndarray,
     t_final: float,
     epsilons: Sequence[float],
@@ -289,11 +278,12 @@ def epsilon_sweep(
 
     Kinetic steps use dt ~ dt_scale * eps^2 (rounded so that nine density
     snapshots resolve the time integrals); the limit equation runs at its
-    default step with both drift conventions.  With ``noise_model=None``
-    both dynamics are deterministic: the sample counts are ignored, the
-    drift conventions coincide, and each row additionally records the
-    final-time L^2 distance to the limit solution.
+    default step with both drift conventions.  The comparison is in law,
+    so it needs a noise model; ``deterministic_convergence`` is the
+    noiseless comparison.
     """
+    if noise_model is None:
+        raise ValueError("the epsilon sweep needs a noise model; noise is off")
     if mode is None:
         mode = FourierMode(1, "cos")
     if not 0.0 < dt_scale <= DT_CAP:
@@ -303,26 +293,15 @@ def epsilon_sweep(
             f"sobolev order {sobolev_order} is not below half the smoothing "
             f"exponent {SMOOTHING_EXPONENT} of the velocity space"
         )
-    stats = None if noise_model is None else noise_statistics(noise_model)
+    stats = noise_statistics(noise_model)
     diffusion = quad.diffusion_coefficient()
     entropy = _entropy(base_seed)
 
     def limit_config(drift: str) -> SpdeConfig:
         return SpdeConfig(grid, opacity, diffusion, t_final, noise=stats, drift=drift)
 
-    limit_final = None
-    if stats is None:
-        limit_run = run_limit(limit_config("effective"), rho0)
-        limit_final = limit_run.final_density()
-        limit_eff = _degenerate_triple(mode.apply(grid, limit_final), l2_norm_sq(grid, limit_final))
-        limit_pap = limit_eff
-    else:
-        limit_eff = limit_ensemble(
-            limit_config("effective"), rho0, mode, n_limit, (*entropy, 20)
-        ).functionals()
-        limit_pap = limit_ensemble(
-            limit_config("paper"), rho0, mode, n_limit, (*entropy, 21)
-        ).functionals()
+    limit_eff = limit_ensemble(limit_config("effective"), rho0, mode, n_limit, (*entropy, 20)).functionals()
+    limit_pap = limit_ensemble(limit_config("paper"), rho0, mode, n_limit, (*entropy, 21)).functionals()
 
     rows = []
     for i, eps in enumerate(sorted(epsilons, reverse=True)):
@@ -331,21 +310,8 @@ def epsilon_sweep(
             grid, quad, opacity, epsilon=eps, t_final=t_final,
             dt=t_final / steps, noise=noise_model, snapshot_stride=steps // 8,
         )
-        det_error = None
-        if stats is None:
-            batch = KineticTrajectory(config, *_trajectories(config, rho0, [None]))
-            mode_value, norm_sq, sup_energy, defect_integral, sobolev = _kinetic_reduction(
-                batch, mode, sobolev_order
-            )[:, 0]
-            est = _degenerate_triple(mode_value, norm_sq)
-            det_error = math.sqrt(l2_norm_sq(grid, batch.densities[0, -1] - limit_final))
-        else:
-            ensemble = kinetic_ensemble(config, rho0, mode, n_kinetic,
-                                        (*entropy, 10 + i), sobolev_order)
-            est = ensemble.functionals()
-            sup_energy = float(ensemble.sup_energy.mean())
-            defect_integral = float(ensemble.defect_integral.mean())
-            sobolev = float(ensemble.sobolev.mean())
+        ensemble = kinetic_ensemble(config, rho0, mode, n_kinetic, (*entropy, 10 + i), sobolev_order)
+        est = ensemble.functionals()
         rows.append(SweepRow(
             eps,
             est,
@@ -353,10 +319,9 @@ def epsilon_sweep(
             np.hypot(est.sems, limit_eff.sems),
             np.abs(est.values - limit_pap.values),
             np.hypot(est.sems, limit_pap.sems),
-            sup_energy,
-            defect_integral,
-            sobolev,
-            det_error,
+            float(ensemble.sup_energy.mean()),
+            float(ensemble.defect_integral.mean()),
+            float(ensemble.sobolev.mean()),
         ))
     return SweepReport(tuple(rows), limit_eff, limit_pap, sobolev_order)
 

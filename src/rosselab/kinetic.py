@@ -299,19 +299,16 @@ def _floats_per_sample(config: KineticConfig) -> int:
     """Floats one sample of a chunk holds: its field and the temporaries of
     a step (16 fields' worth), its half-step occupation table and its
     per-step diagnostics."""
-    n_states = 0 if config.noise is None else config.noise.n_states
-    return 16 * config.grid.n_x * config.quad.n_v + config.n_steps * (2 * n_states + 3)
+    return 16 * config.grid.n_x * config.quad.n_v + config.n_steps * (2 * config.noise.n_states + 3)
 
 
 def _sample_chunks(config: KineticConfig, n_samples: int, seed) -> Iterator[tuple[int, list]]:
     """Yield (first sample, paths) for the chunks of ``noise.sample_chunks``.
 
     Sample k draws its path from ``sample_rng(seed, k)``, as a lone run of
-    sample k does; with noise off every path is None.
+    sample k does.
     """
-    def draw(k: int) -> NoisePath | None:
-        if config.noise is None:
-            return None
+    def draw(k: int) -> NoisePath:
         return sample_path(config.noise, config.epsilon, config.t_final, sample_rng(seed, k))
 
     return sample_chunks(n_samples, _floats_per_sample(config), draw)

@@ -20,6 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: most Legendre velocity nodes: leggauss solves a dense eigenproblem of
+#: this size, whose cost grows with its cube (about 3 s at 1000 nodes)
+MAX_VELOCITY_NODES = 256
+
 
 @dataclass(frozen=True)
 class TorusGrid:
@@ -110,8 +114,9 @@ class VelocityQuadrature:
 
 def velocity_node_count(name: str, n_nodes: int | None = None) -> int:
     """Number of nodes of the named velocity model of ``build_velocity_space``:
-    2 for ``two-speed``, n_nodes (default 8) for ``legendre``.  Raises
-    ValueError for an unknown name or a node count the model cannot have."""
+    2 for ``two-speed``, n_nodes (default 8) for ``legendre``, from 2 up to
+    MAX_VELOCITY_NODES.  Raises ValueError for an unknown name or a node
+    count the model cannot have."""
     key = name.strip().lower()
     if key == "two-speed":
         if n_nodes not in (None, 2):
@@ -121,6 +126,8 @@ def velocity_node_count(name: str, n_nodes: int | None = None) -> int:
         n = 8 if n_nodes is None else n_nodes
         if n < 2:
             raise ValueError(f"need at least 2 velocity nodes, got {n}")
+        if n > MAX_VELOCITY_NODES:
+            raise ValueError(f"need at most {MAX_VELOCITY_NODES} velocity nodes, got {n}")
         return n
     raise ValueError(f"unknown velocity model {name!r}; use 'two-speed' or 'legendre'")
 

@@ -207,8 +207,6 @@ class TestSweepCommand:
         assert len(body) == 2 * 3  # two epsilons, three functionals
         names = {row[1] for row in body}
         assert names == {"mode-mean", "mode-var", "normsq-mean"}
-        # noise on: the deterministic-error column stays empty
-        assert set(column(out / "diagnostics.csv", "det_error")) == {""}
 
     def test_samples_override_is_recorded(self, tmp_path):
         config = write_ini(tmp_path, TELEGRAPH_INI)
@@ -241,16 +239,6 @@ class TestSweepCommand:
         assert [float(v) for v in column(out / "sweep.csv", "gap")] == written[drift]
         _, body = read_csv(out / "checks.csv")
         assert ["gap-monotone", status] in [[r[0], r[3]] for r in body]
-
-    def test_noise_off_sweep_records_det_errors(self, tmp_path):
-        config = write_ini(tmp_path, HEAT_INI)
-        out = tmp_path / "out"
-        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
-        errors = [float(v) for v in column(out / "diagnostics.csv", "det_error")]
-        assert len(errors) == 3
-        assert errors[0] > errors[1] > errors[2] > 0.0
-        status = column(out / "checks.csv", "status")
-        assert set(status) == {"pass"}
 
 
 class TestRatesCommand:
@@ -431,6 +419,14 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
         assert "n_x" in capsys.readouterr().err
+
+    def test_noise_off_sweep_exits_2(self, tmp_path, capsys):
+        config = write_ini(tmp_path, HEAT_INI)
+        assert main(["sweep", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("sweep: ") and err.count("\n") == 1
 
     def test_ensemble_sample_errors_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(kinetic, "sample_path", nan_paths({1: 0.0}))

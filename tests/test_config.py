@@ -328,6 +328,8 @@ BUILDER_RULES = {
     "grid-size": ("[model]\nn_x = 3\n", ["[model] n_x must be at least 4, got 3"]),
     "legendre-nodes": ("[model]\nvelocity = legendre\nvelocity_nodes = 1\n",
                        ["[model] need at least 2 velocity nodes, got 1"]),
+    "legendre-node-ceiling": ("[model]\nvelocity = legendre\nvelocity_nodes = 257\n",
+                              ["[model] need at most 256 velocity nodes, got 257"]),
 }
 
 

@@ -131,14 +131,6 @@ class TestEnsembles:
                                noise=model)
         return config, rho0
 
-    def test_noise_off_has_zero_variance(self):
-        grid, rho0, quad, opacity = small_problem()
-        config = KineticConfig(grid, quad, opacity, epsilon=0.4, t_final=0.04)
-        estimates = kinetic_ensemble(config, rho0, MODE, 3, seed=1).functionals()
-        assert estimates.values[1] == 0.0
-        assert np.all(estimates.sems == 0.0)
-        assert estimates.values[2] > 0.0
-
     def test_errors_carry_sample_index(self, monkeypatch):
         monkeypatch.setattr(kinetic, "sample_path", nan_paths({2: 0.0, 3: 0.0}))
         config, rho0 = self.noisy_kinetic_config()
@@ -179,6 +171,16 @@ class TestEnsembles:
         _, rho0, limit_config, _ = self.gbm_fixture()
         with pytest.raises(ValueError, match="n_samples"):
             limit_ensemble(limit_config, rho0, MODE, n_samples, seed=1)
+
+    def test_kinetic_ensemble_needs_a_noise_model(self):
+        config, rho0 = self.noisy_kinetic_config()
+        with pytest.raises(ValueError, match="needs the configuration's noise model"):
+            kinetic_ensemble(dataclasses.replace(config, noise=None), rho0, MODE, 3, seed=1)
+
+    def test_limit_ensemble_needs_a_noise_model(self):
+        _, rho0, config, _ = self.gbm_fixture()
+        with pytest.raises(ValueError, match="needs the noise statistics"):
+            limit_ensemble(dataclasses.replace(config, noise=None), rho0, MODE, 3, seed=1)
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_kinetic_sample_regenerates_alone(self, k):
@@ -315,7 +317,7 @@ class TestKineticEnsembleProperties:
             lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(1, n))),
         seed=st.one_of(st.integers(0, 2**32 - 1),
                        st.tuples(st.integers(0, 2**16), st.integers(0, 2**16))),
-        fixture=st.sampled_from(["telegraph", "rotor", "off"]),
+        fixture=st.sampled_from(["telegraph", "rotor"]),
         velocity=st.sampled_from(["two-speed", "legendre"]),
     )
     # two samples per chunk: sample 3 of 5 sits in the second of three chunks
@@ -331,7 +333,6 @@ class TestKineticEnsembleProperties:
         model = {
             "telegraph": telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0),
             "rotor": rotor_noise(grid, 1.0, 1, 2.0),
-            "off": None,
         }[fixture]
         quad = build_velocity_space(velocity, None if velocity == "two-speed" else 4)
         config = KineticConfig(grid, quad, Opacity(1.0, 2.0),
@@ -440,26 +441,11 @@ class TestEpsilonSweep:
             epsilon_sweep(grid, quad, opacity, model, rho0, 0.05, [0.5, 0.35],
                           n_kinetic=2, n_limit=2, base_seed=1, dt_scale=0.9)
 
-    def test_noise_off_sweep_records_deterministic_errors(self):
-        # Constant opacity with the two-speed model (K = 1) is the heat
-        # fixture; gaps and errors must shrink deterministically.
-        grid, rho0, quad, _ = small_problem()
-        opacity = Opacity(1.0, 1.0)
-        report = epsilon_sweep(grid, quad, opacity, None, rho0, 0.15,
-                               [0.2, 0.1, 0.05], n_kinetic=2, n_limit=2,
-                               base_seed=0)
-        errors = report.det_errors()
-        assert np.all(np.diff(errors) < 0.0)
-        assert errors[-1] <= 0.02 * math.sqrt(l2_norm_sq(grid, rho0))
-        for row in report.rows:
-            assert row.estimates.values[1] == 0.0
-            assert np.all(row.gap_sems == 0.0)
-        assert report.gaps_nonincreasing()
-
-    def test_det_errors_only_exist_for_noise_off_sweeps(self):
-        report = self.make_sweep()
-        with pytest.raises(ValueError):
-            report.det_errors()
+    def test_noise_off_is_refused(self):
+        grid, rho0, quad, opacity = small_problem()
+        with pytest.raises(ValueError, match="needs a noise model"):
+            epsilon_sweep(grid, quad, opacity, None, rho0, 0.05, [0.5, 0.35],
+                          n_kinetic=2, n_limit=2, base_seed=1)
 
 
 class TestHsNorm:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rosselab.model import (
+    MAX_VELOCITY_NODES,
     Opacity,
     TorusGrid,
     build_velocity_space,
@@ -17,6 +18,7 @@ from rosselab.model import (
     l2_norm_sq,
     relax_exact,
     relaxation_operator,
+    velocity_node_count,
     weighted_inner,
 )
 
@@ -77,6 +79,9 @@ def test_legendre_diffusion_coefficient_exact_third(n):
 def test_velocity_space_rejects_bad_requests():
     with pytest.raises(ValueError):
         build_velocity_space("legendre", 1)
+    assert velocity_node_count("legendre", MAX_VELOCITY_NODES) == MAX_VELOCITY_NODES
+    with pytest.raises(ValueError, match=f"at most {MAX_VELOCITY_NODES} "):
+        build_velocity_space("legendre", MAX_VELOCITY_NODES + 1)
     with pytest.raises(ValueError):
         build_velocity_space("two-speed", 4)
     with pytest.raises(ValueError):
