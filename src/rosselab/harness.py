@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fourier
-from .correctors import FourierMode, build_correctors, generator_terms
+from .correctors import FourierMode, GeneratorEvaluator
 from .kinetic import DT_CAP, KineticConfig, KineticTrajectory, _sample_chunks, _trajectories, run_kinetic
 from .limit import SpdeConfig, _floats_per_sample, _integrate, rosseland_remainder, split_rate
 from .model import (
@@ -40,25 +40,26 @@ FUNCTIONAL_NAMES = ("mode-mean", "mode-var", "normsq-mean")
 CONTOUR_POINTS = 32
 
 
-def hs_norm(trajectory, order: float):
-    """Time integral of the squared H^order norm over a trajectory.
+def _check_sobolev_order(order: float) -> None:
+    """Raise unless 0 < order < SMOOTHING_EXPONENT / 2."""
+    if not 0.0 < order < SMOOTHING_EXPONENT / 2.0:
+        raise ValueError(
+            f"Sobolev order {order} must be positive and below half the smoothing "
+            f"exponent {SMOOTHING_EXPONENT} of the velocity space"
+        )
+
+
+def hs_norm(trajectory: KineticTrajectory, order: float):
+    """Time integral of the squared H^order norm over a kinetic trajectory.
 
     Uses the recorded density snapshots and the trapezoid rule in time.
     Snapshots of several runs stacked on leading axes, (..., n_snapshots,
-    n_x), give one integral per run.  Accepts kinetic and limit
-    trajectories; kinetic runs additionally require the order to stay below
-    half the smoothing exponent of their velocity model, which is where the
-    uniform regularity bound lives.
+    n_x), give one integral per run.  The order must lie in
+    (0, SMOOTHING_EXPONENT / 2), where the uniform regularity bound of
+    kinetic runs lives.
     """
-    config = trajectory.config
-    if order <= 0.0:
-        raise ValueError(f"the Sobolev order must be positive, got {order}")
-    if hasattr(config, "quad") and order >= SMOOTHING_EXPONENT / 2.0:
-        raise ValueError(
-            f"Sobolev order {order} is not below half the smoothing exponent "
-            f"{SMOOTHING_EXPONENT} of the velocity space"
-        )
-    values = fourier.sobolev_norm_sq(config.grid, trajectory.densities, order)
+    _check_sobolev_order(order)
+    values = fourier.sobolev_norm_sq(trajectory.config.grid, trajectory.densities, order)
     return np.trapezoid(values, trajectory.times, axis=-1)
 
 
@@ -270,29 +271,25 @@ def epsilon_sweep(
     n_kinetic: int,
     n_limit: int,
     base_seed,
-    mode: FourierMode | None = None,
-    sobolev_order: float = 0.4,
-    dt_scale: float = 0.125,
+    *,
+    mode: FourierMode,
+    sobolev_order: float,
+    dt_scale: float,
 ) -> SweepReport:
     """Compare kinetic ensembles across epsilons with the limit equation.
 
     Kinetic steps use dt ~ dt_scale * eps^2 (rounded so that nine density
-    snapshots resolve the time integrals); the limit equation runs at its
+    snapshots resolve the time integrals), with dt_scale under the kinetic
+    step cap DT_CAP and its 1e-9 slack; the limit equation runs at its
     default step with both drift conventions.  The comparison is in law,
     so it needs a noise model; ``deterministic_convergence`` is the
     noiseless comparison.
     """
     if noise_model is None:
         raise ValueError("the epsilon sweep needs a noise model; noise is off")
-    if mode is None:
-        mode = FourierMode(1, "cos")
-    if not 0.0 < dt_scale <= DT_CAP:
+    if not 0.0 < dt_scale <= DT_CAP * (1.0 + 1e-9):
         raise ValueError(f"dt_scale must lie in (0, {DT_CAP}]")
-    if sobolev_order >= SMOOTHING_EXPONENT / 2.0:
-        raise ValueError(
-            f"sobolev order {sobolev_order} is not below half the smoothing "
-            f"exponent {SMOOTHING_EXPONENT} of the velocity space"
-        )
+    _check_sobolev_order(sobolev_order)
     stats = noise_statistics(noise_model)
     diffusion = quad.diffusion_coefficient()
     entropy = _entropy(base_seed)
@@ -305,7 +302,8 @@ def epsilon_sweep(
 
     rows = []
     for i, eps in enumerate(sorted(epsilons, reverse=True)):
-        steps = 8 * max(int(math.ceil(t_final / (dt_scale * eps**2) / 8 - 1e-12)), 1)
+        # a product, not a power: KineticConfig names an overflowing eps^2
+        steps = 8 * max(int(math.ceil(t_final / (dt_scale * (eps * eps)) / 8 - 1e-12)), 1)
         config = KineticConfig(
             grid, quad, opacity, epsilon=eps, t_final=t_final,
             dt=t_final / steps, noise=noise_model, snapshot_stride=steps // 8,
@@ -431,7 +429,8 @@ def deterministic_convergence(
     )
     errors = np.empty(len(eps_sorted))
     for i, eps in enumerate(eps_sorted):
-        stride = max(int(math.ceil(interval / (DT_CAP * eps**2) - 1e-12)), 1)
+        # a product, not a power: KineticConfig names an overflowing eps^2
+        stride = max(int(math.ceil(interval / (DT_CAP * (eps * eps)) - 1e-12)), 1)
         config = KineticConfig(
             grid, quad, opacity, epsilon=eps, t_final=t_final,
             dt=interval / stride, snapshot_stride=stride,
@@ -506,15 +505,16 @@ def identity_residuals(
             # the top weight is 0 when the clip keeps no mode
             out["telegraph-mode-weight"] = abs(stats.mode_weights.max(initial=0.0) - profile_sq / rate)
         rho = density(quad, f)
-        at_rest = generator_terms(config, stats, mode, equilibrium_field(quad, rho))
+        evaluator = GeneratorEvaluator(config, stats, mode)
+        at_rest = evaluator.per_state(equilibrium_field(quad, rho))
         out["transport-singular"] = np.max(np.abs(at_rest["transport_singular"]))
         out["relax-singular"] = np.max(np.abs(at_rest["relax_singular"]))
-        terms = generator_terms(config, stats, mode, f)
+        terms = evaluator.per_state(f)
         bracket = terms["noise_singular"] + terms["chain_first"] + terms["relax_first"]
         out["scale-balance-residual"] = np.max(np.abs(config.epsilon * bracket))
         drift = terms["noise_first"] + terms["chain_second"]
         out["drift-state-independence"] = np.max(np.abs(
             drift - grid.integrate(rho * stats.drift_effective * p)))
         if rate is not None:
-            out["telegraph-second-corrector-null"] = np.max(np.abs(build_correctors(stats, mode)[1]))
+            out["telegraph-second-corrector-null"] = np.max(np.abs(evaluator.u_profiles))
     return {name: float(value) for name, value in out.items()}

@@ -134,6 +134,8 @@ class KineticConfig:
     def __post_init__(self) -> None:
         if self.epsilon <= 0.0 or self.t_final <= 0.0:
             raise ValueError("epsilon and t_final must be positive")
+        if not math.isfinite(self.epsilon * self.epsilon):
+            raise ValueError(f"epsilon = {self.epsilon:g} is too large: eps^2 overflows")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
         cap = DT_CAP * self.epsilon**2
@@ -166,9 +168,6 @@ class KineticTrajectory:
     energy: np.ndarray  # squared weighted norm per step
     defect: np.ndarray  # ||<f>F - f|| / eps per step
 
-    def final_density(self) -> np.ndarray:
-        return self.densities[-1]
-
 
 class KineticStepper:
     """Stepper for a batch of samples of one configuration, on the spectral
@@ -186,10 +185,6 @@ class KineticStepper:
         self.occupations = None
         if config.noise is None:
             return
-        if any(path is None for path in paths):
-            raise ValueError("a sampled noise path is required when noise is on")
-        if any(path.t_final < config.t_final - 1e-9 for path in paths):
-            raise ValueError("noise path is shorter than the run")
         half = 0.5 * config.dt
         starts = np.arange(config.n_steps) * config.dt
         mids = starts + half

@@ -149,9 +149,6 @@ class SpdeTrajectory:
     mass: np.ndarray
     norm_sq: np.ndarray  # spatial L^2 norm squared per step
 
-    def final_density(self) -> np.ndarray:
-        return self.densities[-1]
-
 
 class SpdeStepper:
     """Geometric noise flow followed by one linearly implicit diffusion

@@ -141,7 +141,7 @@ def test_criterion_3_solver_oracles():
                            epsilon=0.009, t_final=0.1, dt=1e-5)
     trajectory = run_kinetic(config, rho0)
     exact = 1.0 + 0.5 * math.exp(-4.0 * math.pi**2 * 0.1) * np.cos(2.0 * np.pi * xh)
-    heat_err = math.sqrt(l2_norm_sq(heat_grid, trajectory.final_density() - exact))
+    heat_err = math.sqrt(l2_norm_sq(heat_grid, trajectory.densities[-1] - exact))
 
     opacity = Opacity(1.0, 2.0)
     rho = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import nan_normals, nan_paths
 from rosselab import cli, harness, kinetic, noise
 from rosselab.cli import format_value, main
+from rosselab.config import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 ACCEPTANCE_INI = ROOT / "configs" / "acceptance.ini"
@@ -241,6 +242,16 @@ class TestSweepCommand:
         assert ["gap-monotone", status] in [[r[0], r[3]] for r in body]
 
 
+    def test_dt_scale_within_the_step_cap_slack_sweeps(self, tmp_path):
+        # parse_config and the sweep allow the step cap's 1e-9 relative slack
+        text = ACCEPTANCE_INI.read_text().replace("dt_scale = 0.03125", "dt_scale = 0.5000000001")
+        config = write_ini(tmp_path, text)
+        assert parse_config(config).dt_scale == 0.5000000001
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out), "--samples", "2"]) in (0, 1)
+        assert len(read_csv(out / "sweep.csv")[1]) == 3 * 3
+
+
 class TestRatesCommand:
     def test_good_fixture_passes(self, tmp_path):
         config = write_ini(tmp_path, HEAT_INI)
@@ -410,7 +421,18 @@ class TestErrorPaths:
         assert main(["run-kinetic", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
-        assert "run-kinetic: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "run-kinetic: " in err
+        assert "epsilon = 1e+200 is too large: eps^2 overflows" in err
+
+    @pytest.mark.parametrize("command", ["rates", "sweep"])
+    def test_epsilon_overflow_is_named_in_the_epsilon_list(self, tmp_path, capsys, command):
+        config = write_ini(tmp_path, "[simulation]\nepsilons = 1e200, 0.5\n")
+        assert main([command, "--config", config, "--out", str(tmp_path / "out"),
+                     *(["--samples", "2"] if command == "sweep" else [])]) == 2
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == (
+            f"{command}: epsilon = 1e+200 is too large: eps^2 overflows\n")
 
     def test_solver_errors_exit_2(self, tmp_path, capsys):
         # a grid too coarse for the spatial discretization

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import altered_paths, fixed_blocks, loud_paths, loud_table, nan_normals, nan_paths, random_chain
 from rosselab.correctors import FourierMode
-from rosselab import harness, kinetic, limit, noise
+from rosselab import correctors, harness, kinetic, limit, noise
 from rosselab.harness import (
     FUNCTIONAL_NAMES,
     deterministic_convergence,
@@ -35,6 +35,8 @@ from rosselab.model import (
 from rosselab.noise import cosine_profile, noise_statistics, rotor_noise, telegraph_noise
 
 MODE = FourierMode(1, "cos")
+#: the sweep's keyword-only settings for the small fixtures below
+SWEEP_KEYWORDS = {"mode": MODE, "sobolev_order": 0.4, "dt_scale": 0.125}
 
 
 def limit_chunk_budget(config, chunk):
@@ -187,7 +189,7 @@ class TestEnsembles:
         config, rho0 = self.noisy_kinetic_config()
         ensemble = kinetic_ensemble(config, rho0, MODE, 4, seed=(11, 5))
         alone = run_kinetic(config, rho0, rng=sample_rng((11, 5), k))
-        rho = alone.final_density()
+        rho = alone.densities[-1]
         assert ensemble.mode_values[k] == MODE.apply(config.grid, rho)
         assert ensemble.norm_sq[k] == l2_norm_sq(config.grid, rho)
         assert ensemble.sup_energy[k] == alone.energy.max()
@@ -199,7 +201,7 @@ class TestEnsembles:
     def test_limit_sample_regenerates_alone(self, k):
         _, rho0, config, _ = self.gbm_fixture()
         ensemble = limit_ensemble(config, rho0, MODE, 6, seed=21)
-        rho = run_limit(config, rho0, rng=sample_rng(21, k)).final_density()
+        rho = run_limit(config, rho0, rng=sample_rng(21, k)).densities[-1]
         assert ensemble.mode_values[k] == MODE.apply(config.grid, rho)
         assert ensemble.norm_sq[k] == l2_norm_sq(config.grid, rho)
 
@@ -299,7 +301,7 @@ class TestLimitEnsembleProperties:
         with mock.patch.object(noise, "CHUNK_BUDGET", limit_chunk_budget(config, chunk)):
             ensemble = limit_ensemble(config, rho0, MODE, n_samples, seed)
         alone = run_limit(config, rho0, rng=sample_rng(seed, k))
-        rho = alone.final_density()
+        rho = alone.densities[-1]
         assert ensemble.mode_values[k] == MODE.apply(grid, rho)
         assert ensemble.norm_sq[k] == l2_norm_sq(grid, rho)
         shape = (config.n_steps, config.noise_rank)
@@ -341,7 +343,7 @@ class TestKineticEnsembleProperties:
                                chunk * kinetic._floats_per_sample(config)):
             ensemble = kinetic_ensemble(config, rho0, MODE, n_samples, seed)
         alone = run_kinetic(config, rho0, rng=sample_rng(seed, k))
-        rho = alone.final_density()
+        rho = alone.densities[-1]
         assert ensemble.mode_values[k] == MODE.apply(grid, rho)
         assert ensemble.norm_sq[k] == l2_norm_sq(grid, rho)
         assert ensemble.sup_energy[k] == alone.energy.max()
@@ -405,7 +407,7 @@ class TestEpsilonSweep:
         grid, rho0, quad, opacity = small_problem()
         model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
         return epsilon_sweep(grid, quad, opacity, model, rho0, 0.05,
-                             [0.5, 0.35], n_kinetic=6, n_limit=8, base_seed=seed)
+                             [0.5, 0.35], n_kinetic=6, n_limit=8, base_seed=seed, **SWEEP_KEYWORDS)
 
     def test_report_structure(self):
         report = self.make_sweep()
@@ -432,20 +434,22 @@ class TestEpsilonSweep:
         model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
         with pytest.raises(ValueError):
             epsilon_sweep(grid, quad, opacity, model, rho0, 0.05, [0.5, 0.35],
-                          n_kinetic=2, n_limit=2, base_seed=1, sobolev_order=0.6)
+                          n_kinetic=2, n_limit=2, base_seed=1,
+                          **{**SWEEP_KEYWORDS, "sobolev_order": 0.6})
 
     def test_dt_scale_validated(self):
         grid, rho0, quad, opacity = small_problem()
         model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
         with pytest.raises(ValueError):
             epsilon_sweep(grid, quad, opacity, model, rho0, 0.05, [0.5, 0.35],
-                          n_kinetic=2, n_limit=2, base_seed=1, dt_scale=0.9)
+                          n_kinetic=2, n_limit=2, base_seed=1,
+                          **{**SWEEP_KEYWORDS, "dt_scale": 0.9})
 
     def test_noise_off_is_refused(self):
         grid, rho0, quad, opacity = small_problem()
         with pytest.raises(ValueError, match="needs a noise model"):
             epsilon_sweep(grid, quad, opacity, None, rho0, 0.05, [0.5, 0.35],
-                          n_kinetic=2, n_limit=2, base_seed=1)
+                          n_kinetic=2, n_limit=2, base_seed=1, **SWEEP_KEYWORDS)
 
 
 class TestHsNorm:
@@ -481,12 +485,6 @@ class TestHsNorm:
         with pytest.raises(ValueError):
             hs_norm(trajectory, 0.0)
         assert hs_norm(trajectory, 0.49) > 0.0
-
-    def test_limit_trajectories_have_no_velocity_gate(self):
-        grid, rho0, _, opacity = small_problem()
-        config = SpdeConfig(grid, opacity, 1.0, 0.02)
-        trajectory = run_limit(config, rho0)
-        assert hs_norm(trajectory, 0.8) > 0.0
 
 
 #: the rows of the identity battery that only telegraph chains get
@@ -538,3 +536,15 @@ class TestIdentityBattery:
         found = self.residuals(stats, quad_name, eps, MODE, np.random.default_rng(seed))
         assert len(found) == 16 and TELEGRAPH_ROWS <= set(found)
         assert max(found.values()) <= 1e-12, found
+
+    def test_one_corrector_build_per_call(self):
+        # a telegraph chain runs every row, the second-corrector null included
+        grid = TorusGrid(16)
+        stats = noise_statistics(telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0))
+        with mock.patch.object(harness, "GeneratorEvaluator",
+                               wraps=correctors.GeneratorEvaluator) as evaluators, \
+                mock.patch.object(correctors, "build_correctors",
+                                  wraps=correctors.build_correctors) as builds:
+            found = self.residuals(stats, "two-speed", 0.25, MODE, np.random.default_rng(1))
+        assert len(found) == 16
+        assert (evaluators.call_count, builds.call_count) == (1, 1)

@@ -133,7 +133,7 @@ def test_config_validation():
 def test_equilibrium_constant_state_is_steady():
     cfg = KineticConfig(GRID, GT, Opacity(1.0, 2.0), epsilon=0.2, t_final=0.5)
     traj = run_kinetic(cfg, np.full(GRID.shape, 1.3))
-    assert np.max(np.abs(traj.final_density() - 1.3)) <= 1e-12
+    assert np.max(np.abs(traj.densities[-1] - 1.3)) <= 1e-12
 
 
 def test_deterministic_run_conserves_mass_and_dissipates_energy():
@@ -151,7 +151,7 @@ def test_strang_self_convergence_is_second_order():
     outs = {}
     for dt in (4e-3, 2e-3, 1e-3):
         cfg = KineticConfig(GRID, GT, Opacity(1.0, 2.0), 0.1, 0.1, dt=dt, snapshot_stride=10**6)
-        outs[dt] = run_kinetic(cfg, rho0).final_density()
+        outs[dt] = run_kinetic(cfg, rho0).densities[-1]
     coarse = np.sqrt(l2_norm_sq(GRID, outs[4e-3] - outs[2e-3]))
     fine = np.sqrt(l2_norm_sq(GRID, outs[2e-3] - outs[1e-3]))
     assert 4.0 / 1.5 <= coarse / fine <= 4.0 * 1.5
@@ -167,7 +167,7 @@ def test_small_eps_run_approaches_heat_decay():
     cfg = KineticConfig(grid, GT, Opacity(1.0, 1.0), 0.0285, t_final, dt=1e-4, snapshot_stride=10**6)
     traj = run_kinetic(cfg, rho0)
     exact = 1.0 + 0.5 * np.exp(-4.0 * np.pi**2 * t_final) * np.cos(2.0 * np.pi * x)
-    assert np.sqrt(l2_norm_sq(grid, traj.final_density() - exact)) <= 2e-3
+    assert np.sqrt(l2_norm_sq(grid, traj.densities[-1] - exact)) <= 2e-3
 
 
 def test_run_with_noise_is_reproducible():
@@ -194,6 +194,14 @@ def test_stepper_step_matches_run_single_step():
     stepped = np.fft.irfft(stepped_hat, n=GRID.n_x)
     snaps = kinetic._trajectories(cfg, density(GT, f0), [path])[1]
     assert np.allclose(density(GT, stepped), snaps[0, -1], atol=1e-13)
+
+
+def test_a_path_shorter_than_the_run_is_refused():
+    model = telegraph_noise(GRID, cosine_profile(GRID, 0.5, 1), 1.0)
+    cfg = KineticConfig(GRID, GT, Opacity(1.0, 2.0), 0.25, 0.1, dt=0.01, noise=model)
+    path = sample_path(model, 0.25, 0.05, np.random.default_rng(3))
+    with pytest.raises(ValueError, match=r"window \[0\.05, 0\.055\] outside the sampled path"):
+        KineticStepper(cfg, [path])
 
 
 def test_snapshot_stride_keeps_endpoints():

@@ -90,13 +90,13 @@ def test_heat_decay_light_fixture():
     cfg = SpdeConfig(grid, Opacity(1.0, 1.0), 1.0, t_final, dt=1e-4, snapshot_stride=10**6)
     traj = run_limit(cfg, rho0)
     exact = 1.0 + 0.5 * np.exp(-4.0 * np.pi**2 * t_final) * np.cos(2.0 * np.pi * x)
-    assert np.sqrt(l2_norm_sq(grid, traj.final_density() - exact)) <= 5e-4
+    assert np.sqrt(l2_norm_sq(grid, traj.densities[-1] - exact)) <= 5e-4
 
 
 def test_constant_density_is_steady_without_noise():
     cfg = SpdeConfig(GRID, Opacity(1.0, 2.0), 1.0, t_final=0.02)
     traj = run_limit(cfg, np.full(GRID.shape, 1.7))
-    assert np.max(np.abs(traj.final_density() - 1.7)) <= 1e-13
+    assert np.max(np.abs(traj.densities[-1] - 1.7)) <= 1e-13
     assert np.max(np.abs(traj.mass - traj.mass[0])) <= 1e-13
 
 
@@ -241,7 +241,7 @@ def test_error_halves_with_dt():
 
     def final(n):
         cfg = SpdeConfig(GRID, Opacity(1.0, 2.0), 1.0, 0.1, dt=0.1 / n)
-        return run_limit(cfg, rho0).final_density()
+        return run_limit(cfg, rho0).densities[-1]
 
     errors = [math.sqrt(l2_norm_sq(GRID, final(n) - final(4 * n))) for n in (10, 20, 40)]
     assert 1.8 <= errors[0] / errors[1] <= 2.2
