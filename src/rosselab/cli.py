@@ -188,8 +188,6 @@ def cmd_sweep(setup: Setup, args):
     run = setup.run
     seed = run.base_seed if args.seed is None else args.seed
     drift = run.drift if args.drift is None else args.drift
-    if args.samples is not None and args.samples < 2:
-        raise ValueError("--samples must be at least 2")
     n_kinetic = run.samples_kinetic if args.samples is None else args.samples
     n_limit = run.samples_limit if args.samples is None else args.samples
     report = epsilon_sweep(

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correctors import FourierMode, parse_mode
-from .kinetic import DT_CAP
-from .model import Opacity, TorusGrid, VelocityQuadrature, build_velocity_space, velocity_node_count
-from .noise import NoiseModel, cosine_profile, rotor_noise, telegraph_noise
+from .kinetic import check_dt_scale, check_step
+from .model import (Opacity, TorusGrid, VelocityQuadrature, build_velocity_space, check_sobolev_order,
+                    check_whole_steps, velocity_node_count)
+from .noise import NoiseModel, cosine_profile, rotor_noise, sample_chunks, telegraph_noise
 
 
 class ConfigError(ValueError):
@@ -223,9 +224,11 @@ def _suggest(name: str, candidates) -> str:
 def parse_config(path: str) -> RunConfig:
     """Parse and fully validate a run configuration file.
 
-    Raises ConfigError listing every violation (unknown keys, type errors,
-    the rules of the grid and velocity builders, and broken cross-field
-    rules such as the kinetic step cap).
+    Raises ConfigError listing every violation: unknown keys, type errors,
+    the config's own cross-field rules, and the rules of the objects that
+    enforce them (the grid and velocity builders, the opacity, the kinetic
+    step cap, whole step counts, dt_scale, the ensemble sample counts and
+    the Sobolev order), each in its owner's words.
     """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
@@ -267,47 +270,32 @@ def parse_config(path: str) -> RunConfig:
             violations.append(f"[{section}] {key} = {text!r}: expected {description} ({exc})")
     run = RunConfig(**values)
 
-    # the builders' own rules, in their words
-    builders = [lambda: TorusGrid(run.n_x)]
+    def apply(where: str, rule, *args) -> None:
+        try:
+            rule(*args)
+        except ValueError as exc:
+            violations.append(f"{where} {exc}")
+
+    # each rule in the words of the object that enforces it, after ``where``
+    apply("[model]", TorusGrid, run.n_x)
     if run.velocity == "two-speed" and parser.has_option("model", "velocity_nodes"):
         violations.append("[model] velocity_nodes requires velocity = legendre")
     else:
-        builders.append(lambda: velocity_node_count(run.velocity, run.velocity_nodes))
-    for build in builders:
-        try:
-            build()
-        except ValueError as exc:
-            violations.append(f"[model] {exc}")
+        apply("[model]", velocity_node_count, run.velocity, run.velocity_nodes)
     if run.opacity_kind == "constant" and parser.has_option("model", "sigma_upper"):
         violations.append("[model] sigma_upper applies to the rational opacity only")
-    if run.opacity_kind == "rational" and run.sigma_upper < run.sigma_star:
-        violations.append(
-            f"[model] sigma_upper = {run.sigma_upper:g} must be at least "
-            f"sigma_star = {run.sigma_star:g}"
-        )
+    apply("[model]", run.build_opacity)
     if run.fixture != "off" and run.amplitude == 0.0:
         violations.append("[noise] amplitude must be nonzero when a fixture is on")
     if run.dt is not None:
-        # products, not powers: a float power raises OverflowError
-        cap = DT_CAP * run.epsilon * run.epsilon
-        if run.dt > cap * (1.0 + 1e-9):
-            violations.append(
-                f"[simulation] dt = {run.dt:g} violates the step rule dt <= eps^2/2 "
-                f"(eps = {run.epsilon:g} gives cap {cap:g})"
-            )
-        steps = run.t_final / run.dt
-        if (not math.isfinite(steps)
-                or abs(round(steps) * run.dt - run.t_final) > 1e-9 * run.t_final):
-            violations.append(
-                f"[simulation] t_final = {run.t_final:g} is not an integer multiple "
-                f"of dt = {run.dt:g}"
-            )
-    if run.dt_scale > DT_CAP * (1.0 + 1e-9):
-        violations.append(
-            f"[simulation] dt_scale = {run.dt_scale:g} violates the step rule dt <= eps^2/2"
-        )
-    if run.samples_kinetic < 2 or run.samples_limit < 2:
-        violations.append("[harness] sample counts must be at least 2")
+        apply("[simulation]", check_step, run.epsilon, run.dt)
+        apply("[simulation]", check_whole_steps, run.t_final, run.dt)
+    apply("[simulation]", check_dt_scale, run.dt_scale)
+    for key in ("samples_kinetic", "samples_limit"):
+        n = getattr(run, key)
+        # the chunker refuses a sample count at the call, before any draw
+        apply(f"[harness] {key} = {n}:", sample_chunks, n, 1, None)
+    apply("[harness]", check_sobolev_order, run.sobolev_order)
     for where, modes in (("[simulation] rho0_modes", [mode for mode, _ in run.rho0_modes]),
                          ("[harness] modes", run.modes)):
         violations.extend(f"{where}: mode {mode.label} is not resolved on n_x = {run.n_x}"

@@ -19,34 +19,17 @@ import numpy as np
 
 from . import fourier
 from .correctors import FourierMode, GeneratorEvaluator
-from .kinetic import DT_CAP, KineticConfig, KineticTrajectory, _sample_chunks, _trajectories, run_kinetic
+from .kinetic import (DT_CAP, KineticConfig, KineticTrajectory, _sample_chunks, _trajectories, check_dt_scale,
+                      run_kinetic)
 from .limit import SpdeConfig, _floats_per_sample, _integrate, rosseland_remainder, split_rate
-from .model import (
-    SMOOTHING_EXPONENT,
-    Opacity,
-    TorusGrid,
-    VelocityQuadrature,
-    density,
-    equilibrium_field,
-    l2_norm_sq,
-    relaxation_operator,
-    weighted_inner,
-)
+from .model import (Opacity, TorusGrid, VelocityQuadrature, check_sobolev_order, density, equilibrium_field,
+                    l2_norm_sq, relaxation_operator, step_count, weighted_inner)
 from .noise import NoiseModel, NoiseStatistics, _entropy, noise_statistics, sample_chunks, sample_rng
 
 #: names of the sweep functionals, in report order
 FUNCTIONAL_NAMES = ("mode-mean", "mode-var", "normsq-mean")
 #: contour points of the ETDRK4 coefficient means (Kassam & Trefethen 2005)
 CONTOUR_POINTS = 32
-
-
-def _check_sobolev_order(order: float) -> None:
-    """Raise unless 0 < order < SMOOTHING_EXPONENT / 2."""
-    if not 0.0 < order < SMOOTHING_EXPONENT / 2.0:
-        raise ValueError(
-            f"Sobolev order {order} must be positive and below half the smoothing "
-            f"exponent {SMOOTHING_EXPONENT} of the velocity space"
-        )
 
 
 def hs_norm(trajectory: KineticTrajectory, order: float):
@@ -56,9 +39,9 @@ def hs_norm(trajectory: KineticTrajectory, order: float):
     Snapshots of several runs stacked on leading axes, (..., n_snapshots,
     n_x), give one integral per run.  The order must lie in
     (0, SMOOTHING_EXPONENT / 2), where the uniform regularity bound of
-    kinetic runs lives.
+    kinetic runs lives (``model.check_sobolev_order``).
     """
-    _check_sobolev_order(order)
+    check_sobolev_order(order)
     values = fourier.sobolev_norm_sq(trajectory.config.grid, trajectory.densities, order)
     return np.trapezoid(values, trajectory.times, axis=-1)
 
@@ -280,16 +263,22 @@ def epsilon_sweep(
 
     Kinetic steps use dt ~ dt_scale * eps^2 (rounded so that nine density
     snapshots resolve the time integrals), with dt_scale under the kinetic
-    step cap DT_CAP and its 1e-9 slack; the limit equation runs at its
+    step cap (``kinetic.check_dt_scale``); the limit equation runs at its
     default step with both drift conventions.  The comparison is in law,
     so it needs a noise model; ``deterministic_convergence`` is the
-    noiseless comparison.
+    noiseless comparison.  Every kinetic configuration is built, and the
+    arguments checked, before the first ensemble runs.
     """
     if noise_model is None:
         raise ValueError("the epsilon sweep needs a noise model; noise is off")
-    if not 0.0 < dt_scale <= DT_CAP * (1.0 + 1e-9):
-        raise ValueError(f"dt_scale must lie in (0, {DT_CAP}]")
-    _check_sobolev_order(sobolev_order)
+    check_dt_scale(dt_scale)
+    check_sobolev_order(sobolev_order)
+    configs = []
+    for eps in sorted(epsilons, reverse=True):
+        # a product, not a power: KineticConfig names an overflowing eps^2
+        steps = 8 * step_count(t_final, 8 * dt_scale * (eps * eps))
+        configs.append(KineticConfig(grid, quad, opacity, epsilon=eps, t_final=t_final,
+                                     dt=t_final / steps, noise=noise_model, snapshot_stride=steps // 8))
     stats = noise_statistics(noise_model)
     diffusion = quad.diffusion_coefficient()
     entropy = _entropy(base_seed)
@@ -301,17 +290,11 @@ def epsilon_sweep(
     limit_pap = limit_ensemble(limit_config("paper"), rho0, mode, n_limit, (*entropy, 21)).functionals()
 
     rows = []
-    for i, eps in enumerate(sorted(epsilons, reverse=True)):
-        # a product, not a power: KineticConfig names an overflowing eps^2
-        steps = 8 * max(int(math.ceil(t_final / (dt_scale * (eps * eps)) / 8 - 1e-12)), 1)
-        config = KineticConfig(
-            grid, quad, opacity, epsilon=eps, t_final=t_final,
-            dt=t_final / steps, noise=noise_model, snapshot_stride=steps // 8,
-        )
+    for i, config in enumerate(configs):
         ensemble = kinetic_ensemble(config, rho0, mode, n_kinetic, (*entropy, 10 + i), sobolev_order)
         est = ensemble.functionals()
         rows.append(SweepRow(
-            eps,
+            config.epsilon,
             est,
             np.abs(est.values - limit_eff.values),
             np.hypot(est.sems, limit_eff.sems),
@@ -368,7 +351,7 @@ def rosseland_reference(
     if n_snapshots < 2:
         raise ValueError("need at least the two endpoint snapshots")
     interval = t_final / (n_snapshots - 1)
-    steps = 16 if dt is None else max(int(math.ceil(interval / dt - 1e-12)), 1)
+    steps = 16 if dt is None else step_count(interval, dt)
     linear = split_rate(opacity, diffusion) * fourier.half_laplace_symbol(grid.n_x)
     e, e2, q, f1, f2, f3 = _etdrk4_coefficients(linear, interval / steps)
 
@@ -430,14 +413,12 @@ def deterministic_convergence(
     errors = np.empty(len(eps_sorted))
     for i, eps in enumerate(eps_sorted):
         # a product, not a power: KineticConfig names an overflowing eps^2
-        stride = max(int(math.ceil(interval / (DT_CAP * (eps * eps)) - 1e-12)), 1)
+        stride = step_count(interval, DT_CAP * (eps * eps))
         config = KineticConfig(
             grid, quad, opacity, epsilon=eps, t_final=t_final,
             dt=interval / stride, snapshot_stride=stride,
         )
         trajectory = run_kinetic(config, rho0)
-        if trajectory.densities.shape != reference.shape:
-            raise RuntimeError("snapshot grids of run and reference disagree")
         errors[i] = math.sqrt(_trapezoid(l2_norm_sq(grid, trajectory.densities - reference), interval))
     bad = [f"eps = {eps:g}: {err:g}" for eps, err in zip(eps_sorted, errors) if not err > 0.0]
     if bad:

@@ -47,14 +47,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import fourier
-from .model import (
-    Opacity,
-    TorusGrid,
-    VelocityQuadrature,
-    density,
-    equilibrium_field,
-    relax_exact,
-)
+from .model import (Opacity, TorusGrid, VelocityQuadrature, check_whole_steps, density, equilibrium_field,
+                    relax_exact, step_count)
 from .noise import (NoiseModel, NoisePath, occupation_table, record_blocks, sample_chunks, sample_path,
                     sample_rng, step_blocks)
 
@@ -62,6 +56,21 @@ from .noise import (NoiseModel, NoisePath, occupation_table, record_blocks, samp
 DT_CAP = 0.5
 #: a noise exponent above this fails its sample (exp would overflow usefulness)
 EXPONENT_LIMIT = 50.0
+
+
+def check_step(epsilon: float, dt: float) -> None:
+    """Raise ValueError unless dt <= DT_CAP * eps^2, to a relative 1e-9."""
+    # products, not powers: a float power raises OverflowError
+    cap = DT_CAP * epsilon * epsilon
+    if dt > cap * (1.0 + 1e-9):
+        raise ValueError(f"dt = {dt:g} violates the step rule dt <= eps^2/2 "
+                         f"(eps = {epsilon:g} gives cap {cap:g})")
+
+
+def check_dt_scale(dt_scale: float) -> None:
+    """Raise ValueError unless steps of dt_scale * eps^2 keep the step rule at every eps."""
+    if not 0.0 < dt_scale <= DT_CAP * (1.0 + 1e-9):
+        raise ValueError(f"dt_scale = {dt_scale:g} violates the step rule dt <= eps^2/2")
 
 
 def transport_phases(grid: TorusGrid, quad: VelocityQuadrature, tau: float) -> np.ndarray:
@@ -138,16 +147,12 @@ class KineticConfig:
             raise ValueError(f"epsilon = {self.epsilon:g} is too large: eps^2 overflows")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
-        cap = DT_CAP * self.epsilon**2
         if self.dt is None:
-            n = max(int(math.ceil(self.t_final / cap - 1e-12)), 1)
+            n = step_count(self.t_final, DT_CAP * self.epsilon * self.epsilon)
             object.__setattr__(self, "dt", self.t_final / n)
         else:
-            if self.dt > cap * (1.0 + 1e-9):
-                raise ValueError(f"dt = {self.dt:g} exceeds the cap {cap:g} = eps^2/2")
-            n = round(self.t_final / self.dt)
-            if n < 1 or abs(n * self.dt - self.t_final) > 1e-9 * self.t_final:
-                raise ValueError("t_final must be an integer multiple of dt")
+            check_step(self.epsilon, self.dt)
+            check_whole_steps(self.t_final, self.dt)
         if self.noise is not None and self.noise.grid != self.grid:
             raise ValueError("noise model lives on a different grid")
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .model import Opacity, TorusGrid, l2_norm_sq
+from .model import Opacity, TorusGrid, check_whole_steps, l2_norm_sq, step_count
 from .noise import NoiseStatistics, record_blocks, step_blocks
 
 #: ``SpdeConfig(dt=None)`` takes at least this many steps per decay time
@@ -122,12 +122,10 @@ class SpdeConfig:
             n = 1
             if self.include_diffusion:
                 decay = self.opacity.sigma_star / (4.0 * math.pi**2 * self.diffusion)
-                n = max(int(math.ceil(STEPS_PER_DECAY * self.t_final / decay - 1e-12)), 1)
+                n = step_count(self.t_final, decay / STEPS_PER_DECAY)
             object.__setattr__(self, "dt", self.t_final / n)
         else:
-            n = round(self.t_final / self.dt)
-            if n < 1 or abs(n * self.dt - self.t_final) > 1e-9 * self.t_final:
-                raise ValueError("t_final must be an integer multiple of dt")
+            check_whole_steps(self.t_final, self.dt)
 
     @property
     def n_steps(self) -> int:

@@ -60,9 +60,31 @@ def l2_norm_sq(grid: TorusGrid, rho: np.ndarray):
     return grid.cell_volume * np.sum(rho * rho, axis=-1)
 
 
+def step_count(span: float, max_dt: float) -> int:
+    """The fewest equal steps of at most max_dt in span (1e-12 above a whole number rounds down)."""
+    return max(int(math.ceil(span / max_dt - 1e-12)), 1)
+
+
+def check_whole_steps(t_final: float, dt: float) -> None:
+    """Raise ValueError unless t_final > 0 is a positive whole number of steps dt, to a relative 1e-9."""
+    steps = t_final / dt
+    n = round(steps) if math.isfinite(steps) else 0
+    if n < 1 or abs(n * dt - t_final) > 1e-9 * t_final:
+        raise ValueError(f"t_final = {t_final:g} is not an integer multiple of dt = {dt:g}")
+
+
 #: velocity-averaging regularity exponent of the velocity models; Sobolev
 #: diagnostics of kinetic densities need an order below half of it
 SMOOTHING_EXPONENT = 1.0
+
+
+def check_sobolev_order(order: float) -> None:
+    """Raise ValueError unless 0 < order < SMOOTHING_EXPONENT / 2."""
+    if not 0.0 < order < SMOOTHING_EXPONENT / 2.0:
+        raise ValueError(
+            f"Sobolev order {order} must be positive and below half the smoothing "
+            f"exponent {SMOOTHING_EXPONENT} of the velocity space"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +206,10 @@ class Opacity:
     """
 
     def __init__(self, sigma_star: float, sigma_upper: float):
-        if not 0.0 < sigma_star <= sigma_upper:
-            raise ValueError("need 0 < sigma_star <= sigma_upper")
+        if not sigma_star > 0.0:
+            raise ValueError(f"sigma_star = {sigma_star:g} must be positive")
+        if not sigma_upper >= sigma_star:
+            raise ValueError(f"sigma_upper = {sigma_upper:g} must be at least sigma_star = {sigma_star:g}")
         self.sigma_star = sigma_star
         self.spread = sigma_upper - sigma_star
         # the rate at u = 0, bit for bit

@@ -428,8 +428,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command", ["rates", "sweep"])
     def test_epsilon_overflow_is_named_in_the_epsilon_list(self, tmp_path, capsys, command):
         config = write_ini(tmp_path, "[simulation]\nepsilons = 1e200, 0.5\n")
-        assert main([command, "--config", config, "--out", str(tmp_path / "out"),
-                     *(["--samples", "2"] if command == "sweep" else [])]) == 2
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
         assert capsys.readouterr().err == (
             f"{command}: epsilon = 1e+200 is too large: eps^2 overflows\n")
@@ -497,8 +496,9 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == f"rates: cannot write {out}: Not a directory\n"
 
-    def test_tiny_sample_override_rejected(self, tmp_path):
+    def test_tiny_sample_override_rejected(self, tmp_path, capsys):
         config = write_ini(tmp_path, TELEGRAPH_INI)
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "out"),
                      "--samples", "1"]) == 2
         assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == "sweep: n_samples must be at least 2\n"

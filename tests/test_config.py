@@ -7,11 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rosselab.config import KEYS, KNOWN_KEYS, ConfigError, RunConfig, parse_config
 from rosselab.correctors import FourierMode
+from rosselab.kinetic import KineticConfig, check_dt_scale, check_step
+from rosselab.limit import SpdeConfig
+from rosselab.model import Opacity, TorusGrid, build_velocity_space, check_sobolev_order, check_whole_steps
+from rosselab.noise import sample_chunks
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -288,7 +292,11 @@ CROSS_FIELD = {
         ["[simulation] dt_scale = 0.6 violates the step rule dt <= eps^2/2"]),
     "sample-counts": (
         "[harness]\nsamples_limit = 1\n",
-        ["[harness] sample counts must be at least 2"]),
+        ["[harness] samples_limit = 1: n_samples must be at least 2"]),
+    "sobolev-order-bound": (
+        "[harness]\nsobolev_order = 0.5\n",
+        ["[harness] Sobolev order 0.5 must be positive and below half the smoothing "
+         "exponent 1.0 of the velocity space"]),
     "rho0-modes-resolved": (
         "[model]\nn_x = 16\n[simulation]\nrho0_modes = cos1:0.5, cos8:0.3\n",
         ["[simulation] rho0_modes: mode cos8 is not resolved on n_x = 16"]),
@@ -394,3 +402,117 @@ class TestBuilders:
         expected = (2.0 + 0.5 * np.cos(2.0 * math.pi * x)
                     - 0.25 * np.sin(4.0 * math.pi * x))
         assert np.max(np.abs(run.build_rho0(grid) - expected)) < 1e-14
+
+
+# --- parse and run agree ---------------------------------------------------
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_COUNT = st.one_of(st.integers(1, 3), st.integers(1, 2**40))
+_SECTIONS_OF_OWNED = {"sigma_star": "model", "sigma_upper": "model", "epsilon": "simulation",
+                      "t_final": "simulation", "dt": "simulation", "dt_scale": "simulation",
+                      "sobolev_order": "harness", "samples_kinetic": "harness",
+                      "samples_limit": "harness"}
+
+
+def _near(draw, value):
+    """Any positive finite float, or value halved, doubled or nudged across
+    the 1e-9 slack of the step rules."""
+    nudged = [v for v in (0.5 * value, value * (1.0 - 5e-9), math.nextafter(value, 0.0), value,
+                          value * (1.0 + 5e-10), value * (1.0 + 5e-9), 2.0 * value) if 0.0 < v < math.inf]
+    return draw(st.one_of(_POSITIVE, st.sampled_from(nudged)) if nudged else _POSITIVE)
+
+
+def _owned(**values):
+    """The default config's owned values, with values in place of some."""
+    run = RunConfig()
+    return {key: values.get(key, getattr(run, key)) for key in _SECTIONS_OF_OWNED}
+
+
+@st.composite
+def _owned_values(draw):
+    """The default config's owned values with some rules' inputs redrawn,
+    each in its converter's domain and often at the owner's boundary; dt
+    None is 'auto'."""
+    values = _owned()
+    varied = draw(st.sets(st.sampled_from(["sigma", "step", "dt_scale", "sobolev_order", "samples"]),
+                          min_size=1))
+    if "sigma" in varied:
+        values["sigma_star"] = draw(_POSITIVE)
+        values["sigma_upper"] = _near(draw, values["sigma_star"])
+    if "step" in varied:
+        epsilon = values["epsilon"] = draw(_POSITIVE)
+        dt = values["dt"] = draw(st.one_of(st.none(), st.just(_near(draw, 0.5 * epsilon * epsilon))))
+        values["t_final"] = draw(_POSITIVE) if dt is None else _near(draw, draw(st.integers(1, 1000)) * dt)
+    for key in ("dt_scale", "sobolev_order"):
+        if key in varied:
+            values[key] = _near(draw, 0.5)
+    if "samples" in varied:
+        values["samples_kinetic"], values["samples_limit"] = draw(_COUNT), draw(_COUNT)
+    return values
+
+
+def _owner_violations(values) -> list[str]:
+    """What the owners of the rules refuse, each as '[section] message'
+    (a sample count also names its key, which its owner does not know)."""
+    found = []
+
+    def apply(where, rule, *args):
+        try:
+            rule(*args)
+        except ValueError as exc:
+            found.append(f"{where} {exc}")
+
+    apply("[model]", Opacity, values["sigma_star"], values["sigma_upper"])
+    if values["dt"] is not None:
+        apply("[simulation]", check_step, values["epsilon"], values["dt"])
+        apply("[simulation]", check_whole_steps, values["t_final"], values["dt"])
+    apply("[simulation]", check_dt_scale, values["dt_scale"])
+    for key in ("samples_kinetic", "samples_limit"):
+        apply(f"[harness] {key} = {values[key]}:", sample_chunks, values[key], 1, None)
+    apply("[harness]", check_sobolev_order, values["sobolev_order"])
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_owned_values())
+@example(values=_owned(dt_scale=0.5000000001))
+@example(values=_owned(sobolev_order=0.5))
+@example(values=_owned(epsilon=1.0, t_final=1e300, dt=1e-300))
+@example(values=_owned(samples_limit=1))
+@example(values=_owned(epsilon=0.2, t_final=0.0200000001, dt=0.0200000001))
+def test_parse_refuses_exactly_what_the_owners_refuse(tmp_path_factory, values):
+    """parse_config reports each broken owner rule as '[section] ' and the
+    owner's words, and nothing else; the solver configurations refuse an
+    explicit dt in the words of its first broken rule."""
+    lines = {section: [] for section in dict.fromkeys(_SECTIONS_OF_OWNED.values())}
+    for key, value in values.items():
+        if value is not None:
+            lines[_SECTIONS_OF_OWNED[key]].append(f"{key} = {value!r}")
+    path = tmp_path_factory.getbasetemp() / "owned.ini"
+    path.write_text("".join(f"[{section}]\n" + "\n".join(keys) + "\n"
+                            for section, keys in lines.items()))
+    expected = _owner_violations(values)
+    try:
+        parse_config(str(path))
+    except ConfigError as exc:
+        assert exc.violations == expected
+    else:
+        assert expected == []
+
+    dt, t_final, epsilon = values["dt"], values["t_final"], values["epsilon"]
+    if dt is None or not math.isfinite(epsilon * epsilon):
+        return  # an overflowing eps^2 is the kinetic solver's run-time error
+    steps = [v for v in expected if v.startswith("[simulation] t_final =")]
+    configs = [
+        (lambda: KineticConfig(TorusGrid(4), build_velocity_space("two-speed"), Opacity(1.0, 1.0),
+                               epsilon, t_final, dt),
+         [v for v in expected if v.startswith("[simulation] dt =")] + steps),
+        (lambda: SpdeConfig(TorusGrid(4), Opacity(1.0, 1.0), 1.0, t_final, dt), steps),
+    ]
+    for build, refusals in configs:
+        try:
+            build()
+        except ValueError as exc:
+            assert refusals and f"[simulation] {exc}" == refusals[0]
+        else:
+            assert refusals == []

@@ -429,21 +429,37 @@ class TestEpsilonSweep:
             assert np.array_equal(a.gaps, b.gaps)
             assert np.array_equal(a.estimates.values, b.estimates.values)
 
-    def test_sobolev_order_must_stay_below_half_smoothing(self):
+    @staticmethod
+    def refuse_ensembles(monkeypatch):
+        """Make any ensemble run fail the test: the sweep must refuse first."""
+        for name in ("limit_ensemble", "kinetic_ensemble"):
+            monkeypatch.setattr(harness, name, mock.Mock(side_effect=AssertionError(f"{name} ran")))
+
+    def test_sobolev_order_must_stay_below_half_smoothing(self, monkeypatch):
         grid, rho0, quad, opacity = small_problem()
         model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
-        with pytest.raises(ValueError):
+        self.refuse_ensembles(monkeypatch)
+        with pytest.raises(ValueError, match=r"^Sobolev order 0\.6 must be positive"):
             epsilon_sweep(grid, quad, opacity, model, rho0, 0.05, [0.5, 0.35],
                           n_kinetic=2, n_limit=2, base_seed=1,
                           **{**SWEEP_KEYWORDS, "sobolev_order": 0.6})
 
-    def test_dt_scale_validated(self):
+    def test_dt_scale_validated(self, monkeypatch):
         grid, rho0, quad, opacity = small_problem()
         model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
-        with pytest.raises(ValueError):
+        self.refuse_ensembles(monkeypatch)
+        with pytest.raises(ValueError, match=r"^dt_scale = 0\.9 violates the step rule"):
             epsilon_sweep(grid, quad, opacity, model, rho0, 0.05, [0.5, 0.35],
                           n_kinetic=2, n_limit=2, base_seed=1,
                           **{**SWEEP_KEYWORDS, "dt_scale": 0.9})
+
+    def test_epsilon_overflow_is_refused_before_any_ensemble(self, monkeypatch):
+        grid, rho0, quad, opacity = small_problem()
+        model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
+        self.refuse_ensembles(monkeypatch)
+        with pytest.raises(ValueError, match=r"^epsilon = 1e\+200 is too large: eps\^2 overflows$"):
+            epsilon_sweep(grid, quad, opacity, model, rho0, 0.05, (1e200, 0.5),
+                          n_kinetic=2, n_limit=2, base_seed=1, **SWEEP_KEYWORDS)
 
     def test_noise_off_is_refused(self):
         grid, rho0, quad, opacity = small_problem()

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rosselab.kinetic import KineticConfig
+from rosselab.limit import SpdeConfig
 from rosselab.model import (
     MAX_VELOCITY_NODES,
     Opacity,
@@ -18,6 +20,7 @@ from rosselab.model import (
     l2_norm_sq,
     relax_exact,
     relaxation_operator,
+    step_count,
     velocity_node_count,
     weighted_inner,
 )
@@ -167,6 +170,34 @@ def test_rational_opacity_rejects_bad_coefficients():
     for sigma_star, sigma_upper in [(-1.0, 1.0), (0.0, 1.0), (2.0, 1.0), (math.nan, 1.0)]:
         with pytest.raises(ValueError):
             Opacity(sigma_star, sigma_upper)
+
+
+# --- step counts --------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 1000), dt=st.floats(1e-3, 1e3))
+@example(n=3, dt=0.1)  # 0.1 * 3 / 0.1 = 3.0000000000000004
+def test_whole_steps_count_as_themselves(n, dt):
+    assert step_count(n * dt, dt) == n
+
+
+@settings(max_examples=200, deadline=None)
+@given(span=st.floats(1e-3, 1e3), max_dt=st.floats(1e-3, 1e3))
+def test_step_count_is_the_fewest_steps_under_the_cap(span, max_dt):
+    n = step_count(span, max_dt)
+    assert span / n <= max_dt * (1.0 + 1e-9)
+    assert n == 1 or (n - 1) * max_dt < span
+
+
+@pytest.mark.parametrize("build", [
+    lambda grid, opacity: KineticConfig(grid, build_velocity_space("two-speed"), opacity,
+                                        epsilon=1.0, t_final=1e300, dt=1e-300),
+    lambda grid, opacity: SpdeConfig(grid, opacity, 1.0, 1e300, dt=1e-300),
+], ids=["kinetic", "limit"])
+def test_an_overflowing_step_count_is_a_value_error(build):
+    with pytest.raises(ValueError, match=r"^t_final = 1e\+300 is not an integer multiple of dt = 1e-300$"):
+        build(TorusGrid(8), Opacity(1.0, 2.0))
 
 
 # --- kinetic fields and relaxation --------------------------------------
