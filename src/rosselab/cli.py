@@ -42,7 +42,7 @@ from .harness import (
 )
 from .kinetic import KineticConfig, run_kinetic
 from .limit import SpdeConfig, run_limit
-from .noise import noise_statistics, sample_rng
+from .noise import DRIFTS, noise_statistics, sample_rng
 
 #: fixed entropy for the random fields used by ``verify``
 VERIFY_SEED = 12345
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the configured base seed")
         if name in ("run-spde", "sweep"):
-            cmd.add_argument("--drift", choices=("paper", "effective"), default=None,
+            cmd.add_argument("--drift", choices=DRIFTS, default=None,
                              help="override the limit drift convention")
         if name == "sweep":
             cmd.add_argument("--samples", type=int, default=None,

@@ -21,7 +21,7 @@ from .correctors import FourierMode, parse_mode
 from .kinetic import check_dt_scale, check_step
 from .model import (Opacity, TorusGrid, VelocityQuadrature, build_velocity_space, check_sobolev_order,
                     check_whole_steps, velocity_node_count)
-from .noise import NoiseModel, cosine_profile, rotor_noise, sample_chunks, telegraph_noise
+from .noise import DRIFTS, NoiseModel, cosine_profile, rotor_noise, sample_chunks, telegraph_noise
 
 
 class ConfigError(ValueError):
@@ -169,7 +169,6 @@ def _dt_rule(text: str) -> float | None:
 
 VELOCITY_CHOICES = ("two-speed", "legendre")
 FIXTURE_CHOICES = ("off", "telegraph", "rotor3")
-DRIFT_CHOICES = ("effective", "paper")
 
 #: every config key as (section, key, RunConfig field, converter or tuple of
 #: choices, description of the expected value), in the order its
@@ -192,7 +191,7 @@ KEYS = (
     ("simulation", "dt", "dt", _dt_rule, "'auto' or a positive number"),
     ("simulation", "dt_scale", "dt_scale", _positive_float, "a positive number"),
     ("simulation", "snapshot_stride", "snapshot_stride", _positive_int, "a positive integer"),
-    ("simulation", "drift", "drift", DRIFT_CHOICES, None),
+    ("simulation", "drift", "drift", DRIFTS, None),
     ("simulation", "rho0_mean", "rho0_mean", _finite_float, "a finite number"),
     ("simulation", "rho0_modes", "rho0_modes", _weighted_modes,
      "a list like 'cos1:0.5, sin2:0.1'"),

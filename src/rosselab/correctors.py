@@ -279,8 +279,8 @@ class MartingaleCheck:
 
 def _at_states(values: np.ndarray, paths: list, t: float) -> np.ndarray:
     """Row b of per-state values at the state of path b at time t."""
-    _, _, states, index = _locate(paths[:len(values)], np.array([t]))
-    return values[np.arange(len(values)), states[index[:, 0]]]
+    _, _, states, index = _locate(paths, np.array([t]))
+    return values[np.arange(len(paths)), states[index[:, 0]]]
 
 
 def martingale_residual(
@@ -331,7 +331,6 @@ def martingale_residual(
             for k, f in enumerate(block, start):
                 if k < k_start:
                     continue
-                live = len(f)
                 if k == k_start:
                     rho = np.fft.irfft(density(quad, f), n=grid.n_x)
                     # math.tanh, not np.tanh: the two differ in the last bit
@@ -340,9 +339,9 @@ def martingale_residual(
                 g_now = evaluator.totals(f)
                 gamma_now = evaluator.gamma(f)
                 if k > k_start:
-                    occ = occupations[k - k_start - 1, :live, None, :]
-                    integral[:live] += _rows(occ, g_prev[:live] + g_now)[:, 0] / 2.0
-                    qv[:live] += _rows(occ, gamma_prev[:live] + gamma_now)[:, 0] / 2.0
+                    occ = occupations[k - k_start - 1, :, None, :]
+                    integral += _rows(occ, g_prev + g_now)[:, 0] / 2.0
+                    qv += _rows(occ, gamma_prev + gamma_now)[:, 0] / 2.0
                 g_prev, gamma_prev = g_now, gamma_now
         # f is the state at k_end, the last one the loop yields
         rho = np.fft.irfft(density(quad, f), n=grid.n_x)

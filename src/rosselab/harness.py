@@ -20,11 +20,12 @@ import numpy as np
 from . import fourier
 from .correctors import FourierMode, GeneratorEvaluator
 from .kinetic import (DT_CAP, KineticConfig, KineticTrajectory, _sample_chunks, _trajectories, check_dt_scale,
-                      run_kinetic)
+                      eps_squared, run_kinetic)
 from .limit import SpdeConfig, _floats_per_sample, _integrate, rosseland_remainder, split_rate
 from .model import (Opacity, TorusGrid, VelocityQuadrature, check_sobolev_order, density, equilibrium_field,
                     l2_norm_sq, relaxation_operator, step_count, weighted_inner)
-from .noise import NoiseModel, NoiseStatistics, _entropy, noise_statistics, sample_chunks, sample_rng
+from .noise import (NoiseModel, NoiseStatistics, _entropy, check_drift, noise_statistics, sample_chunks,
+                    sample_rng)
 
 #: names of the sweep functionals, in report order
 FUNCTIONAL_NAMES = ("mode-mean", "mode-var", "normsq-mean")
@@ -198,6 +199,7 @@ class SweepRow:
 
     def drift_gaps(self, drift: str) -> tuple[np.ndarray, np.ndarray]:
         """The gaps and their sems against the limit ensemble of ``drift``."""
+        check_drift(drift)
         if drift == "paper":
             return self.gaps_paper, self.gap_paper_sems
         return self.gaps, self.gap_sems
@@ -267,16 +269,18 @@ def epsilon_sweep(
     default step with both drift conventions.  The comparison is in law,
     so it needs a noise model; ``deterministic_convergence`` is the
     noiseless comparison.  Every kinetic configuration is built, and the
-    arguments checked, before the first ensemble runs.
+    arguments checked (both sample counts by ``noise.sample_chunks``),
+    before the first ensemble runs.
     """
     if noise_model is None:
         raise ValueError("the epsilon sweep needs a noise model; noise is off")
     check_dt_scale(dt_scale)
     check_sobolev_order(sobolev_order)
+    for n_samples in (n_kinetic, n_limit):
+        sample_chunks(n_samples, 1, None)  # refuses the count at the call, before any draw
     configs = []
     for eps in sorted(epsilons, reverse=True):
-        # a product, not a power: KineticConfig names an overflowing eps^2
-        steps = 8 * step_count(t_final, 8 * dt_scale * (eps * eps))
+        steps = 8 * step_count(t_final, 8 * dt_scale * eps_squared(eps))
         configs.append(KineticConfig(grid, quad, opacity, epsilon=eps, t_final=t_final,
                                      dt=t_final / steps, noise=noise_model, snapshot_stride=steps // 8))
     stats = noise_statistics(noise_model)
@@ -337,7 +341,6 @@ def rosseland_reference(
     rho0: np.ndarray,
     t_final: float,
     n_snapshots: int,
-    dt: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """ETDRK4 reference solution of d rho/dt = K Lap G(rho).
 
@@ -345,13 +348,12 @@ def rosseland_reference(
     both endpoints.  The linear part c Lap rho of the limit solver's split
     is integrated exactly and the remainder N(rho) by the fourth-order
     exponential Runge-Kutta scheme of Cox & Matthews (2002), in Fourier
-    space.  The default step takes 16 steps per snapshot interval, on any
-    grid.
+    space, 16 steps per snapshot interval on any grid.
     """
     if n_snapshots < 2:
         raise ValueError("need at least the two endpoint snapshots")
     interval = t_final / (n_snapshots - 1)
-    steps = 16 if dt is None else step_count(interval, dt)
+    steps = 16
     linear = split_rate(opacity, diffusion) * fourier.half_laplace_symbol(grid.n_x)
     e, e2, q, f1, f2, f3 = _etdrk4_coefficients(linear, interval / steps)
 
@@ -359,9 +361,7 @@ def rosseland_reference(
         return rosseland_remainder(grid, opacity, diffusion, v)
 
     v = np.fft.rfft(np.asarray(rho0, dtype=float))
-    times = np.empty(n_snapshots)
     densities = np.empty((n_snapshots,) + grid.shape)
-    times[0] = 0.0
     densities[0] = rho0
     for j in range(1, n_snapshots):
         for _ in range(steps):
@@ -372,9 +372,8 @@ def rosseland_reference(
             nb = nonlinear(b)
             c = e2 * a + q * (2.0 * nb - nv)
             v = e * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nonlinear(c)
-        times[j] = j * interval
         densities[j] = np.fft.irfft(v, grid.n_x)
-    return times, densities
+    return np.arange(n_snapshots) * interval, densities
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,30 +395,30 @@ def deterministic_convergence(
     rho0: np.ndarray,
     t_final: float,
     epsilons: Sequence[float],
-    n_snapshots: int = 11,
 ) -> ConvergenceReport:
     """Error of the noiseless kinetic solver against the ETDRK4 limit solution.
 
-    Each epsilon runs at its step cap aligned with the common snapshot grid;
-    errors are trapezoid-in-time L^2 norms over the snapshots.
+    The errors are trapezoid-in-time L^2 norms over 11 equispaced
+    snapshots; each epsilon runs at its step cap aligned with them.  Every
+    kinetic configuration is built before the reference runs.
     """
     eps_sorted = sorted(epsilons, reverse=True)
     if len(eps_sorted) < 2:
         raise ValueError("need at least two epsilons for a slope")
+    n_snapshots = 11
     interval = t_final / (n_snapshots - 1)
-    times, reference = rosseland_reference(
+    configs = []
+    for eps in eps_sorted:
+        stride = step_count(interval, DT_CAP * eps_squared(eps))
+        configs.append(KineticConfig(grid, quad, opacity, epsilon=eps, t_final=t_final,
+                                     dt=interval / stride, snapshot_stride=stride))
+    _, reference = rosseland_reference(
         grid, opacity, quad.diffusion_coefficient(), rho0, t_final, n_snapshots
     )
-    errors = np.empty(len(eps_sorted))
-    for i, eps in enumerate(eps_sorted):
-        # a product, not a power: KineticConfig names an overflowing eps^2
-        stride = step_count(interval, DT_CAP * (eps * eps))
-        config = KineticConfig(
-            grid, quad, opacity, epsilon=eps, t_final=t_final,
-            dt=interval / stride, snapshot_stride=stride,
-        )
-        trajectory = run_kinetic(config, rho0)
-        errors[i] = math.sqrt(_trapezoid(l2_norm_sq(grid, trajectory.densities - reference), interval))
+    errors = np.array([
+        math.sqrt(_trapezoid(l2_norm_sq(grid, run_kinetic(config, rho0).densities - reference), interval))
+        for config in configs
+    ])
     bad = [f"eps = {eps:g}: {err:g}" for eps, err in zip(eps_sorted, errors) if not err > 0.0]
     if bad:
         raise ValueError(f"non-positive errors against the limit solution ({', '.join(bad)}); "

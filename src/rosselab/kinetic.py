@@ -58,10 +58,19 @@ DT_CAP = 0.5
 EXPONENT_LIMIT = 50.0
 
 
+def eps_squared(epsilon: float) -> float:
+    """eps^2 for the kinetic step caps; ValueError unless it is a normal float."""
+    square = epsilon * epsilon
+    if not math.isfinite(square):
+        raise ValueError(f"epsilon = {epsilon:g} is too large: eps^2 overflows")
+    if square < np.finfo(float).tiny:
+        raise ValueError(f"epsilon = {epsilon:g} is too small: eps^2 underflows")
+    return square
+
+
 def check_step(epsilon: float, dt: float) -> None:
     """Raise ValueError unless dt <= DT_CAP * eps^2, to a relative 1e-9."""
-    # products, not powers: a float power raises OverflowError
-    cap = DT_CAP * epsilon * epsilon
+    cap = DT_CAP * eps_squared(epsilon)
     if dt > cap * (1.0 + 1e-9):
         raise ValueError(f"dt = {dt:g} violates the step rule dt <= eps^2/2 "
                          f"(eps = {epsilon:g} gives cap {cap:g})")
@@ -143,12 +152,10 @@ class KineticConfig:
     def __post_init__(self) -> None:
         if self.epsilon <= 0.0 or self.t_final <= 0.0:
             raise ValueError("epsilon and t_final must be positive")
-        if not math.isfinite(self.epsilon * self.epsilon):
-            raise ValueError(f"epsilon = {self.epsilon:g} is too large: eps^2 overflows")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
         if self.dt is None:
-            n = step_count(self.t_final, DT_CAP * self.epsilon * self.epsilon)
+            n = step_count(self.t_final, DT_CAP * eps_squared(self.epsilon))
             object.__setattr__(self, "dt", self.t_final / n)
         else:
             check_step(self.epsilon, self.dt)
@@ -207,7 +214,7 @@ class KineticStepper:
         cfg = self.config
         g = np.fft.irfft(f * self.half_phases, n=cfg.grid.n_x)
         if self.occupations is not None:
-            factors = noise_factor(cfg.noise, self.occupations[k, :len(f)], cfg.epsilon)
+            factors = noise_factor(cfg.noise, self.occupations[k], cfg.epsilon)
             g *= factors[:, None, 0]
         g = relax_exact(cfg.quad, cfg.opacity, g, cfg.dt / cfg.epsilon**2)
         if self.occupations is not None:

@@ -41,6 +41,8 @@ EIG_NEGATIVE = 1e-8
 #: most floats of per-sample state that one chunk of an ensemble holds:
 #: 1 MiB, 101 samples of the criterion-6 martingale fixture
 CHUNK_BUDGET = 2**17
+#: the limit drift conventions: h = h_eff = k(x,x)/2 and the paper's h = H = -h_eff
+DRIFTS = ("effective", "paper")
 
 
 def _check_generator(generator: np.ndarray) -> np.ndarray:
@@ -194,10 +196,13 @@ class NoiseStatistics:
         return self.mode_weights.shape[0]
 
     def drift(self, convention: str) -> np.ndarray:
-        if convention == "paper":
-            return self.drift_paper
-        if convention == "effective":
-            return self.drift_effective
+        check_drift(convention)
+        return self.drift_paper if convention == "paper" else self.drift_effective
+
+
+def check_drift(convention: str) -> None:
+    """Raise ValueError unless ``convention`` is one of DRIFTS."""
+    if convention not in DRIFTS:
         raise ValueError(f"unknown drift convention {convention!r}; use 'paper' or 'effective'")
 
 
@@ -372,18 +377,18 @@ def step_blocks(
     least one (``_block_steps``); every operation acts on each row and step
     alone, so K changes no bit.
 
-    Failure rule: after each block the lowest row the check fails stops at
-    its first failing step k, with the rows above it, and the rows below
-    run on; the loop ends by raising FloatingPointError with ``describe``'s
-    words for the lowest failing row, named ``sample first_sample + row``
-    when ``first_sample`` is set.  Rows step on past a failure to the end
-    of their block, so steps, check and describe run with overflow and
-    invalid-value warnings off.
+    Failure rule: every block holds all B rows.  After each block the
+    lowest failing row below the lowest failure so far is described at its
+    first failing step, and it and the rows above it turn NaN, in the block
+    and in the state; the loop stops once row 0 has failed, and it raises
+    FloatingPointError with the lowest failing row's words, named ``sample
+    first_sample + row`` when ``first_sample`` is set.  Steps, check and
+    describe run with overflow and invalid-value warnings off.
     """
     buffer = np.zeros((min(_block_steps(state), n_steps + 1),) + state.shape, dtype=state.dtype)
-    failure = None
+    failure, lowest = None, len(state)
     for start in range(0, n_steps + 1, len(buffer)):
-        states = buffer[:n_steps + 1 - start, :len(state)]
+        states = buffer[:n_steps + 1 - start]
         # closed before the yield, which would hand the error state to the caller
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(len(states)):
@@ -391,14 +396,15 @@ def step_blocks(
                     state = step(state, start + j - 1)
                 states[j] = state
             norms, lost = check(states)
-            if lost.any():
-                row = int(np.argmax(lost.any(axis=0)))
-                j = int(np.argmax(lost[:, row]))
-                message = describe(start + j, row, states[j, row])
-                failure = message if first_sample is None else f"sample {first_sample + row}: {message}"
-                state = state[:row]
+            if lost[:, :lowest].any():
+                lowest = int(np.argmax(lost[:, :lowest].any(axis=0)))
+                j = int(np.argmax(lost[:, lowest]))
+                message = describe(start + j, lowest, states[j, lowest])
+                failure = message if first_sample is None else f"sample {first_sample + lowest}: {message}"
+                states[:, lowest:] = np.nan
+                state[lowest:] = np.nan
         yield start, states, norms
-        if not len(state):
+        if not lowest:
             break
     if failure is not None:
         raise FloatingPointError(failure)
@@ -413,19 +419,19 @@ def record_blocks(blocks: Iterator, n_steps: int, stride: int, dt: float, measur
     its mass and further series (K, B).
     """
     snap_steps = np.append(np.arange(0, n_steps, stride), n_steps)
-    # step_blocks' error state, since a block holds rows stepped past a failure
+    # step_blocks' error state: a series of a row the check passed may still overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for start, states, norms in blocks:
-            steps, live = norms.shape
+            steps, rows = norms.shape
             cols = slice(*snap_steps.searchsorted([start, start + steps]))
             densities, mass, *more = measure(states, snap_steps[cols] - start)
-            if not start:  # every row runs the first block
-                snaps = np.empty((live, len(snap_steps), densities.shape[-1]))
+            if not start:
+                snaps = np.empty((rows, len(snap_steps), densities.shape[-1]))
                 # one row per sample, so each sample's series is contiguous
-                series = np.empty((2 + len(more), live, n_steps + 1))
-            snaps[:live, cols] = densities.swapaxes(0, 1)
+                series = np.empty((2 + len(more), rows, n_steps + 1))
+            snaps[:, cols] = densities.swapaxes(0, 1)
             for out, values in zip(series, (mass, norms, *more)):
-                out[:live, start:start + steps] = values.T
+                out[:, start:start + steps] = values.T
     return (snap_steps * dt, snaps, np.arange(n_steps + 1) * dt, *series)
 
 

@@ -1,5 +1,5 @@
 """Shared pytest plumbing: collect acceptance verdict lines for the summary,
-random ergodic chains, the state of a noise path at a time,
+a negligible diffusion coefficient, random ergodic chains, the state of a noise path at a time,
 physical-space views of the kinetic solver's phases and steps, a fixed block length for the solvers' block loop, and
 ``sample_rng`` / ``sample_path`` / ``occupation_table`` stand-ins for
 ensemble failure tests."""
@@ -15,6 +15,9 @@ from rosselab.kinetic import KineticStepper, transport_phases
 from rosselab.noise import NoisePath, make_noise_model, occupation_table, sample_path
 
 VERDICTS: list[str] = []
+#: a diffusion coefficient whose solve moves no density by half an ulp: a
+#: limit step at it is the geometric noise flow alone, bit for bit
+NO_DIFFUSION = 1e-300
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -65,6 +65,14 @@ rho0_mean = 1.0
 rho0_modes = cos1:0.4
 """
 
+#: epsilons that parse but whose square the kinetic step cap refuses, with
+#: the refusal
+EPS_SQUARED_FAILURES = {
+    "1e200": "epsilon = 1e+200 is too large: eps^2 overflows",
+    "1e-200": "epsilon = 1e-200 is too small: eps^2 underflows",
+    "1e-160": "epsilon = 1e-160 is too small: eps^2 underflows",
+}
+
 
 def write_ini(tmp_path, text, name="run.ini"):
     path = tmp_path / name
@@ -416,22 +424,22 @@ class TestErrorPaths:
         assert "no section headers" in capsys.readouterr().err
 
     def test_arithmetic_overflow_exits_2(self, tmp_path, capsys):
-        # the default step rule squares epsilon, which overflows here
-        config = write_ini(tmp_path, "[simulation]\nepsilon = 1e200\n")
-        assert main(["run-kinetic", "--config", config,
-                     "--out", str(tmp_path / "out")]) == 2
-        assert not (tmp_path / "out").exists()
-        err = capsys.readouterr().err
-        assert "run-kinetic: " in err
-        assert "epsilon = 1e+200 is too large: eps^2 overflows" in err
+        # the default step rule squares epsilon, which overflows or
+        # underflows here
+        for epsilon, refusal in EPS_SQUARED_FAILURES.items():
+            config = write_ini(tmp_path, f"[simulation]\nepsilon = {epsilon}\n")
+            assert main(["run-kinetic", "--config", config,
+                         "--out", str(tmp_path / "out")]) == 2
+            assert not (tmp_path / "out").exists()
+            assert capsys.readouterr().err == f"run-kinetic: {refusal}\n"
 
     @pytest.mark.parametrize("command", ["rates", "sweep"])
     def test_epsilon_overflow_is_named_in_the_epsilon_list(self, tmp_path, capsys, command):
-        config = write_ini(tmp_path, "[simulation]\nepsilons = 1e200, 0.5\n")
-        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
-        assert not (tmp_path / "out").exists()
-        assert capsys.readouterr().err == (
-            f"{command}: epsilon = 1e+200 is too large: eps^2 overflows\n")
+        for epsilon, refusal in EPS_SQUARED_FAILURES.items():
+            config = write_ini(tmp_path, f"[simulation]\nepsilons = {epsilon}, 0.5\n")
+            assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+            assert not (tmp_path / "out").exists()
+            assert capsys.readouterr().err == f"{command}: {refusal}\n"
 
     def test_solver_errors_exit_2(self, tmp_path, capsys):
         # a grid too coarse for the spatial discretization

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fixed_blocks, nan_paths, random_chain, state_index_at
+from conftest import fixed_blocks, loud_paths, loud_table, nan_paths, random_chain, state_index_at
 from rosselab import correctors, fourier, kinetic, noise
 from rosselab.correctors import (
     FourierMode,
@@ -507,15 +507,15 @@ class TestMartingaleResidual:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 5), data=st.data())
     def test_states_at_a_time_match_each_path(self, seed, n_paths, data):
-        """The batched lookup of the residual's end values reads each live
-        row at its own path's state (conftest's ``state_index_at``), at jump
+        """The batched lookup of the residual's end values reads each row
+        at its own path's state (conftest's ``state_index_at``), at jump
         times too."""
         model = rotor_noise(GRID, 1.0, 1, 2.0)
         rng = np.random.default_rng(seed)
         paths = [sample_path(model, 0.25, 0.1, rng) for _ in range(n_paths)]
         jumps = np.concatenate([path.jump_times for path in paths]).tolist()
         t = data.draw(st.one_of(st.floats(0.0, 0.1), st.sampled_from(jumps)))
-        values = rng.normal(size=(data.draw(st.integers(1, n_paths)), model.n_states))
+        values = rng.normal(size=(n_paths, model.n_states))
         expected = [row[state_index_at(path, t)] for row, path in zip(values, paths)]
         assert np.array_equal(correctors._at_states(values, paths, t), expected)
 
@@ -574,6 +574,17 @@ class TestMartingaleResidual:
         with pytest.raises(FloatingPointError,
                            match=r"^sample 2: kinetic field lost finiteness at step 7 "):
             martingale_residual(config, stats, MODE, rho0, 0.0, 0.1, 6, 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_sample_warns_of_nothing(self, monkeypatch):
+        """Sample 1's noise exponent stays near 40 from t = 0.02 on, so its
+        field overflows a few steps later.  The check reads the loop's
+        blocks outside the loop's error state, where the failed row is NaN."""
+        monkeypatch.setattr(kinetic, "sample_path", loud_paths({1: 0.02}, gain=2600.0))
+        monkeypatch.setattr(kinetic, "occupation_table", loud_table)
+        config, stats, rho0 = self.martingale_fixture()
+        with pytest.raises(FloatingPointError, match=r"^sample 1: kinetic field lost finiteness at step "):
+            martingale_residual(config, stats, MODE, rho0, 0.0, 0.1, 4, 1)
 
     def test_noise_overflow_names_its_sample(self):
         config, stats, rho0 = self.martingale_fixture("rotor", amplitude=5000.0)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import altered_paths, fixed_blocks, loud_paths, loud_table, nan_normals, nan_paths, random_chain
+from conftest import (NO_DIFFUSION, altered_paths, fixed_blocks, loud_paths, loud_table, nan_normals, nan_paths,
+                      random_chain)
 from rosselab.correctors import FourierMode
 from rosselab import correctors, harness, kinetic, limit, noise
 from rosselab.harness import (
@@ -114,7 +115,7 @@ class TestSampleRng:
 
 class TestEnsembles:
     def gbm_fixture(self):
-        # Diffusion switched off, so each grid point follows the geometric
+        # A negligible diffusion, so each grid point follows the geometric
         # SDE d rho = h rho dt + rho dW, which the noise flow samples
         # exactly: E rho_T^2 = rho0^2 exp((2 h + k(x,x)) T) per point.
         grid = TorusGrid(8)
@@ -122,8 +123,7 @@ class TestEnsembles:
         rho0 = 1.0 + 0.4 * np.cos(2.0 * np.pi * x)
         opacity = Opacity(1.0, 1.0)
         stats = noise_statistics(telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0))
-        config = SpdeConfig(grid, opacity, 1.0, 0.2, dt=0.01, noise=stats,
-                            include_diffusion=False)
+        config = SpdeConfig(grid, opacity, NO_DIFFUSION, 0.2, dt=0.01, noise=stats)
         return grid, rho0, config, stats
 
     def noisy_kinetic_config(self):
@@ -275,14 +275,14 @@ class TestLimitEnsembleProperties:
                        st.tuples(st.integers(0, 2**16), st.integers(0, 2**16))),
         fixture=st.sampled_from(["telegraph", "rotor"]),
         drift=st.sampled_from(["effective", "paper"]),
-        include_diffusion=st.booleans(),
+        diffusion=st.sampled_from([0.5, NO_DIFFUSION]),
         chunk=st.integers(1, 13),
     )
     # two samples per chunk: sample 3 of 5 sits in the second of three chunks
     @example(sizes=(5, 3), seed=4, fixture="rotor", drift="paper",
-             include_diffusion=True, chunk=2)
+             diffusion=0.5, chunk=2)
     def test_sample_equals_lone_run(self, sizes, seed, fixture, drift,
-                                    include_diffusion, chunk):
+                                    diffusion, chunk):
         """Sample k of an ensemble equals a lone run of sample k, bit for bit,
         whatever the chunk size, and so do its per-step mass and norm_sq in
         a batch of every sample."""
@@ -294,10 +294,9 @@ class TestLimitEnsembleProperties:
             model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
         else:
             model = rotor_noise(grid, 1.0, 1, 2.0)
-        config = SpdeConfig(grid, Opacity(1.0, 2.0), 0.5, 0.02,
+        config = SpdeConfig(grid, Opacity(1.0, 2.0), diffusion, 0.02,
                             noise=noise_statistics(model), drift=drift,
-                            include_diffusion=include_diffusion,
-                            dt=None if include_diffusion else 0.002)
+                            dt=0.002 if diffusion == NO_DIFFUSION else None)
         with mock.patch.object(noise, "CHUNK_BUDGET", limit_chunk_budget(config, chunk)):
             ensemble = limit_ensemble(config, rho0, MODE, n_samples, seed)
         alone = run_limit(config, rho0, rng=sample_rng(seed, k))
@@ -379,10 +378,11 @@ class TestRosselandReference:
         assert np.max(np.abs(masses - masses[0])) < 1e-12
 
     def test_self_consistent_under_dt_halving(self):
-        # the default takes 16 steps per snapshot interval of 0.05
+        # 16 steps per snapshot interval: 3 snapshots over 0.1 take steps of
+        # 0.05 / 16, 5 snapshots take steps of 0.05 / 32
         grid, rho0, _, opacity = small_problem(32)
         _, coarse = rosseland_reference(grid, opacity, 1.0, rho0, 0.1, 3)
-        _, fine = rosseland_reference(grid, opacity, 1.0, rho0, 0.1, 3, dt=0.05 / 32)
+        _, fine = rosseland_reference(grid, opacity, 1.0, rho0, 0.1, 5)
         diff = math.sqrt(l2_norm_sq(grid, coarse[-1] - fine[-1]))
         assert diff < 1e-6
 
@@ -390,11 +390,17 @@ class TestRosselandReference:
 class TestDeterministicConvergence:
     def test_errors_decrease_with_good_slope(self):
         grid, rho0, quad, opacity = small_problem(32)
-        report = deterministic_convergence(grid, quad, opacity, rho0, 0.3,
-                                           [0.4, 0.2, 0.1], n_snapshots=7)
+        report = deterministic_convergence(grid, quad, opacity, rho0, 0.3, [0.4, 0.2, 0.1])
         assert report.errors_strictly_decreasing()
         assert report.slope >= 0.8
         assert np.all(report.epsilons[:-1] > report.epsilons[1:])
+
+    def test_tiny_epsilon_is_refused_before_the_reference(self, monkeypatch):
+        grid, rho0, quad, opacity = small_problem()
+        monkeypatch.setattr(harness, "rosseland_reference",
+                            mock.Mock(side_effect=AssertionError("the reference ran")))
+        with pytest.raises(ValueError, match=r"^epsilon = 1e-200 is too small: eps\^2 underflows$"):
+            deterministic_convergence(grid, quad, opacity, rho0, 0.3, [0.4, 1e-200])
 
     def test_requires_two_epsilons(self):
         grid, rho0, quad, opacity = small_problem()
@@ -460,6 +466,23 @@ class TestEpsilonSweep:
         with pytest.raises(ValueError, match=r"^epsilon = 1e\+200 is too large: eps\^2 overflows$"):
             epsilon_sweep(grid, quad, opacity, model, rho0, 0.05, (1e200, 0.5),
                           n_kinetic=2, n_limit=2, base_seed=1, **SWEEP_KEYWORDS)
+
+    @pytest.mark.parametrize("counts", [(1, 20), (20, 1)], ids=["kinetic", "limit"])
+    def test_sample_counts_are_refused_before_any_ensemble(self, monkeypatch, counts):
+        grid, rho0, quad, opacity = small_problem()
+        model = telegraph_noise(grid, cosine_profile(grid, 1.0, 1), 1.0)
+        self.refuse_ensembles(monkeypatch)
+        with pytest.raises(ValueError, match=r"^n_samples must be at least 2$"):
+            epsilon_sweep(grid, quad, opacity, model, rho0, 0.05, (0.5, 0.35),
+                          n_kinetic=counts[0], n_limit=counts[1], base_seed=1, **SWEEP_KEYWORDS)
+
+    def test_unknown_drift_is_refused(self):
+        report = self.make_sweep()
+        message = r"^unknown drift convention 'papr'; use 'paper' or 'effective'$"
+        with pytest.raises(ValueError, match=message):
+            report.rows[0].drift_gaps("papr")
+        with pytest.raises(ValueError, match=message):
+            report.gaps_nonincreasing(drift="papr")
 
     def test_noise_off_is_refused(self):
         grid, rho0, quad, opacity = small_problem()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fixed_blocks
+from conftest import NO_DIFFUSION, fixed_blocks
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +35,7 @@ def telegraph_stats(grid=GRID, amp=1.0, rate=1.0):
 
 def test_default_step_rule_does_not_depend_on_the_grid():
     # STEPS_PER_DECAY steps per decay time sigma_* / (4 pi^2 K): 79 steps on
-    # the acceptance fixture at any n_x, one step with diffusion off
+    # the acceptance fixture at any n_x, one step at a negligible diffusion
     for n_x in (16, 32, 128):
         cfg = SpdeConfig(TorusGrid(n_x), Opacity(1.0, 2.0), 1.0, t_final=0.25)
         assert cfg.n_steps == 79
@@ -43,7 +43,7 @@ def test_default_step_rule_does_not_depend_on_the_grid():
     decay = 2.0 / (4.0 * np.pi**2 * 0.5)
     assert cfg.dt <= decay / STEPS_PER_DECAY
     assert cfg.n_steps == math.ceil(STEPS_PER_DECAY * 0.25 / decay)
-    off = SpdeConfig(GRID, Opacity(1.0, 2.0), 1.0, t_final=0.25, include_diffusion=False)
+    off = SpdeConfig(GRID, Opacity(1.0, 2.0), NO_DIFFUSION, t_final=0.25)
     assert off.n_steps == 1
 
 
@@ -189,21 +189,44 @@ def test_blocks_keep_every_row_and_failure(n_x, rows, n_steps, stride, fixture, 
             assert single[i][row].tobytes() == lone[i][0].tobytes()
 
 
-# --- multiplicative noise in test mode (diffusion off) -------------------
+# --- multiplicative noise at a negligible diffusion ----------------------
 
 
 def gbm_config(stats, t_final=0.25, dt=1e-3, drift="effective"):
     return SpdeConfig(
         GRID,
         Opacity(1.0, 1.0),
-        1.0,
+        NO_DIFFUSION,
         t_final,
         dt=dt,
         noise=stats,
         drift=drift,
-        include_diffusion=False,
         snapshot_stride=10**6,
     )
+
+
+@pytest.mark.parametrize("drift", ["effective", "paper"])
+@pytest.mark.parametrize("maker", ["telegraph", "rotor"])
+@pytest.mark.parametrize("opacity", [Opacity(1.0, 1.0), Opacity(1.0, 2.0)], ids=["constant", "rational"])
+def test_negligible_diffusion_step_is_the_noise_flow(maker, drift, opacity):
+    # the geometric-noise closed forms below rest on this: one step at
+    # NO_DIFFUSION is rho exp(sqrt(dt) sum_j xi_j sqrt(lambda_j) e_j
+    # + (h - k(x,x)/2) dt), bit for bit
+    if maker == "telegraph":
+        stats = telegraph_stats()
+    else:
+        stats = noise_statistics(rotor_noise(GRID, 1.0, 1, 1.0))
+    dt = 1e-3
+    cfg = SpdeConfig(GRID, opacity, NO_DIFFUSION, 0.01, dt=dt, noise=stats, drift=drift)
+    rng = np.random.default_rng(11)
+    rho = rng.uniform(0.5, 2.0, (4, GRID.n_x))
+    xi = rng.standard_normal((4, stats.rank))
+    field = 0.0
+    for j in range(stats.rank):
+        field = field + xi[:, j, None] * (np.sqrt(stats.mode_weights[j]) * stats.mode_profiles[j])
+    h = stats.drift_paper if drift == "paper" else stats.drift_effective
+    flow = rho * np.exp(math.sqrt(dt) * field + (h - np.diag(stats.kernel) / 2.0) * dt)
+    assert np.array_equal(SpdeStepper(cfg).step(rho, xi), flow)
 
 
 def final_densities(cfg, rho0, rng, n_samples):
@@ -219,7 +242,7 @@ def final_densities(cfg, rho0, rng, n_samples):
 
 
 def test_pointwise_mean_matches_geometric_growth():
-    # with diffusion off each point follows the scalar geometric SDE
+    # at a negligible diffusion each point follows the scalar geometric SDE
     # d rho = h rho dt + rho dW, which the noise flow samples exactly:
     # E rho_T = rho0 exp(h T)
     stats = telegraph_stats()
@@ -331,22 +354,20 @@ def test_noise_off_step_conserves_mass_and_never_gains_energy(data, n_x, s0, s1,
 )
 def test_etdrk4_reference_is_fourth_order(s0, ratio, diffusion, amp, phase):
     # observed order under dt-halving, each run against a run with twice
-    # its steps, around the default 16 steps per snapshot interval, for
-    # opacities with sigma^* / sigma_* from 1.25 to 2.5 (the fixtures have 2)
+    # its steps, for opacities with sigma^* / sigma_* from 1.25 to 2.5 (the
+    # fixtures have 2): 2, 3 and 5 snapshots over 0.05 take 16, 32 and 64
+    # steps, 16 per snapshot interval
     grid = TorusGrid(32)
     x = grid.axis_points()
     rho0 = 1.0 + amp * np.cos(2.0 * np.pi * x + phase) + 0.5 * amp * np.sin(4.0 * np.pi * x)
     opacity = Opacity(s0, s0 + ratio * s0)
-    interval = 0.05
 
-    def final(steps):
-        _, densities = rosseland_reference(grid, opacity, diffusion, rho0, interval, 2,
-                                           dt=interval / steps)
-        return densities[-1]
+    def final(n_snapshots):
+        return rosseland_reference(grid, opacity, diffusion, rho0, 0.05, n_snapshots)[1][-1]
 
-    runs = {steps: final(steps) for steps in (8, 16, 32)}
-    coarse = math.sqrt(l2_norm_sq(grid, runs[8] - runs[16]))
-    fine = math.sqrt(l2_norm_sq(grid, runs[16] - runs[32]))
+    runs = [final(n_snapshots) for n_snapshots in (2, 3, 5)]
+    coarse = math.sqrt(l2_norm_sq(grid, runs[0] - runs[1]))
+    fine = math.sqrt(l2_norm_sq(grid, runs[1] - runs[2]))
     assert math.log2(coarse / fine) >= 3.5
 
 
@@ -404,9 +425,8 @@ def test_paper_drift_flow_is_shifted_by_the_kernel_diagonal():
     rho = np.full(GRID.shape, 1.3)
     xi = np.array([-0.4])
     steps = {
-        drift: SpdeStepper(SpdeConfig(GRID, Opacity(1.0, 1.0), 1.0, 0.01, dt=1e-3,
-                                      noise=stats, drift=drift,
-                                      include_diffusion=False)).step(rho, xi)
+        drift: SpdeStepper(SpdeConfig(GRID, Opacity(1.0, 1.0), NO_DIFFUSION, 0.01, dt=1e-3,
+                                      noise=stats, drift=drift)).step(rho, xi)
         for drift in ("effective", "paper")
     }
     kxx = np.diag(stats.kernel)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chain, state_index_at
+from conftest import fixed_blocks, random_chain, state_index_at
 from rosselab.model import TorusGrid
 from rosselab.noise import (
     EIG_CLIP,
@@ -20,6 +20,7 @@ from rosselab.noise import (
     sample_path,
     solve_poisson,
     stationary_law,
+    step_blocks,
     telegraph_noise,
 )
 
@@ -404,3 +405,49 @@ def test_time_reversal_half_kernel(builder):
         vals[k] = start * (path.occupations(0.0, 8.0) @ model.states)[ix]
     sem = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - expected) <= 3.0 * sem
+
+
+# --- the block loop --------------------------------------------------------
+
+
+@pytest.mark.parametrize("fail, message, calls", [
+    # row 2 fails at step 2, the first of the second block, and no lower
+    # row fails later
+    ((None, None, 2, None), "sample 7: row 2 at step 2", 8),
+    # rows 1 and 2 fail in one block, row 2 first
+    ((None, 3, 2, None), "sample 6: row 1 at step 3", 8),
+    # row 1 fails in a later block than row 2
+    ((None, 7, 2, None), "sample 6: row 1 at step 7", 8),
+    # row 0 fails at step 3: the loop stops after that step's block
+    ((3, None, 5, None), "sample 5: row 0 at step 3", 3),
+], ids=["one-failure", "two-in-one-block", "lower-row-later", "row-0"])
+def test_block_loop_failure_rule(fail, message, calls):
+    """Every block holds all rows; from its first failing block on, a
+    failing row and the rows above it read NaN, the rows below run on, and
+    the loop ends with the words of the lowest failing row at its first
+    failing step."""
+    steps = []
+
+    def step(x, k):
+        steps.append(k)
+        x = x + 1.0
+        x[[k + 1 == at for at in fail]] = np.inf
+        return x
+
+    def check(states):
+        return states, ~np.isfinite(states)
+
+    blocks = []
+    with fixed_blocks(2), pytest.raises(FloatingPointError, match=f"^{message}$"):
+        for start, states, norms in step_blocks(step, np.zeros(4), 8, 5, check,
+                                                lambda k, row, x: f"row {row} at step {k}"):
+            blocks.append((start, states.copy()))
+    assert steps == list(range(calls))
+    for start, states in blocks:
+        # the rows failing by the end of this block of two steps
+        failed = [row for row, at in enumerate(fail) if at is not None and at < start + 2]
+        for row in range(len(fail)):
+            if failed and row >= min(failed):
+                assert np.isnan(states[:, row]).all()
+            else:
+                assert np.array_equal(states[:, row], start + np.arange(len(states)))
